@@ -13,6 +13,10 @@
 //! * automaton states are the (normalised) progressed obligations; a state is
 //!   accepting iff its obligation is satisfied by the empty remainder.
 //!
+//! Progression, normalisation and the empty-remainder test are
+//! [`AccLtl::progress`], [`AccLtl::normalize`] and [`AccLtl::accepts_empty`],
+//! the same ones the bounded satisfiability search runs.
+//!
 //! Treating non-asserted binding atoms as false only prunes runs, never
 //! paths: by monotonicity there is always another branch that asserts exactly
 //! the binding atoms that do hold, so the automaton accepts precisely the
@@ -52,11 +56,11 @@ pub fn accltl_plus_to_automaton(formula: &AccLtl) -> AAutomaton {
     let mut automaton = AAutomaton::new(0, 0);
     let mut queue: VecDeque<AccLtl> = VecDeque::new();
 
-    let start = normalize(formula);
+    let start = formula.normalize();
     index_of.insert(start.clone(), 0);
     automaton.state_count = 1;
     queue.push_back(start.clone());
-    if accepts_empty(&start) {
+    if start.accepts_empty() {
         automaton.mark_accepting(0);
     }
 
@@ -75,7 +79,7 @@ pub fn accltl_plus_to_automaton(formula: &AccLtl) -> AAutomaton {
                     }
                     matches!(sentence, PosFormula::True)
                 };
-                let progressed = normalize(&progress(&obligation, &valuation));
+                let progressed = obligation.progress(&valuation).normalize();
                 if progressed == AccLtl::bottom() {
                     continue;
                 }
@@ -109,7 +113,7 @@ pub fn accltl_plus_to_automaton(formula: &AccLtl) -> AAutomaton {
                         let i = automaton.state_count;
                         automaton.state_count += 1;
                         index_of.insert(progressed.clone(), i);
-                        if accepts_empty(&progressed) {
+                        if progressed.accepts_empty() {
                             automaton.mark_accepting(i);
                         }
                         queue.push_back(progressed.clone());
@@ -121,57 +125,6 @@ pub fn accltl_plus_to_automaton(formula: &AccLtl) -> AAutomaton {
         }
     }
     automaton
-}
-
-fn normalize(formula: &AccLtl) -> AccLtl {
-    match formula {
-        AccLtl::Atom(_) => formula.clone(),
-        AccLtl::Not(inner) => AccLtl::not(normalize(inner)),
-        AccLtl::And(parts) => {
-            let mut normalized: Vec<AccLtl> = parts.iter().map(normalize).collect();
-            normalized.sort();
-            normalized.dedup();
-            AccLtl::and(normalized)
-        }
-        AccLtl::Or(parts) => {
-            let mut normalized: Vec<AccLtl> = parts.iter().map(normalize).collect();
-            normalized.sort();
-            normalized.dedup();
-            AccLtl::or(normalized)
-        }
-        AccLtl::Next(inner) => AccLtl::next(normalize(inner)),
-        AccLtl::Until(l, r) => AccLtl::until(normalize(l), normalize(r)),
-    }
-}
-
-fn progress(formula: &AccLtl, valuation: &dyn Fn(&PosFormula) -> bool) -> AccLtl {
-    match formula {
-        AccLtl::Atom(sentence) => {
-            if valuation(sentence) {
-                AccLtl::top()
-            } else {
-                AccLtl::bottom()
-            }
-        }
-        AccLtl::Not(inner) => AccLtl::not(progress(inner, valuation)),
-        AccLtl::And(parts) => AccLtl::and(parts.iter().map(|p| progress(p, valuation)).collect()),
-        AccLtl::Or(parts) => AccLtl::or(parts.iter().map(|p| progress(p, valuation)).collect()),
-        AccLtl::Next(inner) => inner.as_ref().clone(),
-        AccLtl::Until(l, r) => AccLtl::or(vec![
-            progress(r, valuation),
-            AccLtl::and(vec![progress(l, valuation), formula.clone()]),
-        ]),
-    }
-}
-
-fn accepts_empty(formula: &AccLtl) -> bool {
-    match formula {
-        AccLtl::Atom(sentence) => matches!(sentence, PosFormula::True),
-        AccLtl::Not(inner) => !accepts_empty(inner),
-        AccLtl::And(parts) => parts.iter().all(accepts_empty),
-        AccLtl::Or(parts) => parts.iter().any(accepts_empty),
-        AccLtl::Next(_) | AccLtl::Until(..) => false,
-    }
 }
 
 #[cfg(test)]

@@ -3,7 +3,8 @@
 //!
 //! Each bench target prints the rows/series it reproduces (in addition to the
 //! Criterion measurements), so that `cargo bench` output can be compared
-//! side-by-side with the paper — see `EXPERIMENTS.md` at the workspace root.
+//! side-by-side with the paper.  End-to-end and per-layer timings of the
+//! analyzer come from `perfbench/` (see its README), not from these targets.
 
 use accltl_core::prelude::*;
 

@@ -281,6 +281,73 @@ impl AccLtl {
             .iter()
             .all(|(sentence, positive)| *positive || !vocabulary::mentions_isbind(sentence))
     }
+
+    /// Normalises an obligation so that structurally equal obligations
+    /// compare equal: the arguments of every conjunction and disjunction are
+    /// sorted and deduplicated.  The bounded search's obligation ids and the
+    /// Lemma 4.5 automaton's states are normalised obligations, so
+    /// progressions that differ only in argument order share one state.
+    #[must_use]
+    pub fn normalize(&self) -> AccLtl {
+        match self {
+            AccLtl::Atom(_) => self.clone(),
+            AccLtl::Not(inner) => AccLtl::not(inner.normalize()),
+            AccLtl::And(parts) => {
+                let mut normalized: Vec<AccLtl> = parts.iter().map(AccLtl::normalize).collect();
+                normalized.sort();
+                normalized.dedup();
+                AccLtl::and(normalized)
+            }
+            AccLtl::Or(parts) => {
+                let mut normalized: Vec<AccLtl> = parts.iter().map(AccLtl::normalize).collect();
+                normalized.sort();
+                normalized.dedup();
+                AccLtl::or(normalized)
+            }
+            AccLtl::Next(inner) => AccLtl::next(inner.normalize()),
+            AccLtl::Until(l, r) => AccLtl::until(l.normalize(), r.normalize()),
+        }
+    }
+
+    /// Progresses the formula through one transition structure whose atom
+    /// sentences are decided by `eval`: the result holds on the rest of a
+    /// path iff the formula holds on the path starting at that transition
+    /// (the finite-trace LTL expansion `φ U ψ ≡ ψ ∨ (φ ∧ X(φ U ψ))`).  The
+    /// result is not normalised; callers that compare obligations apply
+    /// [`AccLtl::normalize`].
+    #[must_use]
+    pub fn progress(&self, eval: &impl Fn(&PosFormula) -> bool) -> AccLtl {
+        match self {
+            AccLtl::Atom(sentence) => {
+                if eval(sentence) {
+                    AccLtl::top()
+                } else {
+                    AccLtl::bottom()
+                }
+            }
+            AccLtl::Not(inner) => AccLtl::not(inner.progress(eval)),
+            AccLtl::And(parts) => AccLtl::and(parts.iter().map(|p| p.progress(eval)).collect()),
+            AccLtl::Or(parts) => AccLtl::or(parts.iter().map(|p| p.progress(eval)).collect()),
+            AccLtl::Next(inner) => inner.as_ref().clone(),
+            AccLtl::Until(l, r) => AccLtl::or(vec![
+                r.progress(eval),
+                AccLtl::and(vec![l.progress(eval), self.clone()]),
+            ]),
+        }
+    }
+
+    /// Whether a (progressed) obligation is satisfied by the empty remainder
+    /// of a path: every `X` and `U` still pending fails there.
+    #[must_use]
+    pub fn accepts_empty(&self) -> bool {
+        match self {
+            AccLtl::Atom(sentence) => matches!(sentence, PosFormula::True),
+            AccLtl::Not(inner) => !inner.accepts_empty(),
+            AccLtl::And(parts) => parts.iter().all(AccLtl::accepts_empty),
+            AccLtl::Or(parts) => parts.iter().any(AccLtl::accepts_empty),
+            AccLtl::Next(_) | AccLtl::Until(..) => false,
+        }
+    }
 }
 
 impl fmt::Display for AccLtl {
@@ -451,6 +518,50 @@ mod tests {
         assert!(!f
             .holds_on_path(&figure1_path().prefix(1), &schema, &Instance::new(), false)
             .unwrap());
+    }
+
+    #[test]
+    fn progression_agrees_with_the_path_semantics() {
+        let schema = phone_directory_access_schema();
+        let jones = AccLtl::atom(address_post_has_jones());
+        let mobile = AccLtl::atom(mobile_pre_nonempty());
+        let formulas = [
+            AccLtl::finally(jones.clone()),
+            AccLtl::globally(AccLtl::not(jones.clone())),
+            AccLtl::next(jones.clone()),
+            AccLtl::until(AccLtl::not(mobile.clone()), jones.clone()),
+            AccLtl::and(vec![AccLtl::finally(mobile), AccLtl::next(jones)]),
+        ];
+        let path = figure1_path();
+        for len in 1..=path.len() {
+            let transitions = path
+                .prefix(len)
+                .transitions(&schema, &Instance::new())
+                .unwrap();
+            let structures = path_structures(&transitions, false);
+            for formula in &formulas {
+                let progressed = structures.iter().fold(formula.clone(), |obligation, s| {
+                    obligation
+                        .progress(&|sentence: &PosFormula| sentence.holds(s))
+                        .normalize()
+                });
+                assert_eq!(
+                    progressed.accepts_empty(),
+                    formula.satisfied_at(&structures, 0),
+                    "{formula} on a {len}-step prefix"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn normalization_identifies_reordered_obligations() {
+        let a = AccLtl::atom(address_post_has_jones());
+        let b = AccLtl::next(AccLtl::atom(mobile_pre_nonempty()));
+        let ab = AccLtl::or(vec![a.clone(), AccLtl::and(vec![b.clone(), a.clone()])]);
+        let ba = AccLtl::or(vec![AccLtl::and(vec![a.clone(), b, a.clone()]), a]);
+        assert_ne!(ab, ba);
+        assert_eq!(ab.normalize(), ba.normalize());
     }
 
     #[test]

@@ -11,9 +11,11 @@
 //! * the **fact universe** is the union of the canonical databases of the
 //!   (IsBind-erased) positive sentences of the formula, mapped back to the
 //!   base relations (Lemma 4.13's `I'_f`);
-//! * **states** are pairs (set of revealed facts, progressed formula); the
-//!   formula is progressed transition by transition, in the style of the
-//!   propositional reduction of Theorem 4.12;
+//! * **states** are pairs (set of revealed facts, progressed obligation);
+//!   the formula is progressed transition by transition
+//!   ([`AccLtl::progress`]), in the style of the propositional reduction of
+//!   Theorem 4.12, and each normalized obligation is interned once per
+//!   search, so a state carries its obligation as a dense `u32` id;
 //! * **transitions** are generated per access method by grouping the not yet
 //!   revealed facts of its relation by their projection onto the input
 //!   positions (a well-formed response must agree with the binding), plus
@@ -163,67 +165,19 @@ fn formula_constants(formula: &AccLtl) -> BTreeSet<Value> {
         .collect()
 }
 
-/// Normalises a formula so that structurally equal obligations compare equal
-/// (sorted, deduplicated boolean arguments).
-fn normalize(formula: &AccLtl) -> AccLtl {
-    match formula {
-        AccLtl::Atom(_) => formula.clone(),
-        AccLtl::Not(inner) => AccLtl::not(normalize(inner)),
-        AccLtl::And(parts) => {
-            let mut normalized: Vec<AccLtl> = parts.iter().map(normalize).collect();
-            normalized.sort();
-            normalized.dedup();
-            AccLtl::and(normalized)
-        }
-        AccLtl::Or(parts) => {
-            let mut normalized: Vec<AccLtl> = parts.iter().map(normalize).collect();
-            normalized.sort();
-            normalized.dedup();
-            AccLtl::or(normalized)
-        }
-        AccLtl::Next(inner) => AccLtl::next(normalize(inner)),
-        AccLtl::Until(l, r) => AccLtl::until(normalize(l), normalize(r)),
-    }
-}
-
-/// Progresses an `AccLTL` formula through one transition structure, whose
-/// atoms are decided by `eval` (a compiled-sentence evaluator in the search's
-/// hot loop).
-fn progress(formula: &AccLtl, eval: &impl Fn(&PosFormula) -> bool) -> AccLtl {
-    match formula {
-        AccLtl::Atom(sentence) => {
-            if eval(sentence) {
-                AccLtl::top()
-            } else {
-                AccLtl::bottom()
-            }
-        }
-        AccLtl::Not(inner) => AccLtl::not(progress(inner, eval)),
-        AccLtl::And(parts) => AccLtl::and(parts.iter().map(|p| progress(p, eval)).collect()),
-        AccLtl::Or(parts) => AccLtl::or(parts.iter().map(|p| progress(p, eval)).collect()),
-        AccLtl::Next(inner) => inner.as_ref().clone(),
-        AccLtl::Until(l, r) => AccLtl::or(vec![
-            progress(r, eval),
-            AccLtl::and(vec![progress(l, eval), formula.clone()]),
-        ]),
-    }
-}
-
-/// Whether a (progressed) formula is satisfied by the empty remainder of a
-/// path.
-fn accepts_empty(formula: &AccLtl) -> bool {
-    match formula {
-        AccLtl::Atom(sentence) => matches!(sentence, PosFormula::True),
-        AccLtl::Not(inner) => !accepts_empty(inner),
-        AccLtl::And(parts) => parts.iter().all(accepts_empty),
-        AccLtl::Or(parts) => parts.iter().any(accepts_empty),
-        AccLtl::Next(_) | AccLtl::Until(..) => false,
-    }
-}
-
 /// The [`StepOracle`] of the bounded satisfiability search: the logical state
-/// is the normalized obligation still to satisfy, advanced by formula
-/// progression over the candidate's transition structure.
+/// is the id of the normalized obligation still to satisfy, advanced by
+/// formula progression ([`AccLtl::progress`]) over the candidate's
+/// transition structure.
+///
+/// Obligations are hash-consed per oracle: each normalized obligation the
+/// search reaches is stored once in [`FormulaOracle::obligations`] and named
+/// by a dense `u32` id, so frontier nodes, the engine's `(revealed facts,
+/// state)` dedup keys and the progression memo hash and copy a word instead
+/// of a formula tree.  Two ids are equal iff their obligations are, which is
+/// all the engine observes; the numbering itself follows first-reach order
+/// and may differ between thread counts without changing any verdict,
+/// witness or count.
 struct FormulaOracle {
     vocab: TransitionVocab,
     /// Atom sentences of the formula, DNF-compiled once: progression
@@ -248,29 +202,39 @@ struct FormulaOracle {
     /// rather than indexed ([`EngineConfig::index_cutoff`]), stamped onto
     /// each state's base in `prepare`.
     index_cutoff: usize,
-    /// One-step progressions memoized per (obligation, atom-verdict mask):
-    /// the progressed successor is a pure function of the obligation and the
-    /// verdicts of the formula's atom sentences, so candidates whose guards
-    /// agree replay one normalized result instead of re-deriving it.  Shared
-    /// by all worker threads; bypassed for formulas with more than 32 atoms.
-    progress_memo: RwLock<HashMap<AccLtl, HashMap<u32, Progressed>>>,
+    /// The interned obligations, shared by all worker threads.
+    obligations: RwLock<Obligations>,
+    /// One-step progressions memoized per (obligation id, atom-verdict
+    /// mask): the progressed successor is a pure function of the obligation
+    /// and the verdicts of the formula's atom sentences, so candidates whose
+    /// guards agree replay one result instead of re-deriving it.  Shared by
+    /// all worker threads; bypassed for formulas with more than 32 atoms.
+    progress_memo: RwLock<HashMap<(u32, u32), Progressed>>,
+}
+
+/// The hash-consing table of a [`FormulaOracle`]: obligation id → normalized
+/// obligation, and back.
+#[derive(Default)]
+struct Obligations {
+    formulas: Vec<AccLtl>,
+    ids: HashMap<AccLtl, u32>,
 }
 
 /// A memoized one-step progression verdict (see
 /// [`FormulaOracle::progress_memo`]).
-#[derive(Clone)]
+#[derive(Clone, Copy)]
 enum Progressed {
     /// The obligation became `⊥`: the transition is dead.
     Dead,
     /// The progressed obligation accepts the empty remainder: the path so
     /// far, extended by this transition, is a witness.
     Accept,
-    /// The normalized remaining obligation.
-    Step(AccLtl),
+    /// The id of the normalized remaining obligation.
+    Step(u32),
 }
 
 impl Progressed {
-    fn outcome(self) -> StepOutcome<AccLtl> {
+    fn outcome(self) -> StepOutcome<u32> {
         match self {
             Progressed::Dead => StepOutcome::dead(1),
             Progressed::Accept => StepOutcome {
@@ -311,25 +275,43 @@ impl FormulaOracle {
             zero_ary,
             scan,
             index_cutoff,
+            obligations: RwLock::default(),
             progress_memo: RwLock::new(HashMap::new()),
         }
     }
 
+    /// The id of a normalized obligation, assigning the next free id on
+    /// first sight.
+    fn intern(&self, obligation: AccLtl) -> u32 {
+        let mut table = self.obligations.write().expect("obligations poisoned");
+        let Obligations { formulas, ids } = &mut *table;
+        *ids.entry(obligation).or_insert_with_key(|obligation| {
+            formulas.push(obligation.clone());
+            (formulas.len() - 1) as u32
+        })
+    }
+
     /// Progresses an obligation through one transition whose atoms are
     /// decided by `eval`, classifying the normalized result.
-    fn progress_state(&self, state: &AccLtl, eval: &impl Fn(&PosFormula) -> bool) -> Progressed {
-        let progressed = normalize(&progress(state, eval));
+    fn progress_state(&self, state: u32, eval: &impl Fn(&PosFormula) -> bool) -> Progressed {
+        let progressed = self
+            .obligations
+            .read()
+            .expect("obligations poisoned")
+            .formulas[state as usize]
+            .progress(eval)
+            .normalize();
         if progressed == AccLtl::bottom() {
             return Progressed::Dead;
         }
-        if accepts_empty(&progressed) {
+        if progressed.accepts_empty() {
             // The path leading to the current state, extended by this
             // transition, is a witness (reported before deduplication: the
             // successor state may coincide with an earlier one, e.g. when an
             // obligation like `G ψ` is already dischargeable).
             return Progressed::Accept;
         }
-        Progressed::Step(progressed)
+        Progressed::Step(self.intern(progressed))
     }
 
     fn eval(&self, sentence: &PosFormula, structure: &InstanceOverlay, memoize: bool) -> bool {
@@ -371,7 +353,7 @@ struct FormulaCtx {
 }
 
 impl StepOracle for FormulaOracle {
-    type State = AccLtl;
+    type State = u32;
     type StateCtx = FormulaCtx;
     /// The candidate's transition structure: its response pushed as `Rpost`
     /// facts (plus the `IsBind` fact) onto the state's `pre ∪ post` base.
@@ -410,12 +392,12 @@ impl StepOracle for FormulaOracle {
 
     fn step(
         &self,
-        state: &AccLtl,
+        &state: &u32,
         ctx: &FormulaCtx,
         structure: &InstanceOverlay,
         _candidate: &Candidate<'_>,
         _universe: &FactUniverse,
-    ) -> StepOutcome<AccLtl> {
+    ) -> StepOutcome<u32> {
         // Decide every atom sentence once against the candidate structure
         // (each decision is a counted guard-cache consult); progression is
         // then a pure function of the obligation and this verdict mask.
@@ -436,9 +418,8 @@ impl StepOracle for FormulaOracle {
             .progress_memo
             .read()
             .expect("progress memo poisoned")
-            .get(state)
-            .and_then(|verdicts| verdicts.get(&mask))
-            .cloned();
+            .get(&(state, mask))
+            .copied();
         if let Some(progressed) = hit {
             return progressed.outcome();
         }
@@ -462,9 +443,7 @@ impl StepOracle for FormulaOracle {
             self.progress_memo
                 .write()
                 .expect("progress memo poisoned")
-                .entry(state.clone())
-                .or_default()
-                .insert(mask, progressed.clone());
+                .insert((state, mask), progressed);
         }
         progressed.outcome()
     }
@@ -685,8 +664,8 @@ fn run_formula_batch(
         // per-formula consult counters (so batched totals equal sequential
         // totals).
         let handle = root_cache.share();
-        let start = normalize(formula);
-        if allow_empty_path && accepts_empty(&start) {
+        let start = formula.normalize();
+        if allow_empty_path && start.accepts_empty() {
             reports[slot] = Some(SearchReport {
                 verdict: SatOutcome::Satisfiable {
                     witness: AccessPath::new(),
@@ -708,6 +687,7 @@ fn run_formula_batch(
             engine_config.disable_indexes,
             engine_config.index_cutoff,
         );
+        let start = oracle.intern(start);
         specs.push(PropertySpec {
             oracle,
             start,

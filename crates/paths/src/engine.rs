@@ -33,10 +33,13 @@
 //!
 //! Engine responsibilities:
 //!
-//! * **compact frontier states** — the revealed-fact component of a search
-//!   state is a bitset over interned fact indices, so cloning, hashing and
-//!   deduplicating states is a few word operations instead of a
-//!   `BTreeSet<usize>` walk;
+//! * **compact frontier states** — a search state is a pair of a bitset over
+//!   interned fact indices (the revealed facts) and the oracle's logical
+//!   state, which both production oracles keep to one machine word (an
+//!   interned obligation id in the bounded search, an automaton state index
+//!   in emptiness), so cloning, hashing and deduplicating states is a few
+//!   word operations instead of a `BTreeSet<usize>` walk or a formula-tree
+//!   hash;
 //! * **arena parent links** — discovered states live in a flat per-property
 //!   arena and parents are plain indices, replacing the per-crate
 //!   `HashMap<State, Option<(State, Access, Vec<usize>)>>` clones;
@@ -222,8 +225,10 @@ impl<S> StepOutcome<S> {
 /// sit behind the lock the [`pool`] workers read expansion
 /// tasks through.
 pub trait StepOracle: Send + Sync {
-    /// The logical component of a search state (a progressed formula, an
-    /// automaton state, ...).
+    /// The logical component of a search state (an interned obligation id,
+    /// an automaton state, ...).  The engine hashes and clones it once per
+    /// successor it deduplicates, so a word-sized state keeps the merge
+    /// phase cheap.
     type State: Clone + Eq + Hash + Send + Sync;
     /// Per-configuration precomputation, built by [`StepOracle::prepare`]
     /// and handed back to every [`StepOracle::step`] call for a state at
@@ -1403,14 +1408,12 @@ impl<'a, O: StepOracle> BatchEngine<'a, O> {
                     for &index in &candidate.added {
                         new_revealed.insert(index);
                     }
-                    let key = (new_revealed, successor);
-                    if run.seen.contains(&key) {
+                    if !run.seen.insert((new_revealed.clone(), successor.clone())) {
                         continue;
                     }
-                    run.seen.insert(key.clone());
                     run.nodes.push(Node {
-                        revealed: key.0,
-                        state: key.1,
+                        revealed: new_revealed,
+                        state: successor,
                         parent: node_id,
                         step: Some((access.clone(), candidate.added.clone())),
                     });

@@ -95,16 +95,17 @@ impl<T, U> Round<T, U> {
         let mut steals = 0u64;
         let mut tasks = 0u64;
         loop {
-            let claimed = lock(&self.deques[slot])
-                .pop_front()
-                .map(|range| (range, false))
-                .or_else(|| {
-                    (1..workers).find_map(|offset| {
-                        lock(&self.deques[(slot + offset) % workers])
-                            .pop_back()
-                            .map(|range| (range, true))
-                    })
-                });
+            // Release the own deque's lock before locking any neighbour's:
+            // holding it while stealing lets two workers that run dry
+            // together each wait on the other's deque (ABBA deadlock).
+            let own = lock(&self.deques[slot]).pop_front();
+            let claimed = own.map(|range| (range, false)).or_else(|| {
+                (1..workers).find_map(|offset| {
+                    lock(&self.deques[(slot + offset) % workers])
+                        .pop_back()
+                        .map(|range| (range, true))
+                })
+            });
             let Some((range, stolen)) = claimed else {
                 if ranges > 0 {
                     POOL_RANGES.add(ranges);

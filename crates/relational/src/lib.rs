@@ -37,9 +37,10 @@
 //!   Datalog evaluation and most-selective-bound-position homomorphism
 //!   search — with a scanning fallback (`ACCLTL_DISABLE_INDEXES=1`) that is
 //!   byte-identical by contract;
-//! * guard-verdict memoization ([`guard_cache`]): [`StructureKey`]
-//!   fingerprints (`Arc` base address + canonical delta hash, restricted per
-//!   sentence to the predicates it mentions) and a sharded [`GuardCache`]
+//! * guard-verdict memoization ([`guard_cache`]): content-addressed
+//!   [`StructureKey`] fingerprints (an order-independent two-lane digest plus
+//!   the exact fact count, restricted per sentence to the predicates it
+//!   mentions) and a sharded [`GuardCache`]
 //!   consulted by [`CompiledSentence::holds_cached`], so the bounded
 //!   searches never repeat a homomorphism search for a guard they have
 //!   already decided on an equivalent structure — with an uncached fallback

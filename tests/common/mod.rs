@@ -1,11 +1,16 @@
 //! Shared test-util module for the integration-test binaries: the Fig-1
 //! phone-directory builders, formula shapes and report digests that
 //! `guard_cache_props`, `batch_props`, `pool_props` and `session_props`
-//! previously copy-pasted.  Each binary includes this file via `mod common;`
+//! previously copy-pasted, and the [`with_deadline`] watchdog that the
+//! multi-threaded tests run under.  Each binary includes this file via `mod common;`
 //! and uses a subset, hence the `dead_code` allowance.
 #![allow(dead_code)]
 
+use std::io::Write;
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+use std::thread;
+use std::time::Duration;
 
 use proptest::prelude::*;
 
@@ -20,6 +25,33 @@ pub fn flag_lock() -> MutexGuard<'static, ()> {
     LOCK.get_or_init(|| Mutex::new(()))
         .lock()
         .unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Runs `f` on the calling thread under a watchdog: if `f` has not returned
+/// after `secs` seconds, the watchdog names the test and aborts the test
+/// process, so a deadlock fails the run instead of hanging it.  A panic in
+/// `f` disarms the watchdog and propagates as usual.
+pub fn with_deadline<T>(secs: u64, f: impl FnOnce() -> T) -> T {
+    let test = thread::current()
+        .name()
+        .unwrap_or("<unnamed test>")
+        .to_string();
+    let (disarm, armed) = mpsc::channel::<()>();
+    let watchdog = thread::spawn(move || {
+        if armed.recv_timeout(Duration::from_secs(secs)) == Err(RecvTimeoutError::Timeout) {
+            // Straight to the stream: the harness's output capture would
+            // swallow an `eprintln!` of a test that never finishes.
+            let _ = writeln!(
+                std::io::stderr(),
+                "{test}: still running after its {secs} s deadline; aborting (deadlock?)"
+            );
+            std::process::abort();
+        }
+    });
+    let result = f();
+    drop(disarm);
+    watchdog.join().expect("the watchdog never panics");
+    result
 }
 
 /// Runs `f` with the guard cache disabled, restoring the previous mode.
@@ -106,7 +138,13 @@ pub fn mobile_pre() -> AccLtl {
 /// name already revealed in `Address^pre` (binding-aware, so the `IsBind`
 /// restriction of the cache keys is genuinely exercised).
 pub fn dataflow_formula() -> AccLtl {
-    AccLtl::finally(AccLtl::atom(PosFormula::exists(
+    AccLtl::finally(dataflow_atom())
+}
+
+/// `∃n. IsBind_AcM1(n) ∧ ∃s p h. Address^pre(s, p, n, h)`: an `AcM1` access
+/// bound to a name already revealed on an address page.
+pub fn dataflow_atom() -> AccLtl {
+    AccLtl::atom(PosFormula::exists(
         vec!["n"],
         PosFormula::and(vec![
             isbind_atom("AcM1", vec![Term::var("n")]),
@@ -123,7 +161,7 @@ pub fn dataflow_formula() -> AccLtl {
                 ),
             ),
         ]),
-    )))
+    ))
 }
 
 /// Strategy: small formulas mixing satisfiable, unsatisfiable and

@@ -10,6 +10,8 @@
 //! process-wide registry), so concurrent tests would cross-contaminate the
 //! deltas.
 
+mod common;
+
 use std::sync::{Mutex, MutexGuard};
 
 use proptest::prelude::*;
@@ -132,45 +134,47 @@ proptest! {
         batch in proptest::collection::vec(random_formula(), 1..4),
         initial in random_initial(),
     ) {
-        let _guard = obs_lock();
-        let schema = phone_directory_access_schema();
-        for threads in [1usize, 4, 8] {
-            let searcher = BoundedSearcher::with_engine_config(
-                &schema,
-                &initial,
-                false,
-                EngineConfig::base().threads(threads),
-            );
-            let before = snapshot();
-            let reports = searcher.run_batch(&batch);
-            let after = snapshot();
+        common::with_deadline(120, || {
+            let _guard = obs_lock();
+            let schema = phone_directory_access_schema();
+            for threads in [1usize, 4, 8] {
+                let searcher = BoundedSearcher::with_engine_config(
+                    &schema,
+                    &initial,
+                    false,
+                    EngineConfig::base().threads(threads),
+                );
+                let before = snapshot();
+                let reports = searcher.run_batch(&batch);
+                let after = snapshot();
 
-            let explored: u64 = reports.iter().map(|r| r.explored as u64).sum();
-            let cost: u64 = reports.iter().map(|r| r.cost as u64).sum();
-            let consults: u64 = reports.iter().map(|r| r.cache.total()).sum();
-            prop_assert_eq!(
-                delta(&before, &after, "search.explored"), explored,
-                "search.explored at threads={}", threads
-            );
-            prop_assert_eq!(
-                delta(&before, &after, "search.cost"), cost,
-                "search.cost at threads={}", threads
-            );
-            // The hit/miss split moves with the schedule; the total does not.
-            prop_assert_eq!(
-                delta(&before, &after, "guard_cache.hits")
-                    + delta(&before, &after, "guard_cache.misses"),
-                consults,
-                "guard-cache consult total at threads={}", threads
-            );
-            // The engine-level mirrors agree with the front-end totals.
-            prop_assert_eq!(delta(&before, &after, "engine.explored"), explored);
-            prop_assert_eq!(delta(&before, &after, "engine.cost"), cost);
-            prop_assert_eq!(
-                delta(&before, &after, "engine.properties"),
-                batch.len() as u64
-            );
-        }
+                let explored: u64 = reports.iter().map(|r| r.explored as u64).sum();
+                let cost: u64 = reports.iter().map(|r| r.cost as u64).sum();
+                let consults: u64 = reports.iter().map(|r| r.cache.total()).sum();
+                prop_assert_eq!(
+                    delta(&before, &after, "search.explored"), explored,
+                    "search.explored at threads={}", threads
+                );
+                prop_assert_eq!(
+                    delta(&before, &after, "search.cost"), cost,
+                    "search.cost at threads={}", threads
+                );
+                // The hit/miss split moves with the schedule; the total does not.
+                prop_assert_eq!(
+                    delta(&before, &after, "guard_cache.hits")
+                        + delta(&before, &after, "guard_cache.misses"),
+                    consults,
+                    "guard-cache consult total at threads={}", threads
+                );
+                // The engine-level mirrors agree with the front-end totals.
+                prop_assert_eq!(delta(&before, &after, "engine.explored"), explored);
+                prop_assert_eq!(delta(&before, &after, "engine.cost"), cost);
+                prop_assert_eq!(
+                    delta(&before, &after, "engine.properties"),
+                    batch.len() as u64
+                );
+            }
+        });
     }
 
     /// With the JSONL trace enabled, every report is byte-identical to the
@@ -181,38 +185,40 @@ proptest! {
         initial in random_initial(),
         threads in prop_oneof![Just(1usize), Just(4usize)],
     ) {
-        let _guard = obs_lock();
-        let schema = phone_directory_access_schema();
-        let searcher = || BoundedSearcher::with_engine_config(
-            &schema,
-            &initial,
-            false,
-            EngineConfig::base().threads(threads),
-        );
-        let untraced: Vec<_> = searcher().run_batch(&batch).iter().map(digest).collect();
-
-        let path = std::env::temp_dir().join(format!(
-            "accltl-obs-props-{}-{threads}.jsonl",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_file(&path);
-        trace::set_trace_path(Some(&path));
-        let traced: Vec<_> = searcher().run_batch(&batch).iter().map(digest).collect();
-        trace::set_trace_path(None);
-
-        prop_assert_eq!(&traced, &untraced, "tracing changed a report");
-
-        let text = std::fs::read_to_string(&path).expect("trace file written");
-        let _ = std::fs::remove_file(&path);
-        prop_assert!(!text.trim().is_empty(), "trace file is empty");
-        for line in text.lines() {
-            let value = json::parse(line)
-                .unwrap_or_else(|e| panic!("unparseable trace line {line:?}: {e}"));
-            prop_assert!(
-                value.get("ev").and_then(json::JsonValue::as_str).is_some(),
-                "record without an \"ev\" field: {}", line
+        common::with_deadline(120, || {
+            let _guard = obs_lock();
+            let schema = phone_directory_access_schema();
+            let searcher = || BoundedSearcher::with_engine_config(
+                &schema,
+                &initial,
+                false,
+                EngineConfig::base().threads(threads),
             );
-        }
+            let untraced: Vec<_> = searcher().run_batch(&batch).iter().map(digest).collect();
+
+            let path = std::env::temp_dir().join(format!(
+                "accltl-obs-props-{}-{threads}.jsonl",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_file(&path);
+            trace::set_trace_path(Some(&path));
+            let traced: Vec<_> = searcher().run_batch(&batch).iter().map(digest).collect();
+            trace::set_trace_path(None);
+
+            prop_assert_eq!(&traced, &untraced, "tracing changed a report");
+
+            let text = std::fs::read_to_string(&path).expect("trace file written");
+            let _ = std::fs::remove_file(&path);
+            prop_assert!(!text.trim().is_empty(), "trace file is empty");
+            for line in text.lines() {
+                let value = json::parse(line)
+                    .unwrap_or_else(|e| panic!("unparseable trace line {line:?}: {e}"));
+                prop_assert!(
+                    value.get("ev").and_then(json::JsonValue::as_str).is_some(),
+                    "record without an \"ev\" field: {}", line
+                );
+            }
+        });
     }
 }
 
@@ -268,25 +274,28 @@ fn chase_counters_are_mode_invariant_and_reconciled() {
 /// the bounded front-end, so mixed workloads accumulate one ledger.
 #[test]
 fn emptiness_reconciles_with_report_counters() {
-    let _guard = obs_lock();
-    let schema = phone_directory_access_schema();
-    let automaton = accltl_plus_to_automaton(&AccLtl::finally(jones_post()));
-    let refs = [&automaton];
+    common::with_deadline(120, || {
+        let _guard = obs_lock();
+        let schema = phone_directory_access_schema();
+        let automaton = accltl_plus_to_automaton(&AccLtl::finally(jones_post()));
+        let refs = [&automaton];
 
-    let before = snapshot();
-    let reports = bounded_emptiness_batch_with_config(
-        &refs,
-        &schema,
-        &Instance::new(),
-        EngineConfig::base().threads(2),
-    );
-    let after = snapshot();
+        let before = snapshot();
+        let reports = bounded_emptiness_batch_with_config(
+            &refs,
+            &schema,
+            &Instance::new(),
+            EngineConfig::base().threads(2),
+        );
+        let after = snapshot();
 
-    let explored: u64 = reports.iter().map(|r| r.explored as u64).sum();
-    let consults: u64 = reports.iter().map(|r| r.cache.total()).sum();
-    assert_eq!(delta(&before, &after, "search.explored"), explored);
-    assert_eq!(
-        delta(&before, &after, "guard_cache.hits") + delta(&before, &after, "guard_cache.misses"),
-        consults
-    );
+        let explored: u64 = reports.iter().map(|r| r.explored as u64).sum();
+        let consults: u64 = reports.iter().map(|r| r.cache.total()).sum();
+        assert_eq!(delta(&before, &after, "search.explored"), explored);
+        assert_eq!(
+            delta(&before, &after, "guard_cache.hits")
+                + delta(&before, &after, "guard_cache.misses"),
+            consults
+        );
+    });
 }

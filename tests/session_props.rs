@@ -105,17 +105,19 @@ proptest! {
         zero_ary in any::<bool>(),
         threads in prop_oneof![Just(1usize), Just(4), Just(8)],
     ) {
-        let _guard = flag_lock();
-        let schema = phone_directory_access_schema();
-        let engine = EngineConfig::base().threads(threads);
-        let searcher =
-            BoundedSearcher::with_engine_config(&schema, &initial, zero_ary, engine);
-        let mut session = searcher.open_session(&properties);
-        assert_matches_scratch(&session, &schema, zero_ary, engine, &properties);
-        for (access, response) in &stream {
-            session.step(access, response).expect("well-formed step");
+        common::with_deadline(120, || {
+            let _guard = flag_lock();
+            let schema = phone_directory_access_schema();
+            let engine = EngineConfig::base().threads(threads);
+            let searcher =
+                BoundedSearcher::with_engine_config(&schema, &initial, zero_ary, engine);
+            let mut session = searcher.open_session(&properties);
             assert_matches_scratch(&session, &schema, zero_ary, engine, &properties);
-        }
+            for (access, response) in &stream {
+                session.step(access, response).expect("well-formed step");
+                assert_matches_scratch(&session, &schema, zero_ary, engine, &properties);
+            }
+        });
     }
 
     /// A reusing session and a `disable_session_reuse` session stepped in
