@@ -16,8 +16,7 @@ use accltl_core::prelude::*;
 use accltl_core::relational::set_indexing_enabled;
 
 /// A phone-directory-shaped instance scaled by `scale`: `scale` streets, four
-/// houses per street, one mobile entry per even house (the same shape the
-/// `interning` bench uses).
+/// houses per street, one mobile entry per even house.
 fn scaled_instance(scale: usize) -> Instance {
     let mut inst = Instance::new();
     for s in 0..scale {
@@ -45,8 +44,8 @@ fn scaled_instance(scale: usize) -> Instance {
     inst
 }
 
-/// The 3-atom join of the `interning` bench: names with a mobile entry and
-/// two address rows on the same street.
+/// A 3-atom join: names with a mobile entry and two address rows on the
+/// same street.
 fn join_query() -> ConjunctiveQuery {
     cq!([n] <-
         atom!("Mobile#"; n, p, s, ph),

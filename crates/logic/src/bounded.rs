@@ -51,7 +51,7 @@
 //! to one-at-a-time [`BoundedSearcher::run`] calls.
 
 use std::cell::Cell;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 use std::sync::{Arc, RwLock};
 
 use accltl_paths::engine::{
@@ -180,10 +180,12 @@ fn formula_constants(formula: &AccLtl) -> BTreeSet<Value> {
 /// witness or count.
 struct FormulaOracle {
     vocab: TransitionVocab,
-    /// Atom sentences of the formula, DNF-compiled once: progression
-    /// evaluates the same handful of sentences against every candidate
-    /// structure.
-    compiled: BTreeMap<PosFormula, CompiledSentence>,
+    /// Atom sentences of the formula in sorted order, each DNF-compiled
+    /// once: progression evaluates the same handful of sentences against
+    /// every candidate structure.  A sentence's position is its bit in the
+    /// verdict mask, so a step decides them by position, never by formula
+    /// lookup.
+    compiled: Vec<(PosFormula, CompiledSentence)>,
     /// The search's guard-verdict cache, an owned
     /// [`GuardCache::share`] handle of the batch's root cache (one shared
     /// verdict map, per-formula consult counters): obligation checks
@@ -314,32 +316,43 @@ impl FormulaOracle {
         Progressed::Step(self.intern(progressed))
     }
 
-    fn eval(&self, sentence: &PosFormula, structure: &InstanceOverlay, memoize: bool) -> bool {
-        if self.scan {
-            return self.eval_view(sentence, &ScanView(structure), memoize);
-        }
-        self.eval_view(sentence, structure, memoize)
+    /// The position of an atom sentence in [`FormulaOracle::compiled`].
+    fn position(&self, sentence: &PosFormula) -> Option<usize> {
+        self.compiled
+            .binary_search_by(|(atom, _)| atom.cmp(sentence))
+            .ok()
     }
 
-    fn eval_view(
-        &self,
-        sentence: &PosFormula,
-        structure: &impl accltl_relational::InstanceView,
-        memoize: bool,
-    ) -> bool {
+    /// Decides the atom sentence at `index` (⊤ and ⊥ uncounted, every other
+    /// sentence a counted guard-cache consult).
+    fn eval_at(&self, index: usize, structure: &InstanceOverlay, memoize: bool) -> bool {
+        let (sentence, compiled) = &self.compiled[index];
         match sentence {
             PosFormula::True => true,
             PosFormula::False => false,
-            _ => match self.compiled.get(sentence) {
-                Some(compiled) => compiled.holds_cached(structure, &self.cache, memoize),
-                // Progression only ever produces atoms of the original
-                // formula (plus ⊤/⊥); this fallback keeps the oracle total
-                // (counted, but never memoized).
-                None => {
-                    self.cache.note_uncached();
+            _ if self.scan => compiled.holds_cached(&ScanView(structure), &self.cache, memoize),
+            _ => compiled.holds_cached(structure, &self.cache, memoize),
+        }
+    }
+
+    fn eval(&self, sentence: &PosFormula, structure: &InstanceOverlay, memoize: bool) -> bool {
+        if let Some(index) = self.position(sentence) {
+            return self.eval_at(index, structure, memoize);
+        }
+        match sentence {
+            PosFormula::True => true,
+            PosFormula::False => false,
+            // Progression only ever produces atoms of the original formula
+            // (plus ⊤/⊥); this fallback keeps the oracle total (counted, but
+            // never memoized).
+            _ => {
+                self.cache.note_uncached();
+                if self.scan {
+                    sentence.holds(&ScanView(structure))
+                } else {
                     sentence.holds(structure)
                 }
-            },
+            }
         }
     }
 }
@@ -409,8 +422,8 @@ impl StepOracle for FormulaOracle {
                 .outcome();
         }
         let mut mask = 0u32;
-        for (bit, sentence) in self.compiled.keys().enumerate() {
-            if self.eval(sentence, structure, ctx.memoize) {
+        for bit in 0..self.compiled.len() {
+            if self.eval_at(bit, structure, ctx.memoize) {
                 mask |= 1 << bit;
             }
         }
@@ -431,7 +444,7 @@ impl StepOracle for FormulaOracle {
         let progressed = self.progress_state(state, &|sentence| match sentence {
             PosFormula::True => true,
             PosFormula::False => false,
-            _ => match self.compiled.keys().position(|k| k == sentence) {
+            _ => match self.position(sentence) {
                 Some(bit) => mask >> bit & 1 == 1,
                 None => {
                     unkeyed.set(true);

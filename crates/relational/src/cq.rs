@@ -5,10 +5,14 @@
 //! (Example 2.3) and the canonical-database arguments behind the Boundedness
 //! Lemma (Lemma 4.13) all manipulate CQs through homomorphisms.
 //!
-//! The homomorphism-extension inner loop operates purely on interned ids:
-//! variables are [`VarId`]s, relation lookups go through [`RelId`]s, and
-//! binding a variable copies a `u32`-backed [`Value`] instead of cloning a
-//! heap string.
+//! Every homomorphism search in the workspace — CQ evaluation, containment,
+//! Datalog rule bodies, and the guard sentences the bounded searches decide
+//! on each transition structure — runs on one *slot-compiled* kernel
+//! (`SlotPlan`): a query's variables are numbered `0..k` once, the search
+//! binds them into a `[Option<Value>]` slot buffer (on the stack up to 16
+//! variables) with an undo trail, and it allocates nothing per candidate
+//! tuple.  [`for_each_homomorphism`] documents the enumeration order, which
+//! is part of the contract.
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -26,13 +30,13 @@ use crate::Result;
 
 /// A variable assignment: interned variable → value.
 ///
-/// Backed by the id-keyed sorted-vec [`IdMap`]: the homomorphism-extension
-/// inner loop binds, checks and unbinds variables constantly, and on the
-/// handful of variables a query has, a binary search over packed `u32`s
-/// beats any node-based map — no string is ever compared.  Equality is
-/// set-of-bindings equality (the canonical sorted form makes the derive
-/// correct); iteration order follows raw intern ids and carries no meaning
-/// across symbol tables.
+/// The assignment type of the public API: the `initial` bindings of
+/// [`for_each_homomorphism`] and the homomorphisms it hands to its callback.
+/// The search itself never touches one — it binds numbered slots — and
+/// builds an `Assignment` only when it reports a homomorphism.  Backed by the
+/// id-keyed sorted-vec [`IdMap`]; equality is set-of-bindings equality (the
+/// canonical sorted form makes the derive correct); iteration order follows
+/// raw intern ids and carries no meaning across symbol tables.
 #[derive(Debug, Clone, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Assignment {
     entries: IdMap<(VarId, Value)>,
@@ -258,7 +262,7 @@ impl ConjunctiveQuery {
     /// query this means "has at least one answer".
     #[must_use]
     pub fn holds(&self, instance: &impl InstanceView) -> bool {
-        exists_homomorphism(&self.atoms, instance, &Assignment::new())
+        SlotPlan::new(&self.atoms, &[]).holds(instance)
     }
 
     /// Finds one homomorphism from the query body into the instance extending
@@ -338,224 +342,371 @@ impl fmt::Display for ConjunctiveQuery {
 /// The callback is invoked once per homomorphism; returning `true` stops the
 /// enumeration early (used by existence checks).
 ///
-/// Atom order is chosen *dynamically*: at every level the search picks the
-/// remaining atom with the fewest estimated candidates — the relation size
-/// for unconstrained atoms, the minimum per-position selectivity
-/// ([`InstanceView::selectivity`]) over its bound positions (constants and
-/// already-assigned variables) for constrained ones — then enumerates that
-/// atom's candidates via [`InstanceView::tuples_matching_all`], which
-/// intersects posting
-/// lists when the relation is indexed and falls back to a filtered scan
-/// otherwise.  Estimates are exact in both modes, so the enumeration order
-/// is identical whether indexes are enabled or not.
+/// A thin adapter over the slot kernel (`SlotPlan`): the query's
+/// variables are numbered once, pre-filled from `initial`, and an
+/// [`Assignment`] (`initial` plus every query variable) is built only when a
+/// homomorphism is handed to the callback.
+///
+/// # Enumeration order
+///
+/// The order in which homomorphisms reach the callback is part of the
+/// contract — [`ConjunctiveQuery::find_homomorphism`] and every other
+/// caller that keeps the first match return what comes first:
+///
+/// * when every mentioned relation has fewer than
+///   [`INDEX_CUTOFF`](crate::index::INDEX_CUTOFF) tuples, atoms are taken in
+///   ascending relation-size order (a stable sort, so equal sizes keep query
+///   order);
+/// * otherwise atom order is chosen *dynamically*: at every level the search
+///   picks the remaining atom with the fewest estimated candidates — the
+///   relation size for unconstrained or small relations, the minimum
+///   per-position selectivity ([`InstanceView::selectivity`]) over its bound
+///   positions (constants and already-bound variables) otherwise — with ties
+///   going to the atom that comes first in the query, and enumerates that
+///   atom's candidates via [`InstanceView::tuples_matching_all`];
+/// * candidates of one atom are tried in tuple order.
+///
+/// Estimates are exact whether or not a relation is indexed, so indexed and
+/// scanning views enumerate identically.
 pub fn for_each_homomorphism<V: InstanceView + ?Sized>(
     atoms: &[Atom],
     instance: &V,
     initial: &Assignment,
     callback: &mut dyn FnMut(&Assignment) -> bool,
 ) {
-    let mut assignment = initial.clone();
-    // When every mentioned relation is below the index cutoff, per-node
-    // selectivity estimates all degenerate to the (static) relation counts,
-    // so the dynamic argmin provably reproduces the stable ascending-count
-    // order — take it directly and skip the per-node machinery.  The guard
-    // evaluations of the bounded searches live entirely on this path.  The
-    // predicate depends only on relation sizes, never on whether indexes are
-    // enabled, so indexed and scan evaluation still branch identically.
-    let mut order: Vec<(usize, &Atom)> = atoms
-        .iter()
-        .map(|a| (instance.count_of(a.predicate), a))
-        .collect();
-    if order.iter().all(|&(c, _)| c < crate::index::INDEX_CUTOFF) {
-        order.sort_by_key(|&(c, _)| c);
-        search_static(&order, 0, instance, &mut assignment, callback);
-        return;
-    }
-    let mut remaining: Vec<&Atom> = atoms.iter().collect();
-    search(&mut remaining, instance, &mut assignment, callback);
-}
-
-/// The small-instance fast path: fixed ascending-count atom order, plain
-/// relation scans, per-tuple arity checks.
-fn search_static<V: InstanceView + ?Sized>(
-    atoms: &[(usize, &Atom)],
-    at: usize,
-    instance: &V,
-    assignment: &mut Assignment,
-    callback: &mut dyn FnMut(&Assignment) -> bool,
-) -> bool {
-    let Some((_, atom)) = atoms.get(at) else {
-        return callback(assignment);
-    };
-    'tuples: for tuple in instance.tuples_of(atom.predicate) {
-        if tuple.arity() != atom.arity() {
-            continue;
-        }
-        let mut newly_bound: Vec<VarId> = Vec::new();
-        for (term, value) in atom.terms.iter().zip(tuple.values()) {
-            match term {
-                Term::Const(c) => {
-                    if c != value {
-                        undo(assignment, &newly_bound);
-                        continue 'tuples;
-                    }
-                }
-                Term::Var(v) => match assignment.get(*v) {
-                    Some(bound) => {
-                        if bound != value {
-                            undo(assignment, &newly_bound);
-                            continue 'tuples;
-                        }
-                    }
-                    None => {
-                        assignment.insert(*v, *value);
-                        newly_bound.push(*v);
-                    }
-                },
+    let plan = SlotPlan::new(atoms, &[]);
+    let mut slots = plan.prefilled(initial);
+    plan.search(instance, &mut slots, &mut |slots| {
+        let mut assignment = initial.clone();
+        for (var, value) in plan.vars.iter().zip(slots) {
+            if let Some(value) = value {
+                assignment.insert(*var, *value);
             }
         }
-        if search_static(atoms, at + 1, instance, assignment, callback) {
-            return true;
-        }
-        undo(assignment, &newly_bound);
-    }
-    false
+        callback(&assignment)
+    });
 }
 
-/// Collects the bound `(position, value)` pairs of `atom` under `assignment`
-/// into `bound`, and returns the candidate-count estimate used for atom
-/// selection: the relation size when nothing is bound (or the relation is
-/// small enough that a scan wins anyway), the minimum bound-position
-/// selectivity otherwise.
-fn atom_estimate<V: InstanceView + ?Sized>(
-    atom: &Atom,
-    instance: &V,
-    assignment: &Assignment,
-    bound: &mut Vec<(usize, Value)>,
-) -> usize {
-    bound.clear();
-    for (position, term) in atom.terms.iter().enumerate() {
-        match term {
-            Term::Const(c) => bound.push((position, *c)),
-            Term::Var(v) => {
-                if let Some(value) = assignment.get(*v) {
-                    bound.push((position, *value));
-                }
-            }
-        }
-    }
-    let count = instance.count_of(atom.predicate);
-    if bound.is_empty() || count < crate::index::INDEX_CUTOFF {
-        return count;
-    }
-    bound
-        .iter()
-        .map(|(position, value)| instance.selectivity(atom.predicate, *position, value))
-        .min()
-        .unwrap_or(count)
-}
+/// Queries with at most this many variables (and atoms, and atom arity)
+/// run on stack buffers; larger ones fall back to the heap.
+const INLINE_SLOTS: usize = 16;
 
-fn search<V: InstanceView + ?Sized>(
-    remaining: &mut Vec<&Atom>,
-    instance: &V,
-    assignment: &mut Assignment,
-    callback: &mut dyn FnMut(&Assignment) -> bool,
-) -> bool {
-    if remaining.is_empty() {
-        return callback(assignment);
-    }
-    // Pick the most constrained remaining atom (ties keep the earliest, so
-    // on small instances the order degenerates to the former static
-    // ascending-count sort).
-    let mut scratch: Vec<(usize, Value)> = Vec::new();
-    let mut best_bound: Vec<(usize, Value)> = Vec::new();
-    let mut best = 0usize;
-    let mut best_estimate = usize::MAX;
-    for (i, atom) in remaining.iter().enumerate() {
-        let estimate = atom_estimate(atom, instance, assignment, &mut scratch);
-        if estimate < best_estimate {
-            best = i;
-            best_estimate = estimate;
-            std::mem::swap(&mut best_bound, &mut scratch);
-        }
-    }
-    // `remove` (not `swap_remove`) keeps the original relative order of the
-    // rest, so tie-breaking stays stable down the tree.
-    let atom = remaining.remove(best);
-    let known_arity = instance.known_uniform_arity(atom.predicate);
-    let stopped = if known_arity.is_some_and(|a| a != atom.arity()) {
-        // Arity check hoisted to the relation level: nothing can match.
-        false
+/// Runs `f` on a buffer of `len` copies of `fill`, on the stack up to
+/// [`INLINE_SLOTS`] elements and on the heap above.
+fn with_buffer<T: Copy, R>(len: usize, fill: T, f: impl FnOnce(&mut [T]) -> R) -> R {
+    if len <= INLINE_SLOTS {
+        let mut buffer = [fill; INLINE_SLOTS];
+        f(&mut buffer[..len])
     } else {
-        let check_arity = known_arity != Some(atom.arity());
-        let candidates = if best_bound.is_empty() {
-            crate::index::MatchIter::all(instance.tuples_of(atom.predicate))
-        } else {
-            instance.tuples_matching_all(atom.predicate, &best_bound)
-        };
-        extend_with_candidates(
-            atom,
-            candidates,
-            check_arity,
-            remaining,
-            instance,
-            assignment,
-            callback,
-        )
-    };
-    remaining.insert(best, atom);
-    stopped
+        f(&mut vec![fill; len])
+    }
 }
 
-/// Tries every candidate tuple for `atom`, binding its variables and
-/// recursing; returns `true` if the callback stopped the enumeration.
-fn extend_with_candidates<V: InstanceView + ?Sized>(
-    atom: &Atom,
-    candidates: crate::index::MatchIter<'_>,
-    check_arity: bool,
-    remaining: &mut Vec<&Atom>,
-    instance: &V,
-    assignment: &mut Assignment,
-    callback: &mut dyn FnMut(&Assignment) -> bool,
-) -> bool {
-    'tuples: for tuple in candidates {
-        if check_arity && tuple.arity() != atom.arity() {
-            continue;
+/// A term of a [`SlotPlan`]: a constant, or the slot of a query variable.
+#[derive(Debug, Clone, Copy)]
+enum Operand {
+    Const(Value),
+    Slot(u32),
+}
+
+/// An atom of a [`SlotPlan`].
+#[derive(Debug, Clone)]
+struct PlanAtom {
+    predicate: RelId,
+    terms: Box<[Operand]>,
+}
+
+/// A conjunction of atoms, plus inequalities, compiled for the slot
+/// kernel: its variables are numbered `0..k` in first-occurrence order and
+/// bound into a `[Option<Value>]` slot buffer with an undo trail, so the
+/// search compares and copies `Value`s and never touches a map.
+///
+/// Inequalities are checked on each complete match.  One naming a variable
+/// that no atom binds is vacuously true (the `CQ≠` semantics of
+/// [`crate::inequality::InequalityCq`]: an unconstrained existential
+/// witness distinct from the other side always exists in the active-domain
+/// reading) and is dropped at compile time.
+#[derive(Debug, Clone)]
+pub(crate) struct SlotPlan {
+    vars: Vec<VarId>,
+    atoms: Vec<PlanAtom>,
+    inequalities: Vec<(Operand, Operand)>,
+}
+
+impl SlotPlan {
+    /// Compiles `atoms` and `inequalities` into a slot plan.
+    pub(crate) fn new(atoms: &[Atom], inequalities: &[(Term, Term)]) -> Self {
+        let mut vars: Vec<VarId> = Vec::new();
+        let atoms = atoms
+            .iter()
+            .map(|atom| PlanAtom {
+                predicate: atom.predicate,
+                terms: atom
+                    .terms
+                    .iter()
+                    .map(|term| match term {
+                        Term::Const(c) => Operand::Const(*c),
+                        Term::Var(v) => Operand::Slot(match vars.iter().position(|w| w == v) {
+                            Some(slot) => slot as u32,
+                            None => {
+                                vars.push(*v);
+                                (vars.len() - 1) as u32
+                            }
+                        }),
+                    })
+                    .collect(),
+            })
+            .collect();
+        let mut plan = SlotPlan {
+            vars,
+            atoms,
+            inequalities: Vec::new(),
+        };
+        let operand = |term: &Term| match term {
+            Term::Const(c) => Some(Operand::Const(*c)),
+            Term::Var(v) => plan.slot(*v).map(|slot| Operand::Slot(slot as u32)),
+        };
+        plan.inequalities = inequalities
+            .iter()
+            .filter_map(|(l, r)| Some((operand(l)?, operand(r)?)))
+            .collect();
+        plan
+    }
+
+    /// The slot buffer pre-filled from `initial`.
+    fn prefilled(&self, initial: &Assignment) -> Vec<Option<Value>> {
+        self.vars.iter().map(|v| initial.get(*v).copied()).collect()
+    }
+
+    /// The slot of a variable, if an atom mentions it.
+    pub(crate) fn slot(&self, var: VarId) -> Option<usize> {
+        self.vars.iter().position(|v| *v == var)
+    }
+
+    /// Calls `on_match` with the slot buffer of every match of the atoms
+    /// that satisfies every inequality, in the order documented on
+    /// [`for_each_homomorphism`], until it returns `true`.  Returns `true`
+    /// if it was stopped.
+    pub(crate) fn for_each_match<V, F>(&self, view: &V, on_match: &mut F) -> bool
+    where
+        V: InstanceView + ?Sized,
+        F: FnMut(&[Option<Value>]) -> bool,
+    {
+        with_buffer(self.vars.len(), None, |slots| {
+            self.search(view, slots, &mut |slots| {
+                let value = |operand| match operand {
+                    Operand::Const(c) => c,
+                    Operand::Slot(s) => {
+                        slots[s as usize].expect("a complete match binds every slot")
+                    }
+                };
+                self.inequalities.iter().all(|&(l, r)| value(l) != value(r)) && on_match(slots)
+            })
+        })
+    }
+
+    /// True if some match of the atoms satisfies every inequality.
+    pub(crate) fn holds<V: InstanceView + ?Sized>(&self, view: &V) -> bool {
+        self.for_each_match(view, &mut |_| true)
+    }
+
+    /// Enumerates the matches extending the bindings already in `slots`, in
+    /// the order documented on [`for_each_homomorphism`]; `on_match` sees
+    /// the complete slot buffer and returns `true` to stop.  Returns `true`
+    /// if it was stopped.
+    fn search<V, F>(&self, view: &V, slots: &mut [Option<Value>], on_match: &mut F) -> bool
+    where
+        V: InstanceView + ?Sized,
+        F: FnMut(&[Option<Value>]) -> bool,
+    {
+        with_buffer(self.vars.len(), 0u32, |trail| {
+            with_buffer(self.atoms.len(), (0usize, 0u32), |remaining| {
+                // (relation size, atom index) per atom, in query order.
+                for (entry, (i, atom)) in remaining.iter_mut().zip(self.atoms.iter().enumerate()) {
+                    *entry = (view.count_of(atom.predicate), i as u32);
+                }
+                let mut kernel = Kernel {
+                    atoms: &self.atoms,
+                    view,
+                    slots,
+                    trail,
+                    trail_len: 0,
+                    on_match,
+                };
+                if remaining
+                    .iter()
+                    .all(|&(count, _)| count < crate::index::INDEX_CUTOFF)
+                {
+                    // Below the cutoff every selectivity estimate is the
+                    // relation size, so the dynamic argmin reduces to this
+                    // stable ascending-size order: take it once.
+                    remaining.sort_by_key(|&(count, _)| count);
+                    kernel.static_level(remaining)
+                } else {
+                    kernel.dynamic_level(remaining)
+                }
+            })
+        })
+    }
+}
+
+/// The mutable state of one [`SlotPlan::search`].
+struct Kernel<'a, V: ?Sized, F> {
+    atoms: &'a [PlanAtom],
+    view: &'a V,
+    slots: &'a mut [Option<Value>],
+    /// The slots bound by the search, in binding order (`trail_len` long);
+    /// pre-filled slots are never on it.
+    trail: &'a mut [u32],
+    trail_len: usize,
+    on_match: &'a mut F,
+}
+
+impl<V, F> Kernel<'_, V, F>
+where
+    V: InstanceView + ?Sized,
+    F: FnMut(&[Option<Value>]) -> bool,
+{
+    fn value_of(&self, operand: Operand) -> Option<Value> {
+        match operand {
+            Operand::Const(c) => Some(c),
+            Operand::Slot(s) => self.slots[s as usize],
         }
-        let mut newly_bound: Vec<VarId> = Vec::new();
-        for (term, value) in atom.terms.iter().zip(tuple.values()) {
-            match term {
-                Term::Const(c) => {
-                    if c != value {
-                        undo(assignment, &newly_bound);
-                        continue 'tuples;
+    }
+
+    /// Matches `terms` against a tuple's values, binding free slots; on a
+    /// mismatch the caller undoes the partial bindings.
+    fn unify(&mut self, terms: &[Operand], values: &[Value]) -> bool {
+        for (operand, value) in terms.iter().zip(values) {
+            match *operand {
+                Operand::Const(c) => {
+                    if c != *value {
+                        return false;
                     }
                 }
-                Term::Var(v) => match assignment.get(*v) {
+                Operand::Slot(s) => match self.slots[s as usize] {
                     Some(bound) => {
-                        if bound != value {
-                            undo(assignment, &newly_bound);
-                            continue 'tuples;
+                        if bound != *value {
+                            return false;
                         }
                     }
                     None => {
-                        assignment.insert(*v, *value);
-                        newly_bound.push(*v);
+                        self.slots[s as usize] = Some(*value);
+                        self.trail[self.trail_len] = s;
+                        self.trail_len += 1;
                     }
                 },
             }
         }
-        if search(remaining, instance, assignment, callback) {
-            return true;
-        }
-        undo(assignment, &newly_bound);
+        true
     }
-    false
-}
 
-fn undo(assignment: &mut Assignment, newly_bound: &[VarId]) {
-    for v in newly_bound {
-        assignment.remove(*v);
+    /// Unbinds every slot bound since the trail was `mark` long.
+    fn undo(&mut self, mark: usize) {
+        while self.trail_len > mark {
+            self.trail_len -= 1;
+            self.slots[self.trail[self.trail_len] as usize] = None;
+        }
+    }
+
+    /// The small-instance order: `remaining` is already sorted, take its
+    /// head and scan the relation with a per-tuple arity check.
+    fn static_level(&mut self, remaining: &[(usize, u32)]) -> bool {
+        let Some((&(_, index), rest)) = remaining.split_first() else {
+            return (self.on_match)(self.slots);
+        };
+        let atoms = self.atoms;
+        let atom = &atoms[index as usize];
+        let mark = self.trail_len;
+        for tuple in self.view.tuples_of(atom.predicate) {
+            if tuple.arity() != atom.terms.len() {
+                continue;
+            }
+            if self.unify(&atom.terms, tuple.values()) && self.static_level(rest) {
+                return true;
+            }
+            self.undo(mark);
+        }
+        false
+    }
+
+    /// The candidate-count estimate of an atom of `count` tuples: its size
+    /// when nothing is bound or the relation is below the cutoff, the
+    /// minimum bound-position selectivity otherwise.
+    fn estimate(&self, atom: &PlanAtom, count: usize) -> usize {
+        if count < crate::index::INDEX_CUTOFF {
+            return count;
+        }
+        let mut estimate: Option<usize> = None;
+        for (position, operand) in atom.terms.iter().enumerate() {
+            if let Some(value) = self.value_of(*operand) {
+                let selectivity = self.view.selectivity(atom.predicate, position, &value);
+                estimate = Some(estimate.map_or(selectivity, |e| e.min(selectivity)));
+            }
+        }
+        estimate.unwrap_or(count)
+    }
+
+    /// The large-instance order: pick the remaining atom with the smallest
+    /// estimate (the earliest in query order on ties), rotate it to the
+    /// front — which keeps the others in query order — and recurse.
+    fn dynamic_level(&mut self, remaining: &mut [(usize, u32)]) -> bool {
+        if remaining.is_empty() {
+            return (self.on_match)(self.slots);
+        }
+        let mut best = 0;
+        let mut best_estimate = usize::MAX;
+        for (i, &(count, index)) in remaining.iter().enumerate() {
+            let estimate = self.estimate(&self.atoms[index as usize], count);
+            if estimate < best_estimate {
+                best = i;
+                best_estimate = estimate;
+            }
+        }
+        remaining[..=best].rotate_right(1);
+        let (&mut (_, index), rest) = remaining.split_first_mut().expect("remaining is non-empty");
+        let atoms = self.atoms;
+        let stopped = self.dynamic_atom(&atoms[index as usize], rest);
+        remaining[..=best].rotate_left(1);
+        stopped
+    }
+
+    /// Tries every candidate tuple of `atom`, recursing on `rest`.
+    fn dynamic_atom(&mut self, atom: &PlanAtom, rest: &mut [(usize, u32)]) -> bool {
+        let arity = atom.terms.len();
+        let known_arity = self.view.known_uniform_arity(atom.predicate);
+        if known_arity.is_some_and(|a| a != arity) {
+            // Arity check hoisted to the relation level: nothing can match.
+            return false;
+        }
+        let check_arity = known_arity != Some(arity);
+        let view = self.view;
+        let mark = self.trail_len;
+        with_buffer(arity, (0usize, Value::Int(0)), |bound| {
+            let mut len = 0;
+            for (position, operand) in atom.terms.iter().enumerate() {
+                if let Some(value) = self.value_of(*operand) {
+                    bound[len] = (position, value);
+                    len += 1;
+                }
+            }
+            let bound = &bound[..len];
+            let candidates = if bound.is_empty() {
+                crate::index::MatchIter::all(view.tuples_of(atom.predicate))
+            } else {
+                view.tuples_matching_all(atom.predicate, bound)
+            };
+            for tuple in candidates {
+                if check_arity && tuple.arity() != arity {
+                    continue;
+                }
+                if self.unify(&atom.terms, tuple.values()) && self.dynamic_level(rest) {
+                    return true;
+                }
+                self.undo(mark);
+            }
+            false
+        })
     }
 }
 
@@ -567,12 +718,9 @@ pub fn exists_homomorphism<V: InstanceView + ?Sized>(
     instance: &V,
     initial: &Assignment,
 ) -> bool {
-    let mut found = false;
-    for_each_homomorphism(atoms, instance, initial, &mut |_| {
-        found = true;
-        true
-    });
-    found
+    let plan = SlotPlan::new(atoms, &[]);
+    let mut slots = plan.prefilled(initial);
+    plan.search(instance, &mut slots, &mut |_| true)
 }
 
 /// Macro building a [`ConjunctiveQuery`]: `cq!([x, y] <- atom1, atom2)` for a

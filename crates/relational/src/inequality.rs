@@ -3,16 +3,17 @@
 //! Section 5.1 of the paper extends the transition languages with
 //! inequalities, which is what makes functional dependencies expressible
 //! (Example 2.4).  Evaluation enumerates homomorphisms of the positive part
-//! and filters them through the inequality atoms.
+//! and filters them through the inequality atoms; [`InequalityCq::holds`]
+//! does so on the slot kernel of [`mod@crate::cq`], with the inequalities
+//! compiled to slot/constant pairs.
 
 use std::collections::BTreeSet;
 use std::fmt;
 
-use crate::cq::{for_each_homomorphism, Assignment, ConjunctiveQuery};
+use crate::cq::{ConjunctiveQuery, SlotPlan};
 use crate::overlay::InstanceView;
 use crate::term::Term;
 use crate::tuple::Tuple;
-use crate::value::Value;
 
 /// A conjunctive query extended with inequality atoms `t ≠ t'`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -51,70 +52,31 @@ impl InequalityCq {
         self.cq.size() + self.inequalities.len()
     }
 
-    fn resolve(term: &Term, assignment: &Assignment) -> Option<Value> {
-        match term {
-            Term::Const(v) => Some(*v),
-            Term::Var(name) => assignment.get(*name).copied(),
-        }
-    }
-
-    fn inequalities_hold(&self, assignment: &Assignment) -> bool {
-        self.inequalities.iter().all(|(l, r)| {
-            match (Self::resolve(l, assignment), Self::resolve(r, assignment)) {
-                (Some(a), Some(b)) => a != b,
-                // Unsafe inequality (a variable not bound by the positive
-                // part): treat it as vacuously true, matching the usual
-                // active-domain semantics where an unconstrained existential
-                // witness distinct from the other side always exists.
-                _ => true,
-            }
-        })
-    }
-
     /// True if the query has a satisfying homomorphism on the instance (or
-    /// any [`InstanceView`]).
+    /// any [`InstanceView`]).  An inequality naming a variable that no atom
+    /// binds is vacuously true.
     #[must_use]
     pub fn holds(&self, instance: &impl InstanceView) -> bool {
-        let mut found = false;
-        for_each_homomorphism(
-            &self.cq.atoms,
-            instance,
-            &Assignment::new(),
-            &mut |assignment| {
-                if self.inequalities_hold(assignment) {
-                    found = true;
-                    true
-                } else {
-                    false
-                }
-            },
-        );
-        found
+        SlotPlan::new(&self.cq.atoms, &self.inequalities).holds(instance)
     }
 
-    /// Evaluates the query, projecting satisfying assignments onto the head.
+    /// Evaluates the query, projecting satisfying assignments onto the head
+    /// (empty when a head variable occurs in no atom).
     #[must_use]
     pub fn evaluate(&self, instance: &impl InstanceView) -> BTreeSet<Tuple> {
+        let plan = SlotPlan::new(&self.cq.atoms, &self.inequalities);
         let mut results = BTreeSet::new();
-        for_each_homomorphism(
-            &self.cq.atoms,
-            instance,
-            &Assignment::new(),
-            &mut |assignment| {
-                if self.inequalities_hold(assignment) {
-                    let tuple: Tuple = self
-                        .cq
-                        .head
-                        .iter()
-                        .filter_map(|v| assignment.get(*v).copied())
-                        .collect();
-                    if tuple.arity() == self.cq.head.len() {
-                        results.insert(tuple);
-                    }
-                }
+        let head: Option<Vec<usize>> = self.cq.head.iter().map(|v| plan.slot(*v)).collect();
+        if let Some(head) = head {
+            plan.for_each_match(instance, &mut |slots| {
+                results.insert(
+                    head.iter()
+                        .map(|&s| slots[s].expect("a complete match binds every slot"))
+                        .collect(),
+                );
                 false
-            },
-        );
+            });
+        }
         results
     }
 }

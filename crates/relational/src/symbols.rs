@@ -14,12 +14,17 @@
 //!
 //! All three are `Copy` wrappers around a `u32` into a process-wide,
 //! append-only string pool.  Equality and hashing are integer operations;
-//! resolving back to `&str` is a thread-local array lookup; `Ord` compares
-//! the *resolved strings* (with an id fast path for equality) so that every
-//! ordered collection in the workspace iterates in exactly the same
-//! lexicographic order as the pre-interning, `String`-keyed representation —
-//! determinism across runs is part of the crate contract and must not depend
-//! on interning order.
+//! resolving back to `&str` is a thread-local array lookup.  `Ord` is the
+//! lexicographic order of the *resolved strings*, so that every ordered
+//! collection in the workspace iterates in exactly the same order as the
+//! pre-interning, `String`-keyed representation — determinism across runs
+//! is part of the crate contract and must not depend on interning order.
+//! It is computed in integer time almost always: each pool entry carries an
+//! immutable *order key* (the string's first 16 bytes, big-endian,
+//! zero-padded), keys are compared first, and only two strings whose keys
+//! tie are compared byte by byte.  Both symbols resolve in one borrow of the
+//! thread-local mirror; entries never change once interned, so no lock is
+//! taken after a thread first sees a symbol.
 //!
 //! # Pool growth
 //!
@@ -51,10 +56,33 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::{OnceLock, RwLock};
 
+/// One pool entry: the interned string and its order key.
+#[derive(Clone, Copy)]
+struct Entry {
+    text: &'static str,
+    /// The string's first 16 bytes, big-endian and zero-padded (see
+    /// [`order_key`]).
+    key: u128,
+}
+
+/// The order key of a string: its first 16 bytes read as a big-endian
+/// integer, zero-padded.  Comparing keys agrees with comparing the strings
+/// whenever the keys differ: the first differing key byte is either the
+/// first differing string byte or a zero pad against a real byte of the
+/// longer string, which then has the shorter one as a prefix.  Equal keys
+/// (a shared 16-byte prefix, or a difference hidden by trailing NULs) say
+/// nothing and fall back to the string comparison.
+fn order_key(s: &str) -> u128 {
+    let mut bytes = [0u8; 16];
+    let len = s.len().min(16);
+    bytes[..len].copy_from_slice(&s.as_bytes()[..len]);
+    u128::from_be_bytes(bytes)
+}
+
 /// The process-wide string pool: append-only, ids are dense from zero.
 struct Pool {
     lookup: HashMap<&'static str, u32>,
-    strings: Vec<&'static str>,
+    entries: Vec<Entry>,
 }
 
 fn pool() -> &'static RwLock<Pool> {
@@ -62,17 +90,18 @@ fn pool() -> &'static RwLock<Pool> {
     POOL.get_or_init(|| {
         RwLock::new(Pool {
             lookup: HashMap::new(),
-            strings: Vec::new(),
+            entries: Vec::new(),
         })
     })
 }
 
 thread_local! {
-    /// Per-thread mirror of the pool's `strings` vector.  The pool is
-    /// append-only, so a stale mirror is never wrong — only short — and is
-    /// refreshed from the shared pool on a miss.  This makes `Sym::as_str`
-    /// lock-free after the first resolution per (thread, symbol).
-    static MIRROR: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
+    /// Per-thread mirror of the pool's entries.  The pool is append-only and
+    /// entries never change, so a stale mirror is never wrong — only short —
+    /// and is refreshed from the shared pool on a miss.  This makes
+    /// `Sym::as_str` and `Sym::cmp` lock-free after the first resolution
+    /// per (thread, symbol).
+    static MIRROR: RefCell<Vec<Entry>> = const { RefCell::new(Vec::new()) };
 }
 
 fn intern(s: &str) -> u32 {
@@ -87,29 +116,49 @@ fn intern(s: &str) -> u32 {
     // Leak exactly one copy per distinct string, for the process lifetime.
     // The pool is bounded by the set of distinct names/constants ever used.
     let leaked: &'static str = Box::leak(s.to_owned().into_boxed_str());
-    let id = u32::try_from(pool.strings.len()).expect("symbol pool overflow");
-    pool.strings.push(leaked);
+    let id = u32::try_from(pool.entries.len()).expect("symbol pool overflow");
+    pool.entries.push(Entry {
+        text: leaked,
+        key: order_key(leaked),
+    });
     pool.lookup.insert(leaked, id);
     id
 }
 
-fn resolve(id: u32) -> &'static str {
+/// Runs `f` on this thread's mirror, first refreshing it from the pool if
+/// it does not yet hold id `max_id`.
+fn with_mirror<R>(max_id: u32, f: impl FnOnce(&[Entry]) -> R) -> R {
     MIRROR.with(|mirror| {
         let mut mirror = mirror.borrow_mut();
-        if (id as usize) >= mirror.len() {
+        if (max_id as usize) >= mirror.len() {
             let pool = pool().read().expect("symbol pool poisoned");
             let known = mirror.len();
-            mirror.extend_from_slice(&pool.strings[known..]);
+            mirror.extend_from_slice(&pool.entries[known..]);
         }
-        mirror[id as usize]
+        f(&mirror)
+    })
+}
+
+fn resolve(id: u32) -> &'static str {
+    with_mirror(id, |entries| entries[id as usize].text)
+}
+
+/// The string order of two distinct ids: order keys first, the strings
+/// only when the keys tie.  Both ids resolve in one mirror borrow.
+fn compare(a: u32, b: u32) -> std::cmp::Ordering {
+    with_mirror(a.max(b), |entries| {
+        let (a, b) = (entries[a as usize], entries[b as usize]);
+        a.key.cmp(&b.key).then_with(|| a.text.cmp(b.text))
     })
 }
 
 /// An interned string: a copyable `u32` handle into the process-wide pool.
 ///
-/// `Eq`/`Hash` are integer operations on the id; `Ord` compares the resolved
-/// strings (lexicographically, like the `String` representation it replaces)
-/// with an id fast path for equality.
+/// `Eq`/`Hash` are integer operations on the id.  `Ord` is exactly the
+/// lexicographic order of the resolved strings (like the `String`
+/// representation it replaces): equal ids are equal, otherwise the two pool
+/// entries' order keys — their first 16 bytes as big-endian integers —
+/// decide, and only keys that tie fall back to comparing the strings.
 #[derive(Clone, Copy, PartialEq, Eq)]
 pub struct Sym(u32);
 
@@ -147,16 +196,18 @@ impl Sym {
 }
 
 impl Ord for Sym {
+    #[inline]
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         if self.0 == other.0 {
             std::cmp::Ordering::Equal
         } else {
-            self.as_str().cmp(other.as_str())
+            compare(self.0, other.0)
         }
     }
 }
 
 impl PartialOrd for Sym {
+    #[inline]
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }

@@ -13,7 +13,7 @@ use std::fmt;
 use std::sync::OnceLock;
 
 use crate::atom::Atom;
-use crate::cq::ConjunctiveQuery;
+use crate::cq::{ConjunctiveQuery, SlotPlan};
 use crate::error::RelationalError;
 use crate::guard_cache::{sentence_cache_id, GuardCache};
 use crate::inequality::InequalityCq;
@@ -481,19 +481,25 @@ fn map_vars<F: Fn(&str) -> String>(formula: &PosFormula, rename: &F) -> PosFormu
 }
 
 /// A positive sentence compiled to its DNF of conjunctive queries with
-/// inequalities, ready for repeated evaluation.
+/// inequalities, each disjunct compiled to a slot plan, ready for repeated
+/// evaluation.
 ///
 /// [`PosFormula::holds`] existentially closes and DNF-compiles the formula on
 /// every call; the bounded searches evaluate the *same* handful of sentences
 /// against thousands of transition structures, so they compile each sentence
-/// once up front and reuse it through this type.  Each disjunct evaluates
-/// through [`crate::cq::for_each_homomorphism`], so guard checks pick up the
-/// per-position value indexes ([`crate::index`]) of whatever view they run
-/// against — for overlay-backed transition structures that means posting
-/// lists shared with every other overlay over the same `Arc` base.
+/// once up front and reuse it through this type.  Compilation numbers each
+/// disjunct's variables into slots and turns its inequalities into
+/// slot/constant pairs (an inequality on a variable no atom binds is
+/// vacuously true and dropped).  [`CompiledSentence::holds`] then runs the
+/// plans on a stack slot buffer (the heap above 16 variables) through the
+/// homomorphism kernel of [`mod@crate::cq`]: no map, no per-tuple allocation,
+/// and the per-position value indexes ([`crate::index`]) of whatever view it
+/// runs against — for overlay-backed transition structures, posting lists
+/// shared with every other overlay over the same `Arc` base.
 #[derive(Debug, Clone)]
 pub struct CompiledSentence {
-    disjuncts: Vec<InequalityCq>,
+    /// One slot plan per DNF disjunct.
+    plans: Vec<SlotPlan>,
     /// The closed source formula (kept for the lazy cache metadata below).
     closed: PosFormula,
     /// Cache metadata, resolved on the first [`CompiledSentence::holds_cached`]
@@ -521,8 +527,13 @@ impl CompiledSentence {
     #[must_use]
     pub fn compile(formula: &PosFormula) -> Self {
         let closed = formula.clone().existential_closure();
+        let plans = closed
+            .to_inequality_union()
+            .iter()
+            .map(|icq| SlotPlan::new(&icq.cq.atoms, &icq.inequalities))
+            .collect();
         CompiledSentence {
-            disjuncts: closed.to_inequality_union(),
+            plans,
             closed,
             meta: OnceLock::new(),
         }
@@ -533,7 +544,7 @@ impl CompiledSentence {
     /// formula by construction.
     #[must_use]
     pub fn holds(&self, instance: &impl InstanceView) -> bool {
-        self.disjuncts.iter().any(|icq| icq.holds(instance))
+        self.plans.iter().any(|plan| plan.holds(instance))
     }
 
     fn meta(&self) -> &CacheMeta {

@@ -217,3 +217,102 @@ pub fn scaled_initial(scale: usize) -> Instance {
     }
     hidden
 }
+
+/// Brute-force reference for a conjunctive query with inequalities: tries
+/// every map from the atoms' variables into the view's active domain plus
+/// the query's constants, one variable at a time in first-occurrence order,
+/// checking each atom by fact lookup as soon as its variables are all
+/// mapped.  Uses no homomorphism-search code.  An inequality naming a
+/// variable no atom binds is vacuously true, the documented `CQ≠` semantics.
+pub fn brute_force_holds(
+    atoms: &[Atom],
+    inequalities: &[(Term, Term)],
+    view: &impl InstanceView,
+) -> bool {
+    let mut vars: Vec<VarId> = Vec::new();
+    for atom in atoms {
+        for term in &atom.terms {
+            if let Term::Var(v) = term {
+                if !vars.contains(v) {
+                    vars.push(*v);
+                }
+            }
+        }
+    }
+    let mut domain = view.view_active_domain();
+    for atom in atoms {
+        domain.extend(atom.constants());
+    }
+    for (l, r) in inequalities {
+        domain.extend(l.as_const().copied());
+        domain.extend(r.as_const().copied());
+    }
+    let domain: Vec<Value> = domain.into_iter().collect();
+    // The atoms that become fully mapped when variable `i` is mapped (atoms
+    // without variables are checked up front).
+    let last_var = |atom: &Atom| {
+        atom.terms
+            .iter()
+            .filter_map(|t| match t {
+                Term::Var(v) => vars.iter().position(|w| w == v),
+                Term::Const(_) => None,
+            })
+            .max()
+    };
+    let ground = |atom: &Atom, map: &[Value]| -> Tuple {
+        atom.terms
+            .iter()
+            .map(|t| match t {
+                Term::Var(v) => map[vars.iter().position(|w| w == v).unwrap()],
+                Term::Const(c) => *c,
+            })
+            .collect()
+    };
+    if atoms
+        .iter()
+        .filter(|a| last_var(a).is_none())
+        .any(|a| !view.has_fact(a.predicate, &ground(a, &[])))
+    {
+        return false;
+    }
+    let resolve = |term: &Term, map: &[Value]| match term {
+        Term::Const(c) => Some(*c),
+        Term::Var(v) => vars.iter().position(|w| w == v).map(|i| map[i]),
+    };
+    let mut map: Vec<Value> = Vec::with_capacity(vars.len());
+    fn extend(
+        map: &mut Vec<Value>,
+        n: usize,
+        domain: &[Value],
+        accept: &dyn Fn(&[Value]) -> bool,
+        complete: &dyn Fn(&[Value]) -> bool,
+    ) -> bool {
+        if map.len() == n {
+            return complete(map);
+        }
+        for value in domain {
+            map.push(*value);
+            if accept(map) && extend(map, n, domain, accept, complete) {
+                return true;
+            }
+            map.pop();
+        }
+        false
+    }
+    let accept = |map: &[Value]| {
+        let newest = map.len() - 1;
+        atoms
+            .iter()
+            .filter(|a| last_var(a) == Some(newest))
+            .all(|a| view.has_fact(a.predicate, &ground(a, map)))
+    };
+    let complete = |map: &[Value]| {
+        inequalities
+            .iter()
+            .all(|(l, r)| match (resolve(l, map), resolve(r, map)) {
+                (Some(a), Some(b)) => a != b,
+                _ => true,
+            })
+    };
+    extend(&mut map, vars.len(), &domain, &accept, &complete)
+}
