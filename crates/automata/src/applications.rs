@@ -169,7 +169,7 @@ pub fn ltr_automaton(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::emptiness::{bounded_emptiness, EmptinessConfig, EmptinessOutcome};
+    use crate::emptiness::{bounded_emptiness_report, EmptinessConfig, EmptinessOutcome};
     use accltl_paths::access::phone_directory_access_schema;
     use accltl_relational::{atom, cq, tuple, Instance};
 
@@ -184,12 +184,13 @@ mod tests {
         let q2 = cq!(<- atom!("Address"; s, p, n, h));
         let automaton = containment_automaton(&schema(), &q1, &q2, &[]);
         assert!(automaton.is_well_formed());
-        let outcome = bounded_emptiness(
+        let outcome = bounded_emptiness_report(
             &automaton,
             &schema(),
             &Instance::new(),
             &EmptinessConfig::default(),
-        );
+        )
+        .verdict;
         assert_eq!(outcome, EmptinessOutcome::Empty);
     }
 
@@ -200,12 +201,13 @@ mod tests {
         let q1 = cq!(<- atom!("Address"; s, p, @"Jones", h));
         let q2 = cq!(<- atom!("Address"; s, p, n, h));
         let automaton = containment_automaton(&schema(), &q2, &q1, &[]);
-        let outcome = bounded_emptiness(
+        let outcome = bounded_emptiness_report(
             &automaton,
             &schema(),
             &Instance::new(),
             &EmptinessConfig::default(),
-        );
+        )
+        .verdict;
         let EmptinessOutcome::NonEmpty { witness } = outcome else {
             panic!("expected a counterexample path");
         };
@@ -226,22 +228,24 @@ mod tests {
         let constraint = DisjointnessConstraint::new("Mobile#", 0, "Address", 0);
 
         let unconstrained = containment_automaton(&schema(), &q1, &q_false, &[]);
-        assert!(bounded_emptiness(
+        assert!(bounded_emptiness_report(
             &unconstrained,
             &schema(),
             &Instance::new(),
             &EmptinessConfig::default()
         )
+        .verdict
         .is_nonempty());
 
         let constrained = containment_automaton(&schema(), &q1, &q_false, &[constraint]);
         assert_eq!(
-            bounded_emptiness(
+            bounded_emptiness_report(
                 &constrained,
                 &schema(),
                 &Instance::new(),
                 &EmptinessConfig::default()
-            ),
+            )
+            .verdict,
             EmptinessOutcome::Empty
         );
     }
@@ -251,12 +255,13 @@ mod tests {
         let q = cq!(<- atom!("Address"; s, p, @"Jones", h));
         let relevant = Access::new("AcM2", tuple!["Parks Rd", "OX13QD"]);
         let automaton = ltr_automaton(&schema(), &relevant, &q, &[]);
-        assert!(bounded_emptiness(
+        assert!(bounded_emptiness_report(
             &automaton,
             &schema(),
             &Instance::new(),
             &EmptinessConfig::default()
         )
+        .verdict
         .is_nonempty());
 
         // An access to Mobile# can never reveal an Address fact, so it is not
@@ -264,12 +269,13 @@ mod tests {
         let irrelevant = Access::new("AcM1", tuple!["Jones"]);
         let automaton = ltr_automaton(&schema(), &irrelevant, &q, &[]);
         assert_eq!(
-            bounded_emptiness(
+            bounded_emptiness_report(
                 &automaton,
                 &schema(),
                 &Instance::new(),
                 &EmptinessConfig::default()
-            ),
+            )
+            .verdict,
             EmptinessOutcome::Empty
         );
     }

@@ -4,31 +4,30 @@
 //! implemented in [`crate::progressive`]) and a reduction of each progressive
 //! automaton to containment of a Datalog program in a positive query (Lemma
 //! 4.10, with Proposition 4.11's containment test implemented in
-//! `accltl-relational::datalog_containment`).  As recorded in `DESIGN.md`,
-//! this crate replaces the middle step by a direct, bounded product search:
-//! automaton states are explored jointly with the facts revealed so far,
-//! drawn from the canonical databases of the guards' positive parts — the
-//! same witness space the Datalog program of Lemma 4.10 ranges over (its
-//! `Background` relations are populated by homomorphic images of the guard
-//! queries).  A witness path returned by the search is always genuine;
-//! emptiness verdicts are exact relative to the configured caps.
+//! `accltl-relational::datalog_containment`).  This module replaces the
+//! middle step by a direct, bounded product search: automaton states are
+//! explored jointly with the facts revealed so far, drawn from the canonical
+//! databases of the guards' positive parts — the same witness space the
+//! Datalog program of Lemma 4.10 ranges over (its `Background` relations are
+//! populated by homomorphic images of the guard queries).  A witness path
+//! returned by the search is always genuine; emptiness verdicts are exact
+//! relative to the configured caps.
 //!
 //! The product search runs on the shared frontier engine
 //! ([`accltl_paths::engine`]): this module contributes the `AutomatonOracle`
 //! (pre-compiled guards, per-candidate transition-structure overlays), while
 //! universe indexing, frontier dedup, parent links and parallel layer
 //! expansion are the engine's.  Per-transition guard sentences are memoized
-//! through one `accltl_relational::GuardCache` shared across all chains of a
-//! [`bounded_emptiness`] call (sentence ids are structural, so the repeated
-//! guards the chain decomposition produces share entries); candidates
-//! differing only in facts a sentence never mentions — typically the
-//! `IsBind` fact — share one homomorphism search.
-//! `ACCLTL_DISABLE_GUARD_CACHE=1` (read once, by
-//! `accltl_paths::engine::EngineConfig::from_env`) selects the uncached path
-//! with byte-identical verdicts, witnesses and guard-budget accounting
-//! ([`EmptinessConfig::max_guard_checks`] counts consults, cached or not);
-//! [`bounded_emptiness_report`] surfaces the hit/miss counters in its
-//! [`SearchReport`].
+//! through one `accltl_relational::GuardCache` shared across all chains of
+//! an automaton (sentence ids are structural, so the repeated guards the
+//! chain decomposition produces share entries); candidates differing only in
+//! facts a sentence never mentions — typically the `IsBind` fact — share one
+//! homomorphism search.  [`EngineConfig::disable_guard_cache`] (which
+//! `ACCLTL_DISABLE_GUARD_CACHE=1` sets through `EngineConfig::from_env`)
+//! selects the uncached path with byte-identical verdicts, witnesses and
+//! guard-budget accounting ([`EmptinessConfig::max_guard_checks`] counts
+//! consults, cached or not); every report surfaces the hit/miss counters in
+//! its [`SearchReport`].
 //!
 //! [`bounded_emptiness_batch`] checks many automata through one
 //! [`BatchEngine`]: chains are scheduled in waves (every live automaton's
@@ -309,33 +308,6 @@ pub fn bounded_emptiness_batch_with_config(
     reports
 }
 
-/// Deprecated alias of [`bounded_emptiness_report`] returning the verdict
-/// alone; kept so existing callers compile unchanged.
-#[must_use]
-pub fn bounded_emptiness(
-    automaton: &AAutomaton,
-    schema: &AccessSchema,
-    initial: &Instance,
-    config: &EmptinessConfig,
-) -> EmptinessOutcome {
-    bounded_emptiness_report(automaton, schema, initial, config).verdict
-}
-
-/// Deprecated alias of [`bounded_emptiness_report`] returning the historical
-/// `(verdict, stats)` pair; kept so existing callers compile unchanged.
-/// Every consult counts as a miss when the cache is disabled, so cached and
-/// uncached runs report the same total.
-#[must_use]
-pub fn bounded_emptiness_with_stats(
-    automaton: &AAutomaton,
-    schema: &AccessSchema,
-    initial: &Instance,
-    config: &EmptinessConfig,
-) -> (EmptinessOutcome, GuardCacheStats) {
-    let report = bounded_emptiness_report(automaton, schema, initial, config);
-    (report.verdict, report.cache)
-}
-
 /// The [`StepOracle`] of the product emptiness search: the logical state is
 /// the automaton state; a candidate fires every outgoing transition whose
 /// (pre-compiled) guard holds on the candidate's transition-structure
@@ -580,12 +552,13 @@ mod tests {
         let schema = phone_directory_access_schema();
         let f = AccLtl::finally(AccLtl::atom(jones_post()));
         let automaton = accltl_plus_to_automaton(&f);
-        let outcome = bounded_emptiness(
+        let outcome = bounded_emptiness_report(
             &automaton,
             &schema,
             &Instance::new(),
             &EmptinessConfig::default(),
-        );
+        )
+        .verdict;
         let EmptinessOutcome::NonEmpty { witness } = outcome else {
             panic!("expected a witness");
         };
@@ -605,12 +578,13 @@ mod tests {
         ]);
         let automaton = accltl_plus_to_automaton(&f);
         assert_eq!(
-            bounded_emptiness(
+            bounded_emptiness_report(
                 &automaton,
                 &schema,
                 &Instance::new(),
                 &EmptinessConfig::default()
-            ),
+            )
+            .verdict,
             EmptinessOutcome::Empty
         );
     }
@@ -644,12 +618,13 @@ mod tests {
         automaton.add_transition(0, Guard::positive(dataflow_guard), 1);
         automaton.mark_accepting(1);
 
-        let outcome = bounded_emptiness(
+        let outcome = bounded_emptiness_report(
             &automaton,
             &schema,
             &Instance::new(),
             &EmptinessConfig::default(),
-        );
+        )
+        .verdict;
         let EmptinessOutcome::NonEmpty { witness } = outcome else {
             panic!("expected a witness");
         };
@@ -664,12 +639,13 @@ mod tests {
         let mut automaton = AAutomaton::new(2, 0);
         automaton.add_transition(0, Guard::always(), 1);
         assert_eq!(
-            bounded_emptiness(
+            bounded_emptiness_report(
                 &automaton,
                 &schema,
                 &Instance::new(),
                 &EmptinessConfig::default()
-            ),
+            )
+            .verdict,
             EmptinessOutcome::Empty
         );
     }
@@ -693,7 +669,7 @@ mod tests {
             ))),
         ]);
         let automaton = accltl_plus_to_automaton(&f);
-        let outcome = bounded_emptiness(
+        let outcome = bounded_emptiness_report(
             &automaton,
             &schema,
             &Instance::new(),
@@ -701,7 +677,8 @@ mod tests {
                 max_states: 1,
                 ..EmptinessConfig::default()
             },
-        );
+        )
+        .verdict;
         assert_eq!(outcome, EmptinessOutcome::Unknown);
     }
 }

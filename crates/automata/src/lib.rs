@@ -31,8 +31,8 @@ pub mod translate;
 
 pub use a_automaton::{AAutomaton, CompiledGuard, Guard, GuardedTransition};
 pub use emptiness::{
-    bounded_emptiness, bounded_emptiness_batch, bounded_emptiness_batch_with_config,
-    bounded_emptiness_report, bounded_emptiness_with_stats, EmptinessConfig, EmptinessOutcome,
+    bounded_emptiness_batch, bounded_emptiness_batch_with_config, bounded_emptiness_report,
+    EmptinessConfig, EmptinessOutcome,
 };
 pub use progressive::{chain_decomposition, condensation, is_progressive_chain};
 pub use translate::accltl_plus_to_automaton;

@@ -4,9 +4,8 @@
 
 use accltl_automata::applications::{containment_automaton, ltr_automaton};
 use accltl_automata::{
-    accltl_plus_to_automaton, bounded_emptiness, bounded_emptiness_batch,
-    bounded_emptiness_batch_with_config, bounded_emptiness_report, AAutomaton, EmptinessConfig,
-    EmptinessOutcome,
+    accltl_plus_to_automaton, bounded_emptiness_batch, bounded_emptiness_batch_with_config,
+    bounded_emptiness_report, AAutomaton, EmptinessConfig, EmptinessOutcome,
 };
 use accltl_logic::bounded::{
     BoundedSearchConfig, BoundedSearcher, MonitorSession as BoundedSession, SatOutcome,
@@ -24,8 +23,8 @@ use accltl_relational::{
 
 use crate::report::RunReport;
 
-/// Which engine answered a question (reported for transparency and used by
-/// the pipeline-ablation benchmark).
+/// Which engine answered a question: the decision procedure of the
+/// question's Table 1 row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Engine {
     /// The ΣP2 procedure for the `AccLTL(X)` fragment (Theorem 4.14).
@@ -239,75 +238,16 @@ impl AccessAnalyzer {
     }
 
     /// Checks satisfiability of an `AccLTL` formula over the schema's access
-    /// paths, dispatching on the formula's fragment: the `X` fragment and the
-    /// 0-ary fragment use the Theorem 4.12/4.14 procedures, `AccLTL+` uses
-    /// the Lemma 4.5 translation plus A-automaton emptiness, and anything
-    /// else falls back to the (sound, incomplete) bounded search.
+    /// paths with the procedure of the formula's Table 1 row: the `X`
+    /// fragment and the 0-ary fragment use the Theorem 4.12/4.14 procedures,
+    /// `AccLTL+` uses the Lemma 4.5 translation plus A-automaton emptiness,
+    /// and anything else falls back to the (sound, incomplete) bounded
+    /// search.  This is a one-property [`AccessAnalyzer::check_all`].
     #[must_use]
     pub fn check_satisfiable(&self, formula: &AccLtl) -> AnalyzerReport {
-        let _span = trace::span("analyzer.check_satisfiable");
-        let fragment = classify(formula);
-        match fragment {
-            // The zero fragments run under the 0-ary interpretation, as in
-            // `solver::sat_x_fragment` / `solver::sat_zero_fragment` (the
-            // fragment has already been checked by `classify`).
-            Fragment::XZeroAry | Fragment::ZeroAry | Fragment::ZeroAryWithInequalities => {
-                let report =
-                    BoundedSearcher::new(&self.schema, &self.initial, true, self.search_config)
-                        .run(formula);
-                let run = RunReport::from_search(&report).with_chase(self.chase_stats);
-                let engine = if fragment == Fragment::XZeroAry {
-                    Engine::XFragment
-                } else {
-                    Engine::ZeroFragment
-                };
-                AnalyzerReport {
-                    outcome: report.verdict,
-                    fragment,
-                    engine,
-                    run,
-                }
-            }
-            Fragment::BindingPositive => {
-                let automaton = accltl_plus_to_automaton(formula);
-                let report = bounded_emptiness_report(
-                    &automaton,
-                    &self.schema,
-                    &self.initial,
-                    &self.emptiness_config,
-                );
-                let run = RunReport::from_search(&report).with_chase(self.chase_stats);
-                let outcome = match report.verdict {
-                    EmptinessOutcome::NonEmpty { witness } => SatOutcome::Satisfiable { witness },
-                    EmptinessOutcome::Empty => SatOutcome::Unsatisfiable,
-                    EmptinessOutcome::Unknown => SatOutcome::Unknown { explored: 0 },
-                };
-                AnalyzerReport {
-                    outcome,
-                    fragment,
-                    engine: Engine::AutomatonPipeline,
-                    run,
-                }
-            }
-            // Full bindings for the undecidable languages; `Unsatisfiable`
-            // is downgraded, as in `solver::sat_full_bounded`.
-            Fragment::Full | Fragment::FullWithInequalities => {
-                let report =
-                    BoundedSearcher::new(&self.schema, &self.initial, false, self.search_config)
-                        .run(formula);
-                let run = RunReport::from_search(&report).with_chase(self.chase_stats);
-                let outcome = match report.verdict {
-                    SatOutcome::Unsatisfiable => SatOutcome::Unknown { explored: 0 },
-                    other => other,
-                };
-                AnalyzerReport {
-                    outcome,
-                    fragment,
-                    engine: Engine::BoundedSearch,
-                    run,
-                }
-            }
-        }
+        self.check_all(&BatchRequest::new(vec![formula.clone()]))
+            .pop()
+            .expect("one property in, one report out")
     }
 
     /// Checks satisfiability of every property in the request, batching
@@ -329,24 +269,30 @@ impl AccessAnalyzer {
         );
         let fragments: Vec<Fragment> = request.properties.iter().map(classify).collect();
         let mut reports: Vec<Option<AnalyzerReport>> = vec![None; request.properties.len()];
+        let mut report = |index: usize, outcome: SatOutcome, run: RunReport| {
+            let fragment = fragments[index];
+            reports[index] = Some(AnalyzerReport {
+                outcome,
+                fragment,
+                engine: engine_for(fragment),
+                run: run.with_chase(self.chase_stats),
+            });
+        };
 
         let mut zero: Vec<usize> = Vec::new();
         let mut plus: Vec<usize> = Vec::new();
         let mut full: Vec<usize> = Vec::new();
-        for (index, fragment) in fragments.iter().enumerate() {
-            match fragment {
-                Fragment::XZeroAry | Fragment::ZeroAry | Fragment::ZeroAryWithInequalities => {
-                    zero.push(index);
-                }
-                Fragment::BindingPositive => plus.push(index),
-                Fragment::Full | Fragment::FullWithInequalities => full.push(index),
+        for (index, &fragment) in fragments.iter().enumerate() {
+            match engine_for(fragment) {
+                Engine::XFragment | Engine::ZeroFragment => zero.push(index),
+                Engine::AutomatonPipeline => plus.push(index),
+                Engine::BoundedSearch => full.push(index),
             }
         }
 
         // The two bounded-search groups: 0-ary interpretation for the
         // decidable zero fragments, full bindings for the undecidable
-        // languages (whose `Unsatisfiable` is downgraded, as in
-        // `solver::sat_full_bounded`).
+        // languages (whose `Unsatisfiable` is downgraded).
         for (indices, zero_ary) in [(&zero, true), (&full, false)] {
             if indices.is_empty() {
                 continue;
@@ -366,29 +312,14 @@ impl AccessAnalyzer {
                 .iter()
                 .map(|&index| request.properties[index].clone())
                 .collect();
-            for (&index, report) in indices.iter().zip(searcher.run_batch(&formulas)) {
-                let fragment = fragments[index];
-                let run = RunReport::from_search(&report).with_chase(self.chase_stats);
-                let (outcome, engine) = if zero_ary {
-                    let engine = if fragment == Fragment::XZeroAry {
-                        Engine::XFragment
-                    } else {
-                        Engine::ZeroFragment
-                    };
-                    (report.verdict, engine)
+            for (&index, search) in indices.iter().zip(searcher.run_batch(&formulas)) {
+                let run = RunReport::from_search(&search);
+                let outcome = if zero_ary {
+                    search.verdict
                 } else {
-                    let outcome = match report.verdict {
-                        SatOutcome::Unsatisfiable => SatOutcome::Unknown { explored: 0 },
-                        other => other,
-                    };
-                    (outcome, Engine::BoundedSearch)
+                    downgrade(search.verdict, search.explored)
                 };
-                reports[index] = Some(AnalyzerReport {
-                    outcome,
-                    fragment,
-                    engine,
-                    run,
-                });
+                report(index, outcome, run);
             }
         }
 
@@ -409,19 +340,9 @@ impl AccessAnalyzer {
                     &self.emptiness_config,
                 ),
             };
-            for (&index, report) in plus.iter().zip(emptiness) {
-                let run = RunReport::from_search(&report).with_chase(self.chase_stats);
-                let outcome = match report.verdict {
-                    EmptinessOutcome::NonEmpty { witness } => SatOutcome::Satisfiable { witness },
-                    EmptinessOutcome::Empty => SatOutcome::Unsatisfiable,
-                    EmptinessOutcome::Unknown => SatOutcome::Unknown { explored: 0 },
-                };
-                reports[index] = Some(AnalyzerReport {
-                    outcome,
-                    fragment: fragments[index],
-                    engine: Engine::AutomatonPipeline,
-                    run,
-                });
+            for (&index, search) in plus.iter().zip(emptiness) {
+                let run = RunReport::from_search(&search);
+                report(index, satisfiability(search.verdict, search.explored), run);
             }
         }
 
@@ -445,12 +366,14 @@ impl AccessAnalyzer {
             return ContainmentOutcome::Contained;
         }
         let automaton = containment_automaton(&self.schema, q1, q2, &self.disjointness);
-        match bounded_emptiness(
+        match bounded_emptiness_report(
             &automaton,
             &self.schema,
             &self.initial,
             &self.emptiness_config,
-        ) {
+        )
+        .verdict
+        {
             EmptinessOutcome::Empty => ContainmentOutcome::Contained,
             EmptinessOutcome::NonEmpty { witness } => ContainmentOutcome::NotContained {
                 counterexample: witness,
@@ -496,7 +419,14 @@ impl AccessAnalyzer {
         // union of verdicts.
         for disjunct in &query.disjuncts {
             let automaton = ltr_automaton(&self.schema, access, disjunct, &self.disjointness);
-            match bounded_emptiness(&automaton, &self.schema, initial, &self.emptiness_config) {
+            match bounded_emptiness_report(
+                &automaton,
+                &self.schema,
+                initial,
+                &self.emptiness_config,
+            )
+            .verdict
+            {
                 EmptinessOutcome::NonEmpty { witness } => return LtrVerdict::Relevant { witness },
                 EmptinessOutcome::Unknown => return LtrVerdict::Unknown,
                 EmptinessOutcome::Empty => {}
@@ -544,17 +474,14 @@ impl AccessAnalyzer {
         let mut zero: Vec<AccLtl> = Vec::new();
         let mut other: Vec<AccLtl> = Vec::new();
         let mut slots: Vec<(bool, usize)> = Vec::with_capacity(properties.len());
-        for (property, fragment) in properties.iter().zip(&fragments) {
-            match fragment {
-                Fragment::XZeroAry | Fragment::ZeroAry | Fragment::ZeroAryWithInequalities => {
-                    slots.push((true, zero.len()));
-                    zero.push(property.clone());
-                }
-                Fragment::BindingPositive | Fragment::Full | Fragment::FullWithInequalities => {
-                    slots.push((false, other.len()));
-                    other.push(property.clone());
-                }
-            }
+        for (property, &fragment) in properties.iter().zip(&fragments) {
+            let zero_ary = matches!(
+                engine_for(fragment),
+                Engine::XFragment | Engine::ZeroFragment
+            );
+            let group = if zero_ary { &mut zero } else { &mut other };
+            slots.push((zero_ary, group.len()));
+            group.push(property.clone());
         }
         let open = |formulas: &[AccLtl], zero_ary: bool| {
             (!formulas.is_empty()).then(|| {
@@ -575,6 +502,36 @@ impl AccessAnalyzer {
         };
         session.last = session.combined_report();
         session
+    }
+}
+
+/// Table 1: the decision procedure of each fragment's row.
+fn engine_for(fragment: Fragment) -> Engine {
+    match fragment {
+        Fragment::XZeroAry => Engine::XFragment,
+        Fragment::ZeroAry | Fragment::ZeroAryWithInequalities => Engine::ZeroFragment,
+        Fragment::BindingPositive => Engine::AutomatonPipeline,
+        Fragment::Full | Fragment::FullWithInequalities => Engine::BoundedSearch,
+    }
+}
+
+/// A full-binding bounded search that exhausts its witness space certifies
+/// nothing outside the Boundedness Lemma, so its `Unsatisfiable` is
+/// reported as `Unknown`, carrying the search's `explored` count.
+fn downgrade(verdict: SatOutcome, explored: usize) -> SatOutcome {
+    match verdict {
+        SatOutcome::Unsatisfiable => SatOutcome::Unknown { explored },
+        other => other,
+    }
+}
+
+/// Reads an emptiness verdict of a formula's A-automaton as the formula's
+/// satisfiability verdict; `explored` is the emptiness search's count.
+fn satisfiability(verdict: EmptinessOutcome, explored: usize) -> SatOutcome {
+    match verdict {
+        EmptinessOutcome::NonEmpty { witness } => SatOutcome::Satisfiable { witness },
+        EmptinessOutcome::Empty => SatOutcome::Unsatisfiable,
+        EmptinessOutcome::Unknown => SatOutcome::Unknown { explored },
     }
 }
 
@@ -677,10 +634,8 @@ impl<'a> MonitorSession<'a> {
             session.verdict(slot).clone()
         } else {
             let session = self.other.as_ref().expect("full group is non-empty");
-            match session.verdict(slot) {
-                SatOutcome::Unsatisfiable => SatOutcome::Unknown { explored: 0 },
-                verdict => verdict.clone(),
-            }
+            let report = &session.reports()[slot];
+            downgrade(report.verdict.clone(), report.explored)
         }
     }
 

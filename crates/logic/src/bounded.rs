@@ -26,8 +26,8 @@
 //! as the bounded witness-search procedure for `AccLTL+` and the full
 //! (undecidable) language: finding a witness is always sound; exhausting the
 //! space without finding one is a completeness certificate only for the
-//! fragments covered by the Boundedness Lemma, which is how the solver
-//! front-ends in [`crate::solver`] report their verdicts.
+//! fragments covered by the Boundedness Lemma, which is how
+//! `accltl_core::AccessAnalyzer` reports its verdicts.
 //!
 //! The frontier machinery — universe indexing, candidate enumeration,
 //! deduplication, arena parent links, parallel layer expansion — is the
@@ -111,12 +111,13 @@ pub enum SatOutcome {
     },
     /// The bounded witness space contains no satisfying path.  For the
     /// fragments covered by the Boundedness Lemma this certifies
-    /// unsatisfiability; the solver front-ends downgrade it to
+    /// unsatisfiability; `accltl_core::AccessAnalyzer` downgrades it to
     /// [`SatOutcome::Unknown`] where that guarantee does not apply.
     Unsatisfiable,
-    /// The state budget was exhausted before the search completed.
+    /// The search settled nothing: a budget ran out, or the analyzer
+    /// downgraded an exhausted search outside the Boundedness Lemma.
     Unknown {
-        /// Number of states explored before giving up.
+        /// Number of states the search explored.
         explored: usize,
     },
 }
@@ -630,23 +631,6 @@ impl<'a> BoundedSearcher<'a> {
         session.finish_step(false, delta);
         session
     }
-
-    /// Deprecated alias of [`BoundedSearcher::run`] returning the verdict
-    /// alone; kept so existing callers compile unchanged.
-    #[must_use]
-    pub fn search(&self, formula: &AccLtl) -> SatOutcome {
-        self.run(formula).verdict
-    }
-
-    /// Deprecated alias of [`BoundedSearcher::run`] returning the historical
-    /// `(verdict, stats)` pair; kept so existing callers compile unchanged.
-    /// All consults count as misses when the cache is disabled, so cached
-    /// and uncached runs report the same total.
-    #[must_use]
-    pub fn search_with_stats(&self, formula: &AccLtl) -> (SatOutcome, GuardCacheStats) {
-        let report = self.run(formula);
-        (report.verdict, report.cache)
-    }
 }
 
 /// Builds the per-formula property specs over `initial`, runs them through
@@ -1058,7 +1042,7 @@ mod tests {
             true,
             BoundedSearchConfig::default(),
         );
-        let outcome = searcher.search(&f);
+        let outcome = searcher.run(&f).verdict;
         check_witness(&f, &outcome, true);
     }
 
@@ -1077,7 +1061,7 @@ mod tests {
             true,
             BoundedSearchConfig::default(),
         );
-        assert_eq!(searcher.search(&f), SatOutcome::Unsatisfiable);
+        assert_eq!(searcher.run(&f).verdict, SatOutcome::Unsatisfiable);
     }
 
     #[test]
@@ -1099,7 +1083,7 @@ mod tests {
             true,
             BoundedSearchConfig::default(),
         );
-        let outcome = searcher.search(&f);
+        let outcome = searcher.run(&f).verdict;
         check_witness(&f, &outcome, true);
         if let SatOutcome::Satisfiable { witness } = &outcome {
             // A Mobile# fact must eventually appear in a pre-instance, so the
@@ -1121,7 +1105,10 @@ mod tests {
                 AccLtl::atom(isbind_prop("AcM2")),
             ),
         ]);
-        assert_eq!(searcher.search(&contradictory), SatOutcome::Unsatisfiable);
+        assert_eq!(
+            searcher.run(&contradictory).verdict,
+            SatOutcome::Unsatisfiable
+        );
     }
 
     #[test]
@@ -1154,7 +1141,7 @@ mod tests {
             false,
             BoundedSearchConfig::default(),
         );
-        let outcome = searcher.search(&dataflow);
+        let outcome = searcher.run(&dataflow).verdict;
         check_witness(&dataflow, &outcome, false);
     }
 
@@ -1177,13 +1164,13 @@ mod tests {
             ..BoundedSearchConfig::default()
         };
         let searcher = BoundedSearcher::new(&schema, &Instance::new(), false, grounded_config);
-        assert_eq!(searcher.search(&f), SatOutcome::Unsatisfiable);
+        assert_eq!(searcher.run(&f).verdict, SatOutcome::Unsatisfiable);
 
         // With an initial instance supplying the value, it becomes satisfiable.
         let mut initial = Instance::new();
         initial.add_fact("Address", tuple!["Parks Rd", "OX13QD", "Smith", 13]);
         let searcher = BoundedSearcher::new(&schema, &initial, false, grounded_config);
-        let outcome = searcher.search(&f);
+        let outcome = searcher.run(&f).verdict;
         assert!(outcome.is_satisfiable());
     }
 
@@ -1203,7 +1190,10 @@ mod tests {
                 ..BoundedSearchConfig::default()
             },
         );
-        assert!(matches!(searcher.search(&f), SatOutcome::Unknown { .. }));
+        assert!(matches!(
+            searcher.run(&f).verdict,
+            SatOutcome::Unknown { .. }
+        ));
     }
 
     #[test]
@@ -1216,14 +1206,17 @@ mod tests {
             true,
             BoundedSearchConfig::default(),
         );
-        assert_eq!(default_searcher.search(&g_false), SatOutcome::Unsatisfiable);
+        assert_eq!(
+            default_searcher.run(&g_false).verdict,
+            SatOutcome::Unsatisfiable
+        );
 
         let allow_empty = BoundedSearchConfig {
             allow_empty_path: true,
             ..BoundedSearchConfig::default()
         };
         let empty_searcher = BoundedSearcher::new(&schema, &Instance::new(), true, allow_empty);
-        let outcome = empty_searcher.search(&g_false);
+        let outcome = empty_searcher.run(&g_false).verdict;
         assert!(matches!(
             outcome,
             SatOutcome::Satisfiable { ref witness } if witness.is_empty()
@@ -1240,7 +1233,7 @@ mod tests {
         let f = AccLtl::atom(mobile_pre_nonempty());
         let searcher =
             BoundedSearcher::new(&schema, &initial, true, BoundedSearchConfig::default());
-        let outcome = searcher.search(&f);
+        let outcome = searcher.run(&f).verdict;
         assert!(outcome.is_satisfiable());
 
         // Over the empty initial instance the same formula is unsatisfiable:
@@ -1251,6 +1244,6 @@ mod tests {
             true,
             BoundedSearchConfig::default(),
         );
-        assert_eq!(searcher.search(&f), SatOutcome::Unsatisfiable);
+        assert_eq!(searcher.run(&f).verdict, SatOutcome::Unsatisfiable);
     }
 }

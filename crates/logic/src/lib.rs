@@ -14,9 +14,9 @@
 //! * propositional LTL over finite words, the target of the Theorem 4.12
 //!   reduction ([`ltl`]);
 //! * the Boundedness-Lemma fact universe and the bounded path-search engine
-//!   shared by the decision procedures ([`bounded`]);
-//! * the satisfiability procedures for the decidable fragments and the
-//!   bounded procedures for the undecidable ones ([`solver`]);
+//!   behind the satisfiability procedures of every Table 1 row except
+//!   `AccLTL+` ([`bounded`]; `accltl_core::AccessAnalyzer` picks the
+//!   procedure per fragment);
 //! * builders for the paper's application properties: containment under
 //!   access patterns, long-term relevance, groundedness, data-integrity,
 //!   access-order and dataflow restrictions ([`properties`]);
@@ -33,7 +33,6 @@ pub mod ctl;
 pub mod fragment;
 pub mod ltl;
 pub mod properties;
-pub mod solver;
 pub mod undecidability;
 pub mod vocabulary;
 
@@ -43,7 +42,4 @@ pub use bounded::{
 };
 pub use fragment::{classify, FormulaTraits, Fragment};
 pub use ltl::Ltl;
-pub use solver::{
-    sat_binding_positive_bounded, sat_full_bounded, sat_x_fragment, sat_zero_fragment,
-};
 pub use vocabulary::{isbind_name, post_name, pre_name, transition_structure};

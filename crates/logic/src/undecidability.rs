@@ -66,12 +66,24 @@ pub fn fd_implication_gadget(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bounded::{BoundedSearchConfig, SatOutcome};
+    use crate::bounded::{BoundedSearchConfig, BoundedSearcher, SatOutcome};
     use crate::fragment::{classify, Fragment};
-    use crate::solver::sat_full_bounded;
     use accltl_relational::chase::{implies_fd, ChaseConfig, Implication};
     use accltl_relational::{Constraint, Instance};
     use std::collections::BTreeMap;
+
+    /// The bounded search under full bindings, as the analyzer runs it for
+    /// the undecidable languages (minus the `Unsatisfiable` downgrade).
+    fn search_full(schema: &AccessSchema, formula: &AccLtl) -> SatOutcome {
+        BoundedSearcher::new(
+            schema,
+            &Instance::new(),
+            false,
+            BoundedSearchConfig::default(),
+        )
+        .run(formula)
+        .verdict
+    }
 
     fn chase_oracle(gamma: &[FunctionalDependency], sigma: &FunctionalDependency) -> Implication {
         let constraints: Vec<Constraint> = gamma.iter().cloned().map(Constraint::Fd).collect();
@@ -100,12 +112,7 @@ mod tests {
         assert_eq!(chase_oracle(&gamma, &sigma), Implication::NotImplied);
 
         let formula = fd_implication_gadget(&schema, &gamma, &sigma);
-        let outcome = sat_full_bounded(
-            &formula,
-            &schema,
-            &Instance::new(),
-            &BoundedSearchConfig::default(),
-        );
+        let outcome = search_full(&schema, &formula);
         let SatOutcome::Satisfiable { witness } = outcome else {
             panic!("expected a witness, the dependency is not implied");
         };
@@ -128,12 +135,7 @@ mod tests {
         assert_eq!(chase_oracle(&gamma, &sigma), Implication::Implied);
 
         let formula = fd_implication_gadget(&schema, &gamma, &sigma);
-        let outcome = sat_full_bounded(
-            &formula,
-            &schema,
-            &Instance::new(),
-            &BoundedSearchConfig::default(),
-        );
+        let outcome = search_full(&schema, &formula);
         assert!(
             !outcome.is_satisfiable(),
             "a witness would contradict FD implication"
@@ -161,12 +163,7 @@ mod tests {
             for sigma in &candidates {
                 let oracle = chase_oracle(&gamma, sigma);
                 let formula = fd_implication_gadget(&schema, &gamma, sigma);
-                let outcome = sat_full_bounded(
-                    &formula,
-                    &schema,
-                    &Instance::new(),
-                    &BoundedSearchConfig::default(),
-                );
+                let outcome = search_full(&schema, &formula);
                 if outcome.is_satisfiable() {
                     assert_eq!(
                         oracle,

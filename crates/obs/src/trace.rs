@@ -20,8 +20,7 @@
 //! guard — no allocation, no clock read, no branching in callers.
 //!
 //! Because the environment is read only once, tests and the trace validator
-//! install sinks programmatically with [`set_trace_path`] (the same pattern
-//! as `relational::guard_cache::set_guard_cache_enabled`).
+//! install sinks programmatically with [`set_trace_path`].
 //!
 //! # Record shapes
 //!
@@ -154,9 +153,8 @@ pub fn tracing() -> bool {
 /// overriding whatever `ACCLTL_TRACE` said at process start.
 ///
 /// The environment is read once per process, so tests and harnesses that
-/// need tracing after startup use this hook — the same programmatic-override
-/// pattern as `set_guard_cache_enabled`.  Do not swap sinks while spans are
-/// open: their exit records would land in the new sink unmatched.
+/// need tracing after startup use this hook.  Do not swap sinks while spans
+/// are open: their exit records would land in the new sink unmatched.
 pub fn set_trace_path(path: Option<&Path>) {
     init_from_env();
     match path {

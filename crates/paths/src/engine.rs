@@ -28,8 +28,7 @@
 //! witness choice only ever depend on the property's own universe and
 //! config, never on its batch neighbours.
 //!
-//! [`FrontierEngine`] remains as the single-property front: it is a thin
-//! wrapper that runs a one-property batch.
+//! A single-property search is a one-property batch.
 //!
 //! Engine responsibilities:
 //!
@@ -292,7 +291,7 @@ pub trait StepOracle: Send + Sync {
 }
 
 /// Borrowed oracles are oracles, so a caller can keep ownership while a
-/// batch runs (the single-property [`FrontierEngine`] relies on this).
+/// batch runs.
 impl<O: StepOracle + ?Sized> StepOracle for &O {
     type State = O::State;
     type StateCtx = O::StateCtx;
@@ -1788,77 +1787,6 @@ impl<'a, O: StepOracle> BatchEngine<'a, O> {
     }
 }
 
-/// The single-property frontier engine: a thin front over a one-property
-/// [`BatchEngine`].  See the module docs for the division of labour between
-/// engine and [`StepOracle`].
-pub struct FrontierEngine<'a, O: StepOracle> {
-    schema: &'a AccessSchema,
-    oracle: &'a O,
-    universe: FactUniverse,
-    initial: Arc<Instance>,
-    constants: BTreeSet<Value>,
-    config: EngineConfig,
-}
-
-impl<'a, O: StepOracle> FrontierEngine<'a, O> {
-    /// Creates an engine over a schema, universe and initial instance.
-    /// `constants` are extra values (formula or automaton constants) eligible
-    /// as guessed binding values.
-    pub fn new(
-        schema: &'a AccessSchema,
-        oracle: &'a O,
-        universe: FactUniverse,
-        initial: Arc<Instance>,
-        constants: &BTreeSet<Value>,
-        config: EngineConfig,
-    ) -> Self {
-        FrontierEngine {
-            schema,
-            oracle,
-            universe,
-            initial,
-            constants: constants.clone(),
-            config,
-        }
-    }
-
-    /// The universe the engine searches over.
-    #[must_use]
-    pub fn universe(&self) -> &FactUniverse {
-        &self.universe
-    }
-
-    /// The oracle's guard-verdict cache counters, if it keeps any
-    /// (see [`StepOracle::cache_stats`]).
-    #[must_use]
-    pub fn cache_stats(&self) -> Option<GuardCacheStats> {
-        self.oracle.cache_stats()
-    }
-
-    /// Runs the breadth-first search from the given logical start state.
-    #[must_use]
-    pub fn run(&self, start: O::State) -> EngineOutcome {
-        self.report(start).outcome
-    }
-
-    /// Runs the search and returns the full [`EngineReport`] (outcome plus
-    /// budget and cache accounting).
-    #[must_use]
-    pub fn report(&self, start: O::State) -> EngineReport {
-        let mut batch: BatchEngine<'_, &O> = BatchEngine::new(self.schema, self.initial.clone());
-        batch
-            .run(vec![PropertySpec {
-                oracle: self.oracle,
-                start,
-                universe: self.universe.clone(),
-                constants: self.constants.clone(),
-                config: self.config,
-            }])
-            .pop()
-            .expect("one property in, one report out")
-    }
-}
-
 /// The resumable engine state behind a monitoring session: one persistent
 /// [`BatchEngine`] whose interned fact table, prepared-context cache,
 /// candidate enumerations and per-candidate contexts survive across steps,
@@ -1991,18 +1919,30 @@ mod tests {
         ])
     }
 
-    fn engine_outcome(config: EngineConfig, start: u8) -> EngineOutcome {
+    /// Runs one property alone, as a one-property batch.
+    fn run_alone<O: StepOracle>(
+        oracle: &O,
+        universe: FactUniverse,
+        initial: Instance,
+        config: EngineConfig,
+        start: O::State,
+    ) -> EngineReport {
         let schema = phone_directory_access_schema();
-        let oracle = CountdownOracle;
-        let engine = FrontierEngine::new(
-            &schema,
-            &oracle,
-            universe(),
-            Arc::new(Instance::new()),
-            &BTreeSet::new(),
-            config,
-        );
-        engine.run(start)
+        let mut batch: BatchEngine<'_, &O> = BatchEngine::new(&schema, Arc::new(initial));
+        batch
+            .run(vec![PropertySpec {
+                oracle,
+                start,
+                universe,
+                constants: BTreeSet::new(),
+                config,
+            }])
+            .pop()
+            .expect("one property in, one report out")
+    }
+
+    fn engine_outcome(config: EngineConfig, start: u8) -> EngineOutcome {
+        run_alone(&CountdownOracle, universe(), Instance::new(), config, start).outcome
     }
 
     /// Registers a one-property batch and returns the candidates of its
@@ -2095,15 +2035,13 @@ mod tests {
             BatchEngine::new(&schema, Arc::new(Instance::new()));
         let batched = batch.run(vec![spec(1), spec(2), spec(3)]);
         for (start, report) in [1u8, 2, 3].into_iter().zip(&batched) {
-            let standalone = FrontierEngine::new(
-                &schema,
+            let standalone = run_alone(
                 &oracle,
                 universe(),
-                Arc::new(Instance::new()),
-                &BTreeSet::new(),
+                Instance::new(),
                 EngineConfig::base(),
-            )
-            .report(start);
+                start,
+            );
             assert_eq!(report, &standalone, "property with start {start} diverged");
         }
     }
@@ -2166,7 +2104,6 @@ mod tests {
             }
         }
 
-        let schema = phone_directory_access_schema();
         let run_with = |fact_count: i64, config: EngineConfig| {
             // `fact_count` Mobile# facts all share the binding "Same".
             let facts: Vec<(RelId, Tuple)> = (0..fact_count)
@@ -2177,16 +2114,14 @@ mod tests {
                     )
                 })
                 .collect();
-            let oracle = DeadOracle;
-            FrontierEngine::new(
-                &schema,
-                &oracle,
+            run_alone(
+                &DeadOracle,
                 FactUniverse::new(facts),
-                Arc::new(Instance::new()),
-                &BTreeSet::new(),
+                Instance::new(),
                 config,
+                0,
             )
-            .run(0)
+            .outcome
         };
         // Within the group cap, exhaustion is a completeness certificate...
         assert_eq!(run_with(12, EngineConfig::base()), EngineOutcome::Exhausted);
@@ -2221,16 +2156,14 @@ mod tests {
         for (rel, tuple) in &facts {
             initial.add_fact(*rel, tuple.clone());
         }
-        let oracle = DeadOracle;
-        let outcome = FrontierEngine::new(
-            &schema,
-            &oracle,
+        let outcome = run_alone(
+            &DeadOracle,
             FactUniverse::new(facts),
-            Arc::new(initial),
-            &BTreeSet::new(),
+            initial,
             EngineConfig::base(),
+            0,
         )
-        .run(0);
+        .outcome;
         assert_eq!(outcome, EngineOutcome::Exhausted);
     }
 

@@ -22,9 +22,9 @@
 //! [`CompiledSentence::holds_cached`](crate::CompiledSentence::holds_cached),
 //! which consults the cache before any homomorphism search and falls back to
 //! the uncached path — with byte-identical verdicts by construction — when
-//! the cache is disabled ([`DISABLE_GUARD_CACHE_ENV_VAR`], mirroring the
-//! `ACCLTL_DISABLE_INDEXES` contract of [`crate::index`]) or when the view
-//! cannot produce a key.
+//! the cache was built disabled ([`GuardCache::with_enabled`], which the
+//! search front-ends feed from `EngineConfig::disable_guard_cache`) or when
+//! the view cannot produce a key.
 //!
 //! # Why a content digest is a sound cache key
 //!
@@ -57,7 +57,7 @@
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
 use accltl_obs::trace;
@@ -75,30 +75,8 @@ use crate::ucq::PosFormula;
 /// The variable is *read* in exactly one place: `EngineConfig::from_env` in
 /// `accltl-paths`, which feeds the per-search `disable_guard_cache` flag the
 /// search front-ends pass to [`GuardCache::with_enabled`].  This module only
-/// defines the name and the process-wide [`set_guard_cache_enabled`]
-/// override used by tests and benches.
+/// defines the name.
 pub const DISABLE_GUARD_CACHE_ENV_VAR: &str = "ACCLTL_DISABLE_GUARD_CACHE";
-
-fn cache_override() -> &'static AtomicBool {
-    static FLAG: AtomicBool = AtomicBool::new(false);
-    &FLAG
-}
-
-/// True if guard-verdict caching is in use (the default); flipped by
-/// [`set_guard_cache_enabled`].
-#[must_use]
-pub fn guard_cache_enabled() -> bool {
-    !cache_override().load(Ordering::Relaxed)
-}
-
-/// Process-wide override of [`guard_cache_enabled`], for A/B comparisons in
-/// tests and benches.  Cached and uncached evaluation produce identical
-/// verdicts by contract, so flipping this mid-run changes performance paths
-/// only, never answers.  The flag is sampled when a [`GuardCache`] is
-/// created, so a cache in flight keeps its mode.
-pub fn set_guard_cache_enabled(enabled: bool) {
-    cache_override().store(!enabled, Ordering::Relaxed);
-}
 
 /// A cheap, content-addressed fingerprint of an overlay-shaped structure: an
 /// order-independent two-lane digest (plus exact fact count) of the facts it
@@ -245,8 +223,7 @@ struct SharedCache {
 /// consult accounting while all properties share one memo table.
 ///
 /// Whether the cache actually caches is decided at construction
-/// ([`GuardCache::with_enabled`] composed with the process-wide
-/// [`guard_cache_enabled`] override); a disabled cache only counts consults
+/// ([`GuardCache::with_enabled`]); a disabled cache only counts consults
 /// (all as misses), so hit/miss totals stay comparable across modes.
 #[derive(Debug)]
 pub struct GuardCache {
@@ -262,23 +239,21 @@ impl Default for GuardCache {
 }
 
 impl GuardCache {
-    /// Creates an empty, enabled cache (subject to the process-wide
-    /// [`guard_cache_enabled`] override).
+    /// Creates an empty, enabled cache.
     #[must_use]
     pub fn new() -> Self {
         GuardCache::with_enabled(true)
     }
 
-    /// Creates an empty cache.  The effective mode is `enabled` composed
-    /// with the process-wide [`guard_cache_enabled`] override — the search
+    /// Creates an empty cache that caches iff `enabled` — the search
     /// front-ends pass `!disable_guard_cache` from their engine config here,
     /// so the `ACCLTL_DISABLE_GUARD_CACHE` variable (read once by
-    /// `EngineConfig::from_env`) and the programmatic override both apply.
+    /// `EngineConfig::from_env`) applies.
     #[must_use]
     pub fn with_enabled(enabled: bool) -> Self {
         GuardCache {
             shared: Arc::new(SharedCache {
-                enabled: enabled && guard_cache_enabled(),
+                enabled,
                 shards: OnceLock::new(),
             }),
             hits: AtomicU64::new(0),

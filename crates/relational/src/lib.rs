@@ -86,8 +86,7 @@ pub use datalog::{DatalogProgram, DatalogRule};
 pub use datalog_containment::{datalog_contained_in_ucq, ContainmentVerdict, UnfoldingConfig};
 pub use error::RelationalError;
 pub use guard_cache::{
-    guard_cache_enabled, set_guard_cache_enabled, GuardCache, GuardCacheStats, StructureKey,
-    DISABLE_GUARD_CACHE_ENV_VAR, GUARD_CACHE_CUTOFF,
+    GuardCache, GuardCacheStats, StructureKey, DISABLE_GUARD_CACHE_ENV_VAR, GUARD_CACHE_CUTOFF,
 };
 pub use index::{
     indexing_enabled, set_indexing_enabled, InstanceIndex, MatchIter, RelationIndex, ScanView,

@@ -1,6 +1,7 @@
-//! Bounded witness search demo: runs the Table 1 solver front-ends on a few
-//! formulas over the phone-directory schema and prints the verdicts and
-//! witness paths.
+//! Bounded witness search demo: runs the bounded satisfiability search on a
+//! few formulas over the phone-directory schema — under the 0-ary `IsBind`
+//! interpretation for the PSPACE row of Table 1, under full bindings for an
+//! `AccLTL+` formula — and prints the verdicts and witness paths.
 //!
 //! The frontier engine behind the search shards each BFS layer across worker
 //! threads (`ACCLTL_SEARCH_THREADS`, default 1) with verdicts and witnesses
@@ -11,11 +12,12 @@
 //! output (CI diffs that too).  Obligation checks are additionally memoized
 //! through the guard-verdict cache of `relational::guard_cache`; setting
 //! `ACCLTL_DISABLE_GUARD_CACHE=1` selects the uncached path, again with
-//! byte-identical output (CI diffs that as well).
+//! byte-identical output (CI diffs that as well).  Both variables are read
+//! by `EngineConfig::from_env`.
 //!
 //! Run with `cargo run --example bounded_search`.
 
-use accltl_core::logic::solver::{sat_binding_positive_bounded, sat_zero_fragment};
+use accltl_core::logic::BoundedSearcher;
 use accltl_core::prelude::*;
 
 fn report(label: &str, outcome: &SatOutcome) {
@@ -30,7 +32,10 @@ fn report(label: &str, outcome: &SatOutcome) {
 
 fn main() {
     let schema = phone_directory_access_schema();
+    let initial = Instance::new();
     let config = BoundedSearchConfig::default();
+    let zero_ary = BoundedSearcher::new(&schema, &initial, true, config);
+    let full_bindings = BoundedSearcher::new(&schema, &initial, false, config);
 
     let jones_post = PosFormula::exists(
         vec!["s", "p", "h"],
@@ -47,18 +52,20 @@ fn main() {
 
     // 1. A satisfiable eventuality (0-ary fragment, PSPACE row of Table 1).
     let eventually_jones = AccLtl::finally(AccLtl::atom(jones_post.clone()));
-    let outcome = sat_zero_fragment(&eventually_jones, &schema, &Instance::new(), &config)
-        .expect("formula is in the 0-ary fragment");
-    report("F [Jones revealed]", &outcome);
+    report(
+        "F [Jones revealed]",
+        &zero_ary.run(&eventually_jones).verdict,
+    );
 
     // 2. A contradiction: globally-not conjoined with eventually.
     let contradiction = AccLtl::and(vec![
         AccLtl::globally(AccLtl::not(AccLtl::atom(jones_post.clone()))),
         AccLtl::finally(AccLtl::atom(jones_post)),
     ]);
-    let outcome = sat_zero_fragment(&contradiction, &schema, &Instance::new(), &config)
-        .expect("formula is in the 0-ary fragment");
-    report("G ¬[Jones] ∧ F [Jones]", &outcome);
+    report(
+        "G ¬[Jones] ∧ F [Jones]",
+        &zero_ary.run(&contradiction).verdict,
+    );
 
     // 3. The running dataflow example (AccLTL+): an AcM1 access whose bound
     //    name was previously revealed in Address^pre.
@@ -80,9 +87,10 @@ fn main() {
             ),
         ]),
     )));
-    let outcome = sat_binding_positive_bounded(&dataflow, &schema, &Instance::new(), &config)
-        .expect("formula is binding-positive");
-    report("F [AcM1 bound to a revealed name]", &outcome);
+    report(
+        "F [AcM1 bound to a revealed name]",
+        &full_bindings.run(&dataflow).verdict,
+    );
 
     // One-shot counter/timing summary, printed only under ACCLTL_STATS=1.
     accltl_core::obs::summary::print_if_enabled();

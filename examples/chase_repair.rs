@@ -4,8 +4,7 @@
 //!
 //! Run with `cargo run --example chase_repair`.  The output is deterministic
 //! and byte-identical whichever discovery mode runs — re-run with
-//! `ACCLTL_DISABLE_INCREMENTAL_CHASE=1` (or `ACCLTL_DISABLE_INDEXES=1`) and
-//! diff; CI does exactly that.  Only mode-invariant counters are printed:
+//! `ACCLTL_DISABLE_INCREMENTAL_CHASE=1` and diff; CI does exactly that.  Only mode-invariant counters are printed:
 //! per-mode work counters (tuples rescanned, index rebuilds avoided) are the
 //! point of the incremental mode and intentionally differ.
 

@@ -15,7 +15,7 @@
 //!
 //! Run with `cargo run --example emptiness`.
 
-use accltl_core::automata::{accltl_plus_to_automaton, bounded_emptiness, EmptinessConfig};
+use accltl_core::automata::{accltl_plus_to_automaton, bounded_emptiness_report, EmptinessConfig};
 use accltl_core::prelude::*;
 
 fn report(label: &str, outcome: &accltl_core::automata::EmptinessOutcome) {
@@ -56,7 +56,7 @@ fn main() {
     );
     report(
         "L(A) of F [Jones revealed]",
-        &bounded_emptiness(&automaton, &schema, &Instance::new(), &config),
+        &bounded_emptiness_report(&automaton, &schema, &Instance::new(), &config).verdict,
     );
 
     // 2. The contradiction G ¬[Jones] ∧ F [Jones] — empty.
@@ -67,7 +67,7 @@ fn main() {
     let automaton = accltl_plus_to_automaton(&contradiction);
     report(
         "L(A) of G ¬[Jones] ∧ F [Jones]",
-        &bounded_emptiness(&automaton, &schema, &Instance::new(), &config),
+        &bounded_emptiness_report(&automaton, &schema, &Instance::new(), &config).verdict,
     );
 
     // 3. A hand-built two-stage dataflow automaton: accept once an AcM1
@@ -99,7 +99,7 @@ fn main() {
     automaton.mark_accepting(1);
     report(
         "L(A) of the dataflow automaton",
-        &bounded_emptiness(&automaton, &schema, &Instance::new(), &config),
+        &bounded_emptiness_report(&automaton, &schema, &Instance::new(), &config).verdict,
     );
 
     // One-shot counter/timing summary, printed only under ACCLTL_STATS=1.

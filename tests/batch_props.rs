@@ -19,8 +19,7 @@ use accltl_core::logic::bounded::BoundedSearcher;
 use accltl_core::prelude::*;
 
 use common::{
-    dataflow_formula, digest, flag_lock, jones_post, mobile_pre, random_formula, random_initial,
-    with_cache_disabled,
+    dataflow_formula, digest, jones_post, mobile_pre, random_formula, random_initial, search_engine,
 };
 
 /// Strategy: a batch of 2–4 formulas.
@@ -46,7 +45,6 @@ proptest! {
         zero_ary in any::<bool>(),
     ) {
         let split = split_of(&batch, split_seed);
-        let _guard = flag_lock();
         let schema = phone_directory_access_schema();
         let searcher = BoundedSearcher::new(
             &schema,
@@ -73,7 +71,6 @@ proptest! {
         initial in random_initial(),
     ) {
         let _ = split_seed;
-        let _guard = flag_lock();
         let schema = phone_directory_access_schema();
         let mut verdicts_by_threads: Vec<Vec<SatOutcome>> = Vec::new();
         for threads in [1usize, 4] {
@@ -105,16 +102,18 @@ proptest! {
         initial in random_initial(),
     ) {
         let _ = split_seed;
-        let _guard = flag_lock();
         let schema = phone_directory_access_schema();
-        let searcher = BoundedSearcher::new(
-            &schema,
-            &initial,
-            false,
-            BoundedSearchConfig { threads: 1, ..BoundedSearchConfig::default() },
-        );
-        let cached = searcher.run_batch(&batch);
-        let uncached = with_cache_disabled(|| searcher.run_batch(&batch));
+        let run = |disable_guard_cache| {
+            BoundedSearcher::with_engine_config(
+                &schema,
+                &initial,
+                false,
+                search_engine(disable_guard_cache),
+            )
+            .run_batch(&batch)
+        };
+        let cached = run(false);
+        let uncached = run(true);
         let cached_digests: Vec<_> = cached.iter().map(digest).collect();
         let uncached_digests: Vec<_> = uncached.iter().map(digest).collect();
         prop_assert_eq!(&cached_digests, &uncached_digests);
@@ -132,7 +131,6 @@ proptest! {
         initial in random_initial(),
     ) {
         let split = split_of(&batch, split_seed);
-        let _guard = flag_lock();
         let schema = phone_directory_access_schema();
         let automata: Vec<_> = batch.iter().map(accltl_plus_to_automaton).collect();
         let refs: Vec<_> = automata.iter().collect();
@@ -173,7 +171,6 @@ proptest! {
         initial in random_initial(),
     ) {
         let _ = split_seed;
-        let _guard = flag_lock();
         let mut properties = batch;
         // Make sure every engine group is exercised alongside the random
         // formulas: an X-fragment, a zero-ary, a binding-positive and a
@@ -204,7 +201,6 @@ proptest! {
 /// cost at the cut).
 #[test]
 fn budget_cutoffs_are_partition_independent() {
-    let _guard = flag_lock();
     let schema = phone_directory_access_schema();
     let initial = Instance::new();
     let batch = vec![
@@ -230,7 +226,6 @@ fn budget_cutoffs_are_partition_independent() {
 /// budget cutoffs included.
 #[test]
 fn emptiness_budget_cutoffs_are_partition_independent() {
-    let _guard = flag_lock();
     let schema = phone_directory_access_schema();
     let initial = Instance::new();
     let automata = [
@@ -270,7 +265,6 @@ fn emptiness_budget_cutoffs_are_partition_independent() {
 /// returns its witness, the unsatisfiable one its exhaustion.
 #[test]
 fn mixed_verdicts_early_exit_independently() {
-    let _guard = flag_lock();
     let schema = phone_directory_access_schema();
     let initial = Instance::new();
     let sat = AccLtl::finally(jones_post());
@@ -299,7 +293,6 @@ fn mixed_verdicts_early_exit_independently() {
 /// witness acceptance too for a satisfiable automaton run through the batch.
 #[test]
 fn batched_emptiness_witnesses_are_genuine() {
-    let _guard = flag_lock();
     let schema = phone_directory_access_schema();
     let initial = Instance::new();
     let automaton = accltl_plus_to_automaton(&AccLtl::finally(jones_post()));

@@ -14,12 +14,11 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 
+use accltl_core::automata::EmptinessConfig;
 use accltl_core::prelude::*;
-use accltl_core::relational::{guard_cache_enabled, set_guard_cache_enabled};
 
-/// Tests that flip a process-wide flag (the guard-cache mode, `ACCLTL_*`
-/// environment variables) serialize behind this lock so an A/B comparison
-/// never observes another test's flip mid-run.
+/// Tests that set `ACCLTL_*` environment variables serialize behind this
+/// lock so an A/B comparison never observes another test's flip mid-run.
 pub fn flag_lock() -> MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
     LOCK.get_or_init(|| Mutex::new(()))
@@ -54,13 +53,24 @@ pub fn with_deadline<T>(secs: u64, f: impl FnOnce() -> T) -> T {
     result
 }
 
-/// Runs `f` with the guard cache disabled, restoring the previous mode.
-pub fn with_cache_disabled<T>(f: impl FnOnce() -> T) -> T {
-    let was_enabled = guard_cache_enabled();
-    set_guard_cache_enabled(false);
-    let result = f();
-    set_guard_cache_enabled(was_enabled);
-    result
+/// The single-threaded engine configuration of a default bounded search
+/// (`BoundedSearchConfig::default()` on one thread), with the guard cache on
+/// or off.
+pub fn search_engine(disable_guard_cache: bool) -> EngineConfig {
+    EngineConfig::base().disable_guard_cache(disable_guard_cache)
+}
+
+/// The single-threaded engine configuration `bounded_emptiness_batch`
+/// derives from `EmptinessConfig::default()`, with the guard cache on or
+/// off.
+pub fn emptiness_engine(disable_guard_cache: bool) -> EngineConfig {
+    let config = EmptinessConfig::default();
+    EngineConfig::base()
+        .max_states(config.max_states)
+        .max_response_size(config.max_response_size)
+        .max_empty_bindings(config.max_empty_bindings)
+        .max_guard_checks(config.max_guard_checks)
+        .disable_guard_cache(disable_guard_cache)
 }
 
 /// The contractual part of a search report: verdict, explored states, cost

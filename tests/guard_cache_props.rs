@@ -12,15 +12,51 @@ mod common;
 use proptest::prelude::*;
 
 use accltl_core::automata::{
-    accltl_plus_to_automaton, bounded_emptiness, bounded_emptiness_with_stats, EmptinessConfig,
+    accltl_plus_to_automaton, bounded_emptiness_batch_with_config, bounded_emptiness_report,
+    AAutomaton, EmptinessConfig, EmptinessOutcome,
 };
 use accltl_core::logic::bounded::BoundedSearcher;
 use accltl_core::prelude::*;
 
 use common::{
-    dataflow_formula, flag_lock, jones_post, random_formula, random_initial, scaled_initial,
-    with_cache_disabled,
+    dataflow_formula, emptiness_engine, jones_post, random_formula, random_initial, scaled_initial,
+    search_engine,
 };
+
+/// One single-threaded bounded search, with the guard cache on or off.
+fn search(
+    schema: &AccessSchema,
+    initial: &Instance,
+    zero_ary: bool,
+    formula: &AccLtl,
+    disable_guard_cache: bool,
+) -> SearchReport<SatOutcome> {
+    BoundedSearcher::with_engine_config(
+        schema,
+        initial,
+        zero_ary,
+        search_engine(disable_guard_cache),
+    )
+    .run(formula)
+}
+
+/// One single-threaded emptiness check under `EmptinessConfig::default()`'s
+/// budgets, with the guard cache on or off.
+fn emptiness(
+    schema: &AccessSchema,
+    initial: &Instance,
+    automaton: &AAutomaton,
+    disable_guard_cache: bool,
+) -> SearchReport<EmptinessOutcome> {
+    bounded_emptiness_batch_with_config(
+        &[automaton],
+        schema,
+        initial,
+        emptiness_engine(disable_guard_cache),
+    )
+    .pop()
+    .expect("one automaton in, one report out")
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -34,21 +70,13 @@ proptest! {
         initial in random_initial(),
         zero_ary in any::<bool>(),
     ) {
-        let _guard = flag_lock();
         let schema = phone_directory_access_schema();
-        let searcher = BoundedSearcher::new(
-            &schema,
-            &initial,
-            zero_ary,
-            BoundedSearchConfig { threads: 1, ..BoundedSearchConfig::default() },
-        );
-        let (cached, cached_stats) = searcher.search_with_stats(&formula);
-        let (uncached, uncached_stats) =
-            with_cache_disabled(|| searcher.search_with_stats(&formula));
-        prop_assert_eq!(&cached, &uncached);
-        prop_assert_eq!(uncached_stats.hits, 0);
-        prop_assert_eq!(cached_stats.total(), uncached_stats.total());
-        if let SatOutcome::Satisfiable { witness } = &cached {
+        let cached = search(&schema, &initial, zero_ary, &formula, false);
+        let uncached = search(&schema, &initial, zero_ary, &formula, true);
+        prop_assert_eq!(&cached.verdict, &uncached.verdict);
+        prop_assert_eq!(uncached.cache.hits, 0);
+        prop_assert_eq!(cached.cache.total(), uncached.cache.total());
+        if let SatOutcome::Satisfiable { witness } = &cached.verdict {
             prop_assert!(witness.validate(&schema).is_ok());
         }
     }
@@ -60,7 +88,6 @@ proptest! {
         satisfiable in any::<bool>(),
         initial in random_initial(),
     ) {
-        let _guard = flag_lock();
         let schema = phone_directory_access_schema();
         let formula = if satisfiable {
             AccLtl::finally(jones_post())
@@ -71,16 +98,12 @@ proptest! {
             ])
         };
         let automaton = accltl_plus_to_automaton(&formula);
-        let config = EmptinessConfig { threads: 1, ..EmptinessConfig::default() };
-        let (cached, cached_stats) =
-            bounded_emptiness_with_stats(&automaton, &schema, &initial, &config);
-        let (uncached, uncached_stats) = with_cache_disabled(|| {
-            bounded_emptiness_with_stats(&automaton, &schema, &initial, &config)
-        });
-        prop_assert_eq!(&cached, &uncached);
-        prop_assert_eq!(uncached_stats.hits, 0);
-        prop_assert_eq!(cached_stats.total(), uncached_stats.total());
-        if let accltl_core::automata::EmptinessOutcome::NonEmpty { witness } = &cached {
+        let cached = emptiness(&schema, &initial, &automaton, false);
+        let uncached = emptiness(&schema, &initial, &automaton, true);
+        prop_assert_eq!(&cached.verdict, &uncached.verdict);
+        prop_assert_eq!(uncached.cache.hits, 0);
+        prop_assert_eq!(cached.cache.total(), uncached.cache.total());
+        if let EmptinessOutcome::NonEmpty { witness } = &cached.verdict {
             let transitions = witness.transitions(&schema, &initial).unwrap();
             prop_assert!(automaton.accepts_transitions(&transitions));
         }
@@ -94,7 +117,6 @@ proptest! {
         formula in random_formula(),
         initial in random_initial(),
     ) {
-        let _guard = flag_lock();
         let schema = phone_directory_access_schema();
         let outcomes: Vec<SatOutcome> = [1usize, 4]
             .iter()
@@ -105,7 +127,8 @@ proptest! {
                     false,
                     BoundedSearchConfig { threads, ..BoundedSearchConfig::default() },
                 )
-                .search(&formula)
+                .run(&formula)
+                .verdict
             })
             .collect();
         prop_assert_eq!(&outcomes[0], &outcomes[1]);
@@ -116,14 +139,13 @@ proptest! {
     fn shared_cache_emptiness_is_thread_deterministic(
         initial in random_initial(),
     ) {
-        let _guard = flag_lock();
         let schema = phone_directory_access_schema();
         let automaton = accltl_plus_to_automaton(&dataflow_formula());
         let outcomes: Vec<_> = [1usize, 4]
             .iter()
             .map(|&threads| {
                 let config = EmptinessConfig { threads, ..EmptinessConfig::default() };
-                bounded_emptiness(&automaton, &schema, &initial, &config)
+                bounded_emptiness_report(&automaton, &schema, &initial, &config).verdict
             })
             .collect();
         prop_assert_eq!(&outcomes[0], &outcomes[1]);
@@ -136,23 +158,14 @@ proptest! {
 /// ever repeats) fails this instead of just benching flat.
 #[test]
 fn fig1_x4_cache_is_alive_and_accounted() {
-    let _guard = flag_lock();
     let schema = phone_directory_access_schema();
     let initial = scaled_initial(4);
     let formula = dataflow_formula();
 
-    let searcher = BoundedSearcher::new(
-        &schema,
-        &initial,
-        false,
-        BoundedSearchConfig {
-            threads: 1,
-            ..BoundedSearchConfig::default()
-        },
-    );
-    let (cached, cached_stats) = searcher.search_with_stats(&formula);
-    let (uncached, uncached_stats) = with_cache_disabled(|| searcher.search_with_stats(&formula));
-    assert_eq!(cached, uncached);
+    let cached = search(&schema, &initial, false, &formula, false);
+    let uncached = search(&schema, &initial, false, &formula, true);
+    assert_eq!(cached.verdict, uncached.verdict);
+    let (cached_stats, uncached_stats) = (cached.cache, uncached.cache);
     assert!(
         cached_stats.hits > 0,
         "guard cache recorded no hits on the ×4 layered workload: {cached_stats:?}"
@@ -165,16 +178,10 @@ fn fig1_x4_cache_is_alive_and_accounted() {
     );
 
     let automaton = accltl_plus_to_automaton(&formula);
-    let config = EmptinessConfig {
-        threads: 1,
-        ..EmptinessConfig::default()
-    };
-    let (cached, cached_stats) =
-        bounded_emptiness_with_stats(&automaton, &schema, &initial, &config);
-    let (uncached, uncached_stats) = with_cache_disabled(|| {
-        bounded_emptiness_with_stats(&automaton, &schema, &initial, &config)
-    });
-    assert_eq!(cached, uncached);
+    let cached = emptiness(&schema, &initial, &automaton, false);
+    let uncached = emptiness(&schema, &initial, &automaton, true);
+    assert_eq!(cached.verdict, uncached.verdict);
+    let (cached_stats, uncached_stats) = (cached.cache, uncached.cache);
     assert!(
         cached_stats.hits > 0,
         "emptiness guard cache recorded no hits on the ×4 layered workload: {cached_stats:?}"
@@ -195,7 +202,6 @@ fn equal_content_chains_hit_across_allocations() {
     use accltl_core::relational::{CompiledSentence, GuardCache, GuardCacheStats};
     use std::sync::Arc;
 
-    let _guard = flag_lock();
     let sentence = CompiledSentence::compile(&PosFormula::exists(
         vec!["s", "p", "n", "h"],
         PosFormula::atom(atom!("Address"; s, p, n, h)),
@@ -239,7 +245,6 @@ fn equal_content_chains_hit_across_allocations() {
 /// their verdicts apart.
 #[test]
 fn verdicts_do_not_leak_across_searches() {
-    let _guard = flag_lock();
     let schema = phone_directory_access_schema();
     let satisfiable = AccLtl::finally(jones_post());
     let contradiction = AccLtl::and(vec![
@@ -252,7 +257,10 @@ fn verdicts_do_not_leak_across_searches() {
         true,
         BoundedSearchConfig::default(),
     );
-    assert!(searcher.search(&satisfiable).is_satisfiable());
-    assert_eq!(searcher.search(&contradiction), SatOutcome::Unsatisfiable);
-    assert!(searcher.search(&satisfiable).is_satisfiable());
+    assert!(searcher.run(&satisfiable).verdict.is_satisfiable());
+    assert_eq!(
+        searcher.run(&contradiction).verdict,
+        SatOutcome::Unsatisfiable
+    );
+    assert!(searcher.run(&satisfiable).verdict.is_satisfiable());
 }

@@ -8,7 +8,8 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use accltl_core::automata::{accltl_plus_to_automaton, bounded_emptiness, EmptinessConfig};
+use accltl_core::automata::{accltl_plus_to_automaton, bounded_emptiness_report, EmptinessConfig};
+use accltl_core::logic::BoundedSearcher;
 use accltl_core::prelude::*;
 use accltl_core::relational::overlay::InstanceOverlay;
 
@@ -206,10 +207,9 @@ proptest! {
             .iter()
             .map(|&threads| {
                 let config = BoundedSearchConfig { threads, ..BoundedSearchConfig::default() };
-                accltl_core::logic::solver::sat_zero_fragment(
-                    &formula, &schema, &initial, &config,
-                )
-                .expect("formula is in the 0-ary fragment")
+                BoundedSearcher::new(&schema, &initial, true, config)
+                    .run(&formula)
+                    .verdict
             })
             .collect();
         prop_assert_eq!(
@@ -259,7 +259,7 @@ proptest! {
             .iter()
             .map(|&threads| {
                 let config = EmptinessConfig { threads, ..EmptinessConfig::default() };
-                bounded_emptiness(&automaton, &schema, &initial, &config)
+                bounded_emptiness_report(&automaton, &schema, &initial, &config).verdict
             })
             .collect();
         prop_assert_eq!(&outcomes[0], &outcomes[1]);

@@ -1,6 +1,7 @@
 //! Table 1: the expressiveness matrix (DjC / FD / DF / AccOr per language)
 //! and the decidability column, verified with concrete formulas.
 
+use accltl_core::analyzer::Engine;
 use accltl_core::prelude::*;
 
 /// Every "Yes" cell of Table 1's application columns is witnessed by a
@@ -60,7 +61,7 @@ fn belongs(formula: &AccLtl, fragment: Fragment) -> bool {
 }
 
 /// The decidability column: the paper's complexity labels per row, and the
-/// behaviour of the solvers on each row (decidable rows return definite
+/// behaviour of the analyzer on each row (decidable rows return definite
 /// verdicts on small inputs; undecidable rows only ever return witnesses or
 /// Unknown).
 #[test]
@@ -112,10 +113,100 @@ fn decidability_column_matches_solver_behaviour() {
         AccLtl::finally(binding),
     ]);
     assert_eq!(classify(&full_language_contradiction), Fragment::Full);
-    let outcome = analyzer
-        .check_satisfiable(&full_language_contradiction)
-        .outcome;
-    assert!(matches!(outcome, SatOutcome::Unknown { .. }));
+    let report = analyzer.check_satisfiable(&full_language_contradiction);
+    // The downgraded verdict still says how much of the space was searched.
+    let SatOutcome::Unknown { explored } = report.outcome else {
+        panic!("expected Unknown, got {:?}", report.outcome);
+    };
+    assert_eq!(explored, report.run.explored);
+    assert!(explored > 0);
+}
+
+/// One formula per Table 1 row, as `(row, formula)`: the route-agreement
+/// test below runs all six through both analyzer entry points.
+fn one_formula_per_row(schema: &AccessSchema) -> Vec<(Fragment, AccLtl)> {
+    let acm1 = AccLtl::atom(isbind_prop("AcM1"));
+    let bound = AccLtl::atom(PosFormula::exists(
+        vec!["n"],
+        isbind_atom("AcM1", vec![Term::var("n")]),
+    ));
+    let fd = properties::functional_dependency_formula(
+        schema,
+        &FunctionalDependency::new("Mobile#", vec![0], 3),
+    );
+    let jones = AccLtl::atom(PosFormula::exists(
+        vec!["s", "p", "h"],
+        post_atom(
+            "Address",
+            vec![
+                Term::var("s"),
+                Term::var("p"),
+                Term::constant("Jones"),
+                Term::var("h"),
+            ],
+        ),
+    ));
+    // Never bind AcM1, yet eventually bind it: Unknown on the full rows.
+    let never_bound = AccLtl::globally(AccLtl::not(bound.clone()));
+    let contradiction = AccLtl::and(vec![never_bound, AccLtl::finally(bound.clone())]);
+    vec![
+        (Fragment::XZeroAry, AccLtl::next(acm1.clone())),
+        (Fragment::ZeroAry, AccLtl::finally(acm1)),
+        (Fragment::ZeroAryWithInequalities, fd.clone()),
+        // Unsatisfiable: Jones is never revealed, yet eventually revealed.
+        (
+            Fragment::BindingPositive,
+            AccLtl::and(vec![
+                AccLtl::globally(AccLtl::not(jones.clone())),
+                AccLtl::finally(AccLtl::and(vec![bound, jones])),
+            ]),
+        ),
+        (Fragment::Full, contradiction.clone()),
+        (
+            Fragment::FullWithInequalities,
+            AccLtl::and(vec![fd, contradiction]),
+        ),
+    ]
+}
+
+/// `monitor` and `check_all` route every fragment alike: at step 0 a
+/// monitoring session reports what a one-shot batch check reports, and each
+/// report names its Table 1 row's procedure.  The one permitted difference
+/// is on the `AccLTL+` row: the session runs the full-binding bounded
+/// search, which downgrades the `Unsatisfiable` the automaton pipeline
+/// certifies.
+#[test]
+fn monitor_and_check_all_route_alike() {
+    let schema = phone_directory_access_schema();
+    let analyzer = AccessAnalyzer::new(schema.clone());
+    let rows = one_formula_per_row(&schema);
+    let formulas: Vec<AccLtl> = rows.iter().map(|(_, formula)| formula.clone()).collect();
+
+    let reports = analyzer.check_all(&BatchRequest::new(formulas.clone()));
+    let session = analyzer.monitor(&formulas);
+    let monitored = session.verdicts();
+
+    assert_eq!(reports.len(), rows.len());
+    assert_eq!(monitored.len(), rows.len());
+    for (index, (fragment, formula)) in rows.iter().enumerate() {
+        let (report, verdict) = (&reports[index], &monitored[index]);
+        assert_eq!(classify(formula), *fragment, "{formula}");
+        assert_eq!(report.fragment, *fragment);
+        assert_eq!(session.fragment(index), *fragment);
+        let engine = match fragment {
+            Fragment::XZeroAry => Engine::XFragment,
+            Fragment::ZeroAry | Fragment::ZeroAryWithInequalities => Engine::ZeroFragment,
+            Fragment::BindingPositive => Engine::AutomatonPipeline,
+            Fragment::Full | Fragment::FullWithInequalities => Engine::BoundedSearch,
+        };
+        assert_eq!(report.engine, engine, "{fragment}");
+        if *fragment == Fragment::BindingPositive {
+            assert_eq!(report.outcome, SatOutcome::Unsatisfiable);
+            assert!(matches!(verdict, SatOutcome::Unknown { .. }), "{verdict:?}");
+        } else {
+            assert_eq!(report.outcome, *verdict, "{fragment}");
+        }
+    }
 }
 
 /// The complexity ordering of Table 1 is reflected operationally: on the same
