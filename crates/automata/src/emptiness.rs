@@ -87,6 +87,25 @@ impl Default for EmptinessConfig {
     }
 }
 
+impl EmptinessConfig {
+    /// `base` with this configuration's budgets, and its thread count when
+    /// nonzero: the engine configuration [`bounded_emptiness_batch`] runs
+    /// under, with `base` = [`EngineConfig::from_env`].
+    #[must_use]
+    pub fn engine_config(&self, base: EngineConfig) -> EngineConfig {
+        let engine = base
+            .max_states(self.max_states)
+            .max_response_size(self.max_response_size)
+            .max_empty_bindings(self.max_empty_bindings)
+            .max_guard_checks(self.max_guard_checks);
+        if self.threads > 0 {
+            engine.threads(self.threads)
+        } else {
+            engine
+        }
+    }
+}
+
 /// Outcome of the emptiness check.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EmptinessOutcome {
@@ -139,14 +158,7 @@ pub fn bounded_emptiness_batch(
     initial: &Instance,
     config: &EmptinessConfig,
 ) -> Vec<SearchReport<EmptinessOutcome>> {
-    let mut engine = EngineConfig::from_env()
-        .max_states(config.max_states)
-        .max_response_size(config.max_response_size)
-        .max_empty_bindings(config.max_empty_bindings)
-        .max_guard_checks(config.max_guard_checks);
-    if config.threads > 0 {
-        engine = engine.threads(config.threads);
-    }
+    let engine = config.engine_config(EngineConfig::from_env());
     bounded_emptiness_batch_with_config(automata, schema, initial, engine)
 }
 

@@ -284,9 +284,9 @@ impl AccessAnalyzer {
         let mut full: Vec<usize> = Vec::new();
         for (index, &fragment) in fragments.iter().enumerate() {
             match engine_for(fragment) {
-                Engine::XFragment | Engine::ZeroFragment => zero.push(index),
                 Engine::AutomatonPipeline => plus.push(index),
-                Engine::BoundedSearch => full.push(index),
+                engine if runs_zero_ary(engine) => zero.push(index),
+                _ => full.push(index),
             }
         }
 
@@ -317,7 +317,7 @@ impl AccessAnalyzer {
                 let outcome = if zero_ary {
                     search.verdict
                 } else {
-                    downgrade(search.verdict, search.explored)
+                    downgrade(search.verdict)
                 };
                 report(index, outcome, run);
             }
@@ -342,7 +342,7 @@ impl AccessAnalyzer {
             };
             for (&index, search) in plus.iter().zip(emptiness) {
                 let run = RunReport::from_search(&search);
-                report(index, satisfiability(search.verdict, search.explored), run);
+                report(index, satisfiability(search.verdict), run);
             }
         }
 
@@ -475,10 +475,7 @@ impl AccessAnalyzer {
         let mut other: Vec<AccLtl> = Vec::new();
         let mut slots: Vec<(bool, usize)> = Vec::with_capacity(properties.len());
         for (property, &fragment) in properties.iter().zip(&fragments) {
-            let zero_ary = matches!(
-                engine_for(fragment),
-                Engine::XFragment | Engine::ZeroFragment
-            );
+            let zero_ary = runs_zero_ary(engine_for(fragment));
             let group = if zero_ary { &mut zero } else { &mut other };
             slots.push((zero_ary, group.len()));
             group.push(property.clone());
@@ -515,23 +512,30 @@ fn engine_for(fragment: Fragment) -> Engine {
     }
 }
 
+/// Whether `engine` is one of the decidable zero-fragment procedures, which
+/// run the bounded search under the 0-ary interpretation; every other
+/// procedure searches (or is monitored) with full bindings.
+fn runs_zero_ary(engine: Engine) -> bool {
+    matches!(engine, Engine::XFragment | Engine::ZeroFragment)
+}
+
 /// A full-binding bounded search that exhausts its witness space certifies
 /// nothing outside the Boundedness Lemma, so its `Unsatisfiable` is
-/// reported as `Unknown`, carrying the search's `explored` count.
-fn downgrade(verdict: SatOutcome, explored: usize) -> SatOutcome {
+/// reported as `Unknown`.
+fn downgrade(verdict: SatOutcome) -> SatOutcome {
     match verdict {
-        SatOutcome::Unsatisfiable => SatOutcome::Unknown { explored },
+        SatOutcome::Unsatisfiable => SatOutcome::Unknown { explored: 0 },
         other => other,
     }
 }
 
 /// Reads an emptiness verdict of a formula's A-automaton as the formula's
-/// satisfiability verdict; `explored` is the emptiness search's count.
-fn satisfiability(verdict: EmptinessOutcome, explored: usize) -> SatOutcome {
+/// satisfiability verdict.
+fn satisfiability(verdict: EmptinessOutcome) -> SatOutcome {
     match verdict {
         EmptinessOutcome::NonEmpty { witness } => SatOutcome::Satisfiable { witness },
         EmptinessOutcome::Empty => SatOutcome::Unsatisfiable,
-        EmptinessOutcome::Unknown => SatOutcome::Unknown { explored },
+        EmptinessOutcome::Unknown => SatOutcome::Unknown { explored: 0 },
     }
 }
 
@@ -634,8 +638,7 @@ impl<'a> MonitorSession<'a> {
             session.verdict(slot).clone()
         } else {
             let session = self.other.as_ref().expect("full group is non-empty");
-            let report = &session.reports()[slot];
-            downgrade(report.verdict.clone(), report.explored)
+            downgrade(session.verdict(slot).clone())
         }
     }
 

@@ -117,7 +117,8 @@ pub enum SatOutcome {
     /// The search settled nothing: a budget ran out, or the analyzer
     /// downgraded an exhausted search outside the Boundedness Lemma.
     Unknown {
-        /// Number of states the search explored.
+        /// Number of states explored before giving up (0 when the analyzer
+        /// downgraded an exhausted search).
         explored: usize,
     },
 }

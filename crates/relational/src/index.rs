@@ -31,8 +31,11 @@
 //! # Scan fallback
 //!
 //! Setting `ACCLTL_DISABLE_INDEXES=1` (see [`DISABLE_INDEXES_ENV_VAR`])
-//! disables index builds and lookups process-wide; every consumer silently
-//! falls back to the scanning defaults.  [`ScanView`] offers the same
+//! reaches only the search oracles, through `EngineConfig::disable_indexes`
+//! (read by `EngineConfig::from_env`); the chase and the LTS explorer keep
+//! their indexes.  The process-wide switch is [`set_indexing_enabled`],
+//! under which every consumer falls back to the scanning defaults.
+//! [`ScanView`] offers the same
 //! fallback per call site (used by the parity tests and the A/B benches).
 //! Relations smaller than [`INDEX_CUTOFF`] are always answered by scanning —
 //! for a handful of tuples a scan beats a hash probe, and the searches run on

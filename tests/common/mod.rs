@@ -64,12 +64,8 @@ pub fn search_engine(disable_guard_cache: bool) -> EngineConfig {
 /// derives from `EmptinessConfig::default()`, with the guard cache on or
 /// off.
 pub fn emptiness_engine(disable_guard_cache: bool) -> EngineConfig {
-    let config = EmptinessConfig::default();
-    EngineConfig::base()
-        .max_states(config.max_states)
-        .max_response_size(config.max_response_size)
-        .max_empty_bindings(config.max_empty_bindings)
-        .max_guard_checks(config.max_guard_checks)
+    EmptinessConfig::default()
+        .engine_config(EngineConfig::base())
         .disable_guard_cache(disable_guard_cache)
 }
 
