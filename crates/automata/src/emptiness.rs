@@ -40,7 +40,7 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use accltl_logic::vocabulary::{base_relation, TransitionVocab};
+use accltl_logic::vocabulary::{base_relation, CandidateStructure, StateLayers, TransitionVocab};
 use accltl_paths::engine::{
     BatchEngine, Candidate, EmptyBindingMode, EngineConfig, EngineOutcome, FactUniverse,
     PropertySpec, SearchReport, StepOracle, StepOutcome,
@@ -337,9 +337,9 @@ struct AutomatonOracle<'a> {
     /// Evaluate guards by scanning instead of through value indexes
     /// ([`EngineConfig::disable_indexes`]); guard caching is unaffected.
     scan: bool,
-    /// Per-relation size below which transition-structure bases are scanned
-    /// rather than indexed ([`EngineConfig::index_cutoff`]), stamped onto
-    /// each state's base in `prepare`.
+    /// Per-relation size below which transition-structure layers are
+    /// scanned rather than indexed ([`EngineConfig::index_cutoff`]), stamped
+    /// onto the root and state layers in `prepare_root` / `prepare`.
     index_cutoff: usize,
 }
 
@@ -383,57 +383,39 @@ impl<'a> AutomatonOracle<'a> {
     }
 }
 
-/// Per-state context of the [`AutomatonOracle`]: the `pre ∪ post` base of
-/// all candidate structures out of one state, plus the state's verdict-cache
-/// size gate (decided once here, so the per-consult fast path is a branch).
-struct AutomatonCtx {
-    base: Arc<Instance>,
-    memoize: bool,
-}
-
 impl StepOracle for AutomatonOracle<'_> {
     type State = usize;
-    type StateCtx = AutomatonCtx;
+    type StateCtx = StateLayers;
     /// The candidate's transition structure: its response pushed as `Rpost`
-    /// facts (plus the `IsBind` fact) onto the state's `pre ∪ post` base.
+    /// facts (plus the `IsBind` fact) onto the state's `pre ∪ post` layers.
     /// Independent of the automaton state being stepped, so the engine
     /// shares it across states and across batched automata.
-    type CandidateCtx = InstanceOverlay;
+    type CandidateCtx = CandidateStructure;
 
-    fn prepare(&self, before: &InstanceOverlay) -> AutomatonCtx {
-        let mut base = self.vocab.state_structure(before);
-        base.set_index_cutoff(self.index_cutoff);
-        // Size-gate memoization per state (content-addressed keys need no
-        // pinning — see `relational::guard_cache`).
-        let memoize = self.cache.memoize_gate(&base);
-        AutomatonCtx {
-            base: Arc::new(base),
-            memoize,
-        }
+    fn prepare_root(&self, root: &Instance) -> StateLayers {
+        self.vocab.root_layer(root, self.index_cutoff, self.cache)
+    }
+
+    fn prepare(&self, root: &StateLayers, before: &InstanceOverlay) -> StateLayers {
+        self.vocab
+            .state_layer(root, before, self.index_cutoff, self.cache)
     }
 
     fn prepare_candidate(
         &self,
-        ctx: &AutomatonCtx,
+        ctx: &StateLayers,
         candidate: &Candidate<'_>,
         universe: &FactUniverse,
-    ) -> InstanceOverlay {
-        self.vocab.structure_overlay(
-            &ctx.base,
-            candidate.added.iter().map(|&i| {
-                let (rel, tuple) = universe.fact(i);
-                (rel, tuple.clone())
-            }),
-            candidate.method.name_sym(),
-            Some(candidate.binding),
-        )
+    ) -> CandidateStructure {
+        self.vocab
+            .candidate_structure(ctx, candidate, universe, false)
     }
 
     fn step(
         &self,
         state: &usize,
-        ctx: &AutomatonCtx,
-        structure: &InstanceOverlay,
+        ctx: &StateLayers,
+        structure: &CandidateStructure,
         _candidate: &Candidate<'_>,
         _universe: &FactUniverse,
     ) -> StepOutcome<usize> {
@@ -442,7 +424,7 @@ impl StepOracle for AutomatonOracle<'_> {
         let mut accept = false;
         for &index in &self.outgoing[*state] {
             cost += 1;
-            if !self.guard_holds(index, structure, ctx.memoize) {
+            if !self.guard_holds(index, structure, ctx.memoize()) {
                 continue;
             }
             let to = self.automaton.transitions[index].to;
@@ -463,9 +445,9 @@ impl StepOracle for AutomatonOracle<'_> {
         Some(self.cache.stats())
     }
 
-    /// `prepare` is a pure function of the revealed configuration given the
-    /// batch-shared vocabulary and root-pinned cache, so contexts may be
-    /// shared across properties that reach the same configuration.
+    /// The prepared layers are a pure function of the configuration given
+    /// the batch-shared vocabulary and cache, so contexts may be shared
+    /// across properties that reach the same configuration.
     fn shares_ctx(&self) -> bool {
         true
     }

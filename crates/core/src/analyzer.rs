@@ -2,6 +2,8 @@
 //! and constraints, dispatching each question to the appropriate decision
 //! procedure.
 
+use std::sync::Arc;
+
 use accltl_automata::applications::{containment_automaton, ltr_automaton};
 use accltl_automata::{
     accltl_plus_to_automaton, bounded_emptiness_batch, bounded_emptiness_batch_with_config,
@@ -136,7 +138,8 @@ pub enum ContainmentOutcome {
 #[derive(Debug, Clone)]
 pub struct AccessAnalyzer {
     schema: AccessSchema,
-    initial: Instance,
+    /// Shared with every bounded search and session, which never copy it.
+    initial: Arc<Instance>,
     disjointness: Vec<DisjointnessConstraint>,
     constraints: Vec<Constraint>,
     chase_stats: Option<ChaseStats>,
@@ -151,7 +154,7 @@ impl AccessAnalyzer {
     pub fn new(schema: AccessSchema) -> Self {
         AccessAnalyzer {
             schema,
-            initial: Instance::new(),
+            initial: Arc::new(Instance::new()),
             disjointness: Vec::new(),
             constraints: Vec::new(),
             chase_stats: None,
@@ -163,7 +166,7 @@ impl AccessAnalyzer {
     /// Sets the initial instance (the information known before any access).
     #[must_use]
     pub fn with_initial(mut self, initial: Instance) -> Self {
-        self.initial = initial;
+        self.initial = Arc::new(initial);
         self
     }
 
@@ -189,7 +192,7 @@ impl AccessAnalyzer {
         let (outcome, stats) =
             chase_with_stats(&self.initial, &constraints, &ChaseConfig::default());
         if let ChaseOutcome::Completed(repaired) = outcome {
-            self.initial = repaired;
+            self.initial = Arc::new(repaired);
         }
         self.chase_stats = Some(stats);
         self.constraints = constraints;
@@ -297,17 +300,17 @@ impl AccessAnalyzer {
             if indices.is_empty() {
                 continue;
             }
-            let searcher = match request.config {
-                Some(engine) => BoundedSearcher::with_engine_config(
-                    &self.schema,
-                    &self.initial,
-                    zero_ary,
-                    engine,
-                ),
-                None => {
-                    BoundedSearcher::new(&self.schema, &self.initial, zero_ary, self.search_config)
-                }
+            let config = match request.config {
+                Some(_) => BoundedSearchConfig::default(),
+                None => self.search_config,
             };
+            let searcher = BoundedSearcher::shared(
+                &self.schema,
+                Arc::clone(&self.initial),
+                zero_ary,
+                config,
+                request.config,
+            );
             let formulas: Vec<AccLtl> = indices
                 .iter()
                 .map(|&index| request.properties[index].clone())
@@ -482,8 +485,14 @@ impl AccessAnalyzer {
         }
         let open = |formulas: &[AccLtl], zero_ary: bool| {
             (!formulas.is_empty()).then(|| {
-                BoundedSearcher::new(&self.schema, &self.initial, zero_ary, self.search_config)
-                    .open_session(formulas)
+                BoundedSearcher::shared(
+                    &self.schema,
+                    Arc::clone(&self.initial),
+                    zero_ary,
+                    self.search_config,
+                    None,
+                )
+                .open_session(formulas)
             })
         };
         let mut session = MonitorSession {
@@ -493,7 +502,7 @@ impl AccessAnalyzer {
             slots,
             zero: open(&zero, true),
             other: open(&other, false),
-            current: self.initial.clone(),
+            current: Arc::clone(&self.initial),
             steps: 0,
             last: SessionReport::default(),
         };
@@ -560,7 +569,8 @@ pub struct MonitorSession<'a> {
     slots: Vec<(bool, usize)>,
     zero: Option<BoundedSession<'a>>,
     other: Option<BoundedSession<'a>>,
-    current: Instance,
+    /// Shared with the analyzer until a response reveals a new fact.
+    current: Arc<Instance>,
     steps: usize,
     last: SessionReport,
 }
@@ -614,7 +624,9 @@ impl<'a> MonitorSession<'a> {
         self.steps += 1;
         let _span = trace::span_fields("analyzer.session_step", &[("step", self.steps as u64)]);
         for tuple in response {
-            self.current.add_fact(relation, tuple.clone());
+            if !self.current.contains(relation, tuple) {
+                Arc::make_mut(&mut self.current).add_fact(relation, tuple.clone());
+            }
         }
         if let Some(session) = self.zero.as_mut() {
             session.step(access, response)?;

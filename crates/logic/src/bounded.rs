@@ -65,7 +65,7 @@ use accltl_relational::{
 };
 
 use crate::accltl::AccLtl;
-use crate::vocabulary::{self, erase_isbind, TransitionVocab};
+use crate::vocabulary::{self, erase_isbind, CandidateStructure, StateLayers, TransitionVocab};
 
 /// Configuration of the bounded satisfiability search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -202,9 +202,9 @@ struct FormulaOracle {
     /// Evaluate by scanning instead of through value indexes
     /// ([`EngineConfig::disable_indexes`]); guard caching is unaffected.
     scan: bool,
-    /// Per-relation size below which transition-structure bases are scanned
-    /// rather than indexed ([`EngineConfig::index_cutoff`]), stamped onto
-    /// each state's base in `prepare`.
+    /// Per-relation size below which transition-structure layers are
+    /// scanned rather than indexed ([`EngineConfig::index_cutoff`]), stamped
+    /// onto the root and state layers in `prepare_root` / `prepare`.
     index_cutoff: usize,
     /// The interned obligations, shared by all worker threads.
     obligations: RwLock<Obligations>,
@@ -327,7 +327,7 @@ impl FormulaOracle {
 
     /// Decides the atom sentence at `index` (⊤ and ⊥ uncounted, every other
     /// sentence a counted guard-cache consult).
-    fn eval_at(&self, index: usize, structure: &InstanceOverlay, memoize: bool) -> bool {
+    fn eval_at(&self, index: usize, structure: &CandidateStructure, memoize: bool) -> bool {
         let (sentence, compiled) = &self.compiled[index];
         match sentence {
             PosFormula::True => true,
@@ -337,7 +337,7 @@ impl FormulaOracle {
         }
     }
 
-    fn eval(&self, sentence: &PosFormula, structure: &InstanceOverlay, memoize: bool) -> bool {
+    fn eval(&self, sentence: &PosFormula, structure: &CandidateStructure, memoize: bool) -> bool {
         if let Some(index) = self.position(sentence) {
             return self.eval_at(index, structure, memoize);
         }
@@ -359,57 +359,39 @@ impl FormulaOracle {
     }
 }
 
-/// Per-state context of the [`FormulaOracle`]: the `pre ∪ post` base of all
-/// candidate structures out of one state, plus the state's verdict-cache
-/// size gate (decided once here, so the per-consult fast path is a branch).
-struct FormulaCtx {
-    base: Arc<Instance>,
-    memoize: bool,
-}
-
 impl StepOracle for FormulaOracle {
     type State = u32;
-    type StateCtx = FormulaCtx;
+    type StateCtx = StateLayers;
     /// The candidate's transition structure: its response pushed as `Rpost`
-    /// facts (plus the `IsBind` fact) onto the state's `pre ∪ post` base.
+    /// facts (plus the `IsBind` fact) onto the state's `pre ∪ post` layers.
     /// Independent of the obligation being progressed, so the engine shares
     /// it across obligations and across batched formulas.
-    type CandidateCtx = InstanceOverlay;
+    type CandidateCtx = CandidateStructure;
 
-    fn prepare(&self, before: &InstanceOverlay) -> FormulaCtx {
-        let mut base = self.vocab.state_structure(before);
-        base.set_index_cutoff(self.index_cutoff);
-        // Size-gate memoization per state (content-addressed keys need no
-        // pinning — see `relational::guard_cache`).
-        let memoize = self.cache.memoize_gate(&base);
-        FormulaCtx {
-            base: Arc::new(base),
-            memoize,
-        }
+    fn prepare_root(&self, root: &Instance) -> StateLayers {
+        self.vocab.root_layer(root, self.index_cutoff, &self.cache)
+    }
+
+    fn prepare(&self, root: &StateLayers, before: &InstanceOverlay) -> StateLayers {
+        self.vocab
+            .state_layer(root, before, self.index_cutoff, &self.cache)
     }
 
     fn prepare_candidate(
         &self,
-        ctx: &FormulaCtx,
+        ctx: &StateLayers,
         candidate: &Candidate<'_>,
         universe: &FactUniverse,
-    ) -> InstanceOverlay {
-        self.vocab.structure_overlay(
-            &ctx.base,
-            candidate.added.iter().map(|&i| {
-                let (rel, tuple) = universe.fact(i);
-                (rel, tuple.clone())
-            }),
-            candidate.method.name_sym(),
-            (!self.zero_ary).then_some(candidate.binding),
-        )
+    ) -> CandidateStructure {
+        self.vocab
+            .candidate_structure(ctx, candidate, universe, self.zero_ary)
     }
 
     fn step(
         &self,
         &state: &u32,
-        ctx: &FormulaCtx,
-        structure: &InstanceOverlay,
+        ctx: &StateLayers,
+        structure: &CandidateStructure,
         _candidate: &Candidate<'_>,
         _universe: &FactUniverse,
     ) -> StepOutcome<u32> {
@@ -419,13 +401,13 @@ impl StepOracle for FormulaOracle {
         if self.compiled.len() > 32 {
             return self
                 .progress_state(state, &|sentence| {
-                    self.eval(sentence, structure, ctx.memoize)
+                    self.eval(sentence, structure, ctx.memoize())
                 })
                 .outcome();
         }
         let mut mask = 0u32;
         for bit in 0..self.compiled.len() {
-            if self.eval_at(bit, structure, ctx.memoize) {
+            if self.eval_at(bit, structure, ctx.memoize()) {
                 mask |= 1 << bit;
             }
         }
@@ -450,7 +432,7 @@ impl StepOracle for FormulaOracle {
                 Some(bit) => mask >> bit & 1 == 1,
                 None => {
                     unkeyed.set(true);
-                    self.eval(sentence, structure, ctx.memoize)
+                    self.eval(sentence, structure, ctx.memoize())
                 }
             },
         });
@@ -467,10 +449,9 @@ impl StepOracle for FormulaOracle {
         Some(self.cache.stats())
     }
 
-    /// [`FormulaOracle::prepare`] is a pure function of the
-    /// before-configuration (the vocabulary and the cache's size gate are
-    /// shared batch-wide), so prepared transition-structure bases may be
-    /// shared across obligations and across batched formulas.
+    /// The prepared layers are a pure function of the configuration (the
+    /// vocabulary and the cache's size gate are shared batch-wide), so they
+    /// may be shared across obligations and across batched formulas.
     fn shares_ctx(&self) -> bool {
         true
     }
@@ -479,7 +460,7 @@ impl StepOracle for FormulaOracle {
 /// The bounded satisfiability search.
 pub struct BoundedSearcher<'a> {
     schema: &'a AccessSchema,
-    initial: Instance,
+    initial: Arc<Instance>,
     zero_ary: bool,
     config: BoundedSearchConfig,
     /// When set (see [`BoundedSearcher::with_engine_config`]), used verbatim
@@ -498,12 +479,27 @@ impl<'a> BoundedSearcher<'a> {
         zero_ary: bool,
         config: BoundedSearchConfig,
     ) -> Self {
+        Self::shared(schema, Arc::new(initial.clone()), zero_ary, config, None)
+    }
+
+    /// A searcher over an already shared initial instance, so callers that
+    /// keep `I0` behind an [`Arc`] (the analyzer) hand it to every run and
+    /// session without copying it; `engine` is as in
+    /// [`BoundedSearcher::with_engine_config`].
+    #[must_use]
+    pub fn shared(
+        schema: &'a AccessSchema,
+        initial: Arc<Instance>,
+        zero_ary: bool,
+        config: BoundedSearchConfig,
+        engine: Option<EngineConfig>,
+    ) -> Self {
         BoundedSearcher {
             schema,
-            initial: initial.clone(),
+            initial,
             zero_ary,
             config,
-            engine_override: None,
+            engine_override: engine,
         }
     }
 
@@ -520,13 +516,13 @@ impl<'a> BoundedSearcher<'a> {
         zero_ary: bool,
         engine: EngineConfig,
     ) -> Self {
-        BoundedSearcher {
+        Self::shared(
             schema,
-            initial: initial.clone(),
+            Arc::new(initial.clone()),
             zero_ary,
-            config: BoundedSearchConfig::default(),
-            engine_override: Some(engine),
-        }
+            BoundedSearchConfig::default(),
+            Some(engine),
+        )
     }
 
     /// The engine configuration of this searcher's runs: the explicit
@@ -590,7 +586,7 @@ impl<'a> BoundedSearcher<'a> {
             engine_config,
             &cache,
             formulas,
-            |specs| BatchEngine::new(self.schema, Arc::new(self.initial.clone())).run(specs),
+            |specs| BatchEngine::new(self.schema, Arc::clone(&self.initial)).run(specs),
         )
     }
 
@@ -614,14 +610,14 @@ impl<'a> BoundedSearcher<'a> {
         let engine_config = self.engine_config();
         let root_cache = GuardCache::with_enabled(!engine_config.disable_guard_cache);
         let state = (!engine_config.disable_session_reuse)
-            .then(|| SessionState::new(self.schema, Arc::new(self.initial.clone())));
+            .then(|| SessionState::new(self.schema, Arc::clone(&self.initial)));
         let mut session = MonitorSession {
             schema: self.schema,
             zero_ary: self.zero_ary,
             search_config: self.config,
             engine_config,
             properties: properties.to_vec(),
-            current: self.initial.clone(),
+            current: Arc::clone(&self.initial),
             root_cache,
             state,
             reports: Vec::new(),
@@ -797,8 +793,9 @@ pub struct MonitorSession<'a> {
     /// or scratch — runs under exactly this configuration.
     engine_config: EngineConfig,
     properties: Vec<AccLtl>,
-    /// `I0` extended by every response received so far.
-    current: Instance,
+    /// `I0` extended by every response received so far (shared with the
+    /// searcher until the first response reveals a new fact).
+    current: Arc<Instance>,
     /// The session-lifetime guard cache; each step's oracles hold
     /// [`GuardCache::share`] handles of it.
     root_cache: GuardCache,
@@ -866,7 +863,8 @@ impl<'a> MonitorSession<'a> {
         AccessPath::from_steps(vec![(access.clone(), response.clone())]).validate(self.schema)?;
         let mut fresh = false;
         for tuple in response {
-            if self.current.add_fact(relation, tuple.clone()) {
+            if !self.current.contains(relation, tuple) {
+                Arc::make_mut(&mut self.current).add_fact(relation, tuple.clone());
                 if let Some(state) = self.state.as_mut() {
                     state.assume_revealed(relation, tuple);
                 }
@@ -917,13 +915,13 @@ impl<'a> MonitorSession<'a> {
                 // Scratch mode: exactly what a caller without a session
                 // would run — a fresh searcher (fresh root guard cache,
                 // fresh engine) over the grown instance.
-                let searcher = BoundedSearcher {
-                    schema: self.schema,
-                    initial: self.current.clone(),
-                    zero_ary: self.zero_ary,
-                    config: self.search_config,
-                    engine_override: Some(self.engine_config),
-                };
+                let searcher = BoundedSearcher::shared(
+                    self.schema,
+                    Arc::clone(&self.current),
+                    self.zero_ary,
+                    self.search_config,
+                    Some(self.engine_config),
+                );
                 let reports = searcher.run_batch(&self.properties);
                 let delta = reports
                     .first()

@@ -15,10 +15,11 @@
 
 use std::sync::Arc;
 
+use accltl_paths::engine::{Candidate, FactUniverse};
 use accltl_paths::{AccessSchema, Transition};
 use accltl_relational::symbols::SymbolTable;
 use accltl_relational::{
-    Atom, Instance, InstanceOverlay, InstanceView, PosFormula, RelId, Sym, Term, Tuple,
+    Atom, GuardCache, Instance, InstanceOverlay, PosFormula, RelId, Sym, Term, Tuple,
 };
 
 /// The `Rpre` predicate name for relation `relation`.
@@ -145,70 +146,113 @@ impl TransitionVocab {
         }
     }
 
-    /// Builds the transition structure `M(t)` for a `(before, access, after)`
-    /// triple entirely at the id level.  `binding` is `None` for the 0-ary
-    /// `Sch0−Acc` interpretation.
+    /// The `pre ∪ post` image of a search run's root configuration (the
+    /// initial instance plus any facts assumed revealed): every fact as both
+    /// its `Rpre` and its `Rpost` copy.  The bottom layer of every
+    /// transition structure the run evaluates guards on, so it is built —
+    /// and its digest table and value index with it — once per run, not per
+    /// search state.
     #[must_use]
-    pub fn structure(
+    pub fn root_layer(
         &self,
-        before: &Instance,
-        after: &Instance,
-        method: Sym,
-        binding: Option<&Tuple>,
-    ) -> Instance {
-        let mut structure = before.rename_relations_by(|r| self.pre(r));
-        structure.union_in_place(&after.rename_relations_by(|r| self.post(r)));
-        let bind_predicate = self.isbind(method);
-        match binding {
-            Some(binding) => structure.add_fact(bind_predicate, binding.clone()),
-            None => structure.add_fact(bind_predicate, Tuple::default()),
-        };
-        structure
-    }
-
-    /// The `pre ∪ post` image of a configuration: every fact of `before` as
-    /// both its `Rpre` and its `Rpost` copy.
-    ///
-    /// This is the *per-state* base of the transition structures of all
-    /// candidate transitions out of one search state: a candidate only adds
-    /// its response (post copies) and its `IsBind` fact on top, which
-    /// [`TransitionVocab::structure_overlay`] does in `O(|response|)` without
-    /// cloning the configuration.
-    #[must_use]
-    pub fn state_structure<V: InstanceView>(&self, before: &V) -> Instance {
-        let mut structure = Instance::new();
-        before.each_fact(&mut |rel, tuple| {
-            structure.add_fact(self.pre(rel), tuple.clone());
-            structure.add_fact(self.post(rel), tuple.clone());
-        });
-        structure
-    }
-
-    /// Builds the transition structure of one candidate transition as an
-    /// overlay over the state's `pre ∪ post` base (from
-    /// [`TransitionVocab::state_structure`]): the response facts as `Rpost`
-    /// copies plus the `IsBind` fact.  `binding` is `None` for the 0-ary
-    /// `Sch0−Acc` interpretation.
-    #[must_use]
-    pub fn structure_overlay(
-        &self,
-        base: &Arc<Instance>,
-        response: impl IntoIterator<Item = (RelId, Tuple)>,
-        method: Sym,
-        binding: Option<&Tuple>,
-    ) -> InstanceOverlay {
-        let mut structure = InstanceOverlay::new(base.clone());
-        for (rel, tuple) in response {
-            structure.push_fact(self.post(rel), tuple);
+        root: &Instance,
+        index_cutoff: usize,
+        cache: &GuardCache,
+    ) -> StateLayers {
+        let mut image = Instance::new();
+        for (rel, tuple) in root.facts() {
+            image.add_fact(self.pre(rel), tuple.clone());
+            image.add_fact(self.post(rel), tuple.clone());
         }
-        let bind_predicate = self.isbind(method);
-        match binding {
-            Some(binding) => structure.push_fact(bind_predicate, binding.clone()),
-            None => structure.push_fact(bind_predicate, Tuple::default()),
+        image.set_index_cutoff(index_cutoff);
+        StateLayers::new(InstanceOverlay::new(Arc::new(image)), cache)
+    }
+
+    /// The `pre ∪ post` image of a search state's configuration `before`,
+    /// an overlay over its run's root configuration: `root`'s layer shared,
+    /// plus a state layer holding the image of the facts `before` reveals
+    /// beyond it.  Costs `O(|revealed beyond the root|)`.
+    #[must_use]
+    pub fn state_layer(
+        &self,
+        root: &StateLayers,
+        before: &InstanceOverlay,
+        index_cutoff: usize,
+        cache: &GuardCache,
+    ) -> StateLayers {
+        let mut layers = InstanceOverlay::new(Arc::clone(root.layers.base()));
+        layers.set_index_cutoff(index_cutoff);
+        for (rel, tuple) in before.delta().facts() {
+            layers.push_fact(self.pre(rel), tuple.clone());
+            layers.push_fact(self.post(rel), tuple.clone());
+        }
+        StateLayers::new(layers, cache)
+    }
+
+    /// The transition structure `M(t)` of one candidate transition out of a
+    /// search state: the state's layers shared, plus the response facts as
+    /// `Rpost` copies and the `IsBind` fact (0-ary when `zero_ary`, the
+    /// `Sch0−Acc` interpretation).  Costs `O(|response|)`.
+    #[must_use]
+    pub fn candidate_structure(
+        &self,
+        state: &StateLayers,
+        candidate: &Candidate<'_>,
+        universe: &FactUniverse,
+        zero_ary: bool,
+    ) -> CandidateStructure {
+        let mut structure = InstanceOverlay::new(Arc::clone(&state.layers));
+        for &index in candidate.added {
+            let (rel, tuple) = universe.fact(index);
+            structure.push_fact(self.post(rel), tuple.clone());
+        }
+        let binding = if zero_ary {
+            Tuple::default()
+        } else {
+            candidate.binding.clone()
         };
+        structure.push_fact(self.isbind(candidate.method.name_sym()), binding);
         structure
     }
 }
+
+/// The `pre ∪ post` base shared by every candidate transition structure out
+/// of one search state, in two layers: the run's root image (shared by
+/// every state of the run) and the image of the facts the state revealed
+/// beyond the root.  Both search oracles use it as their per-state context.
+#[derive(Debug)]
+pub struct StateLayers {
+    layers: Arc<InstanceOverlay>,
+    /// The guard cache's size gate, decided once per state over the whole
+    /// base (every layer counted), so the per-consult fast path is a branch.
+    memoize: bool,
+}
+
+impl StateLayers {
+    fn new(layers: InstanceOverlay, cache: &GuardCache) -> Self {
+        StateLayers {
+            memoize: cache.memoize_gate(&layers),
+            layers: Arc::new(layers),
+        }
+    }
+
+    /// The layered `pre ∪ post` base.
+    #[must_use]
+    pub fn layers(&self) -> &InstanceOverlay {
+        &self.layers
+    }
+
+    /// Whether guard verdicts over this state's candidates are memoized
+    /// (the `memoize` argument of `CompiledSentence::holds_cached`).
+    #[must_use]
+    pub fn memoize(&self) -> bool {
+        self.memoize
+    }
+}
+
+/// A candidate transition's structure `M(t)`: its response and `IsBind`
+/// fact layered over its search state's [`StateLayers`].
+pub type CandidateStructure = InstanceOverlay<InstanceOverlay>;
 
 /// True if the predicate is an `IsBind` predicate.
 #[must_use]

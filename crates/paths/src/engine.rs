@@ -56,10 +56,14 @@
 //!   scheduling);
 //! * **witness reconstruction** — walking the parent arena back to the root.
 //!
-//! Per candidate transition the engine never clones a configuration: the
-//! *before* configuration is an [`InstanceOverlay`] over the shared initial
-//! instance, and oracles receive the candidate's delta (fact indices) to
-//! push onto their own per-state overlay — a step costs `O(|response|)`.
+//! Neither per state nor per candidate transition does the engine copy a
+//! configuration.  Each run has one *root* configuration — the initial
+//! instance plus any facts assumed revealed — which the oracle prepares
+//! once ([`StepOracle::prepare_root`]); a state's *before* configuration is
+//! an [`InstanceOverlay`] over that root holding only the facts revealed
+//! beyond it, which the oracle layers over its root context
+//! ([`StepOracle::prepare`]); and a candidate hands the oracle its delta
+//! (fact indices) to push on top — a step costs `O(|response|)`.
 //!
 //! Both production oracles additionally memoize guard verdicts through a
 //! per-search `accltl_relational::GuardCache`: `prepare` size-gates
@@ -213,12 +217,14 @@ impl<S> StepOutcome<S> {
 /// The domain-specific half of a bounded frontier search.
 ///
 /// The engine drives the frontier; the oracle says what a candidate
-/// transition does to the *logical* component of a search state.  `prepare`
-/// is called with the before-configuration (an overlay over the shared
-/// initial instance) so implementations can precompute their per-state
-/// transition-structure base; `step` is then called once per candidate and
-/// must not clone the configuration — push the candidate's delta onto an
-/// overlay instead.
+/// transition does to the *logical* component of a search state.
+/// `prepare_root` is called once per run with the run's root configuration
+/// (the initial instance plus any facts assumed revealed), and `prepare`
+/// once per state with the before-configuration (an overlay over that root
+/// holding the facts revealed beyond it), so implementations can layer
+/// their per-state precomputation over the run's instead of rebuilding it;
+/// `step` is then called once per candidate and must not clone the
+/// configuration — push the candidate's delta onto an overlay instead.
 ///
 /// `Send + Sync` because a batch's property runs (each owning its oracle)
 /// sit behind the lock the [`pool`] workers read expansion
@@ -230,8 +236,9 @@ pub trait StepOracle: Send + Sync {
     /// phase cheap.
     type State: Clone + Eq + Hash + Send + Sync;
     /// Per-configuration precomputation, built by [`StepOracle::prepare`]
-    /// and handed back to every [`StepOracle::step`] call for a state at
-    /// that configuration.  `Send + Sync` so a batch can share prepared
+    /// (or [`StepOracle::prepare_root`] for the root configuration) and
+    /// handed back to every [`StepOracle::step`] call for a state at that
+    /// configuration.  `Send + Sync` so a batch can share prepared
     /// contexts across worker threads and properties.
     type StateCtx: Send + Sync;
     /// Per-candidate precomputation, built by
@@ -242,9 +249,17 @@ pub trait StepOracle: Send + Sync {
     /// use `()`.
     type CandidateCtx: Send + Sync;
 
+    /// Precomputes the context of a run's root configuration `root`: the
+    /// initial instance plus every fact assumed revealed.  Called once per
+    /// [`BatchEngine::run`] (once per engine while the root is unchanged,
+    /// under [`StepOracle::shares_ctx`]).
+    fn prepare_root(&self, root: &Instance) -> Self::StateCtx;
+
     /// Precomputes whatever the oracle needs to evaluate candidates from a
-    /// state whose configuration is `before`.
-    fn prepare(&self, before: &InstanceOverlay) -> Self::StateCtx;
+    /// state whose configuration is `before`: an overlay over the run's
+    /// root instance whose delta holds exactly the facts revealed beyond
+    /// it.  `root` is the [`StepOracle::prepare_root`] context of that root.
+    fn prepare(&self, root: &Self::StateCtx, before: &InstanceOverlay) -> Self::StateCtx;
 
     /// Precomputes whatever the oracle derives from the (configuration,
     /// candidate) pair alone, independent of the logical state.  Under
@@ -276,9 +291,10 @@ pub trait StepOracle: Send + Sync {
         None
     }
 
-    /// True asserts that [`StepOracle::prepare`] is a pure function of the
-    /// before-configuration (plus state shared by every oracle in the
-    /// batch, such as one vocabulary and one root guard cache), so the
+    /// True asserts that [`StepOracle::prepare`] and
+    /// [`StepOracle::prepare_root`] are pure functions of the configuration
+    /// (plus state shared by every oracle in the batch, such as one
+    /// vocabulary and one root guard cache), so the
     /// engine may build the context once per distinct configuration and
     /// share it across logical states *and across batch properties*.  The
     /// default is `false` (always prepare per expansion).
@@ -297,8 +313,12 @@ impl<O: StepOracle + ?Sized> StepOracle for &O {
     type StateCtx = O::StateCtx;
     type CandidateCtx = O::CandidateCtx;
 
-    fn prepare(&self, before: &InstanceOverlay) -> Self::StateCtx {
-        (**self).prepare(before)
+    fn prepare_root(&self, root: &Instance) -> Self::StateCtx {
+        (**self).prepare_root(root)
+    }
+
+    fn prepare(&self, root: &Self::StateCtx, before: &InstanceOverlay) -> Self::StateCtx {
+        (**self).prepare(root, before)
     }
 
     fn prepare_candidate(
@@ -345,9 +365,10 @@ pub enum EmptyBindingMode {
 /// of same-binding unrevealed facts considered for one response subset
 /// enumeration (subsets are masks over a `u32`, so effective values are
 /// clamped to 31; response sizes beyond [`EngineConfig::max_response_size`]
-/// are filtered anyway).  When any method's binding group exceeds the cap,
-/// exhausting the frontier is reported as [`EngineOutcome::Truncated`]
-/// instead of [`EngineOutcome::Exhausted`].
+/// are filtered anyway).  When any method's binding group exceeds the cap —
+/// or [`EngineConfig::max_response_size`] — exhausting the frontier is
+/// reported as [`EngineOutcome::Truncated`] instead of
+/// [`EngineOutcome::Exhausted`].
 pub const MAX_RESPONSE_GROUP: usize = 12;
 
 /// Configuration of the shared frontier engine.
@@ -365,7 +386,8 @@ pub const MAX_RESPONSE_GROUP: usize = 12;
 pub struct EngineConfig {
     /// Maximum number of distinct search states (the start state counts).
     pub max_states: usize,
-    /// Maximum number of tuples revealed by a single response.
+    /// Maximum number of tuples revealed by a single response (a binding
+    /// group with more unrevealed facts marks the search truncated).
     pub max_response_size: usize,
     /// Cap on candidate bindings enumerated per method for empty responses.
     pub max_empty_bindings: usize,
@@ -394,9 +416,10 @@ pub struct EngineConfig {
     pub disable_guard_cache: bool,
     /// Per-relation size below which transition-structure relations are
     /// scanned rather than indexed (default
-    /// [`accltl_relational::INDEX_CUTOFF`]; stamped by the oracles onto each
-    /// state's base via `Instance::set_index_cutoff`).  A performance knob:
-    /// never affects verdicts.
+    /// [`accltl_relational::INDEX_CUTOFF`]; stamped by the oracles onto the
+    /// run's root layer and each state's layer via
+    /// `Instance::set_index_cutoff`).  A performance knob: never affects
+    /// verdicts.
     pub index_cutoff: usize,
     /// Number of frontier tasks a pool worker claims (or steals) at a time
     /// (`0` is treated as 1).  Larger batches amortize deque locking on tiny
@@ -590,10 +613,12 @@ pub enum EngineOutcome {
     /// This is a *complete* enumeration of the witness space induced by the
     /// configured caps — callers may report a definitive negative verdict.
     Exhausted,
-    /// The witness space was exhausted, but the per-binding response-group
-    /// cap ([`EngineConfig::max_response_group`]) truncated it: some
-    /// universe facts could never be revealed, so "no witness found" is not
-    /// a completeness certificate.  Callers must report an indefinite
+    /// The witness space was exhausted, but a response cap truncated it:
+    /// some binding's group of universe facts exceeded the per-binding
+    /// response-group cap ([`EngineConfig::max_response_group`]) or the
+    /// response-size cap ([`EngineConfig::max_response_size`]), so some
+    /// responses were never tried and "no witness found" is not a
+    /// completeness certificate.  Callers must report an indefinite
     /// verdict.
     Truncated {
         /// Number of states discovered.
@@ -825,15 +850,22 @@ impl FactSet {
         (self.words[(index / 64) as usize] >> (index % 64)) & 1 == 1
     }
 
-    /// Iterates over the set indices in ascending order.
-    fn ones(&self) -> impl Iterator<Item = u32> + '_ {
-        self.words.iter().enumerate().flat_map(|(word, &bits)| {
-            std::iter::successors((bits != 0).then_some(bits), |&x| {
-                let rest = x & (x - 1);
-                (rest != 0).then_some(rest)
+    /// Iterates over the indices set here but not in `other` (of the same
+    /// width), in ascending order.
+    fn ones_beyond<'s>(&'s self, other: &'s FactSet) -> impl Iterator<Item = u32> + 's {
+        debug_assert_eq!(self.words.len(), other.words.len());
+        self.words
+            .iter()
+            .zip(&other.words)
+            .enumerate()
+            .flat_map(|(word, (&bits, &excluded))| {
+                let bits = bits & !excluded;
+                std::iter::successors((bits != 0).then_some(bits), |&x| {
+                    let rest = x & (x - 1);
+                    (rest != 0).then_some(rest)
+                })
+                .map(move |x| (word as u32) * 64 + x.trailing_zeros())
             })
-            .map(move |x| (word as u32) * 64 + x.trailing_zeros())
-        })
     }
 
     /// The same set with trailing zero words dropped: a width-independent
@@ -927,6 +959,9 @@ struct PropertyRun<O: StepOracle> {
     config: EngineConfig,
     chunk_len: usize,
     shares_ctx: bool,
+    /// The oracle's context for the run's root configuration, which every
+    /// other state's context is prepared over.
+    root_ctx: Arc<O::StateCtx>,
     /// Index into the engine's candidate-class registry (properties with
     /// equal classes share candidate enumerations per configuration).
     candidate_class: usize,
@@ -983,16 +1018,21 @@ pub struct BatchEngine<'a, O: StepOracle> {
     /// always pass `AccessSchema::validate_access` — an ill-typed binding
     /// could never be a real access.
     method_input_types: Vec<Option<Vec<DataType>>>,
-    initial: Arc<Instance>,
+    /// The root configuration of every run: the initial instance plus the
+    /// facts assumed revealed on top of it (a monitoring session's
+    /// accumulated responses).  A run with assumed facts is
+    /// configuration-for-configuration identical to a run whose initial
+    /// instance contains them.  Copied from the initial instance on the
+    /// first assumed fact, then grown in place.
+    root: Arc<Instance>,
+    /// The interned facts of `root`, as of the current run's start: the
+    /// revealed set of every run's root node, and the part of every
+    /// configuration the before-overlays take from `root` rather than push.
+    root_set: FactSet,
+    /// The shared oracles' context for `root` ([`StepOracle::prepare_root`]),
+    /// reused across runs until an assumed fact grows the root.
+    root_ctx: Option<Arc<O::StateCtx>>,
     interner: FactInterner,
-    /// Interned ids of facts assumed revealed at the root on top of the
-    /// initial instance (a monitoring session's accumulated responses).  A
-    /// run with assumed facts is configuration-for-configuration identical
-    /// to a run whose initial instance contains them: the root reveals
-    /// them, the candidate enumeration never re-reveals them, and the
-    /// overlay materializes them — only the base/delta split differs, which
-    /// the content-addressed caches are built to ignore.
-    assumed: HashSet<u32>,
     /// Prepared oracle contexts keyed by trimmed revealed set, shared
     /// across properties and states when the oracle opts in
     /// ([`StepOracle::shares_ctx`]).
@@ -1046,9 +1086,10 @@ impl<'a, O: StepOracle> BatchEngine<'a, O> {
         BatchEngine {
             methods,
             method_input_types,
-            initial,
+            root: initial,
+            root_set: FactSet::empty(0),
+            root_ctx: None,
             interner: FactInterner::default(),
-            assumed: HashSet::new(),
             ctx_cache: RwLock::new(HashMap::new()),
             candidate_classes: Vec::new(),
             candidate_cache: RwLock::new(HashMap::new()),
@@ -1067,8 +1108,11 @@ impl<'a, O: StepOracle> BatchEngine<'a, O> {
     /// counts, consult totals) to runs of a fresh engine whose initial
     /// instance additionally contains the assumed facts.
     pub fn assume_revealed(&mut self, rel: RelId, tuple: &Tuple) {
-        let id = self.interner.intern(rel, tuple);
-        self.assumed.insert(id);
+        self.interner.intern(rel, tuple);
+        if !self.root.contains(rel, tuple) {
+            Arc::make_mut(&mut self.root).add_fact(rel, tuple.clone());
+            self.root_ctx = None;
+        }
     }
 
     /// A snapshot of the engine's shared-cache counters.  [`BatchEngine::run`]
@@ -1128,18 +1172,19 @@ impl<'a, O: StepOracle> BatchEngine<'a, O> {
             .map(|spec| self.register(spec))
             .collect();
         // The root revealed set spans the whole intern table: every interned
-        // fact already present in the initial instance.  For any single
-        // property this is its own "universe ∩ initial" root plus bits for
-        // facts outside its universe — bits its candidate enumeration never
-        // inspects and whose overlay pushes are no-ops (the base instance
-        // already contains them), so per-property behaviour is unchanged
-        // while all properties agree on what a configuration *is*.
+        // fact already present in the root instance.  For any single
+        // property this is its own "universe ∩ root" plus bits for facts
+        // outside its universe — bits its candidate enumeration never
+        // inspects and whose facts the before-overlays take from the root
+        // instance, so per-property behaviour is unchanged while all
+        // properties agree on what a configuration *is*.
         let mut root = FactSet::empty(self.interner.table.len());
         for (id, rel, tuple) in self.interner.table.iter() {
-            if self.initial.contains(rel, tuple) || self.assumed.contains(&id) {
+            if self.root.contains(rel, tuple) {
                 root.insert(id);
             }
         }
+        self.root_set = root.clone();
         for run in &mut runs {
             let key = (root.clone(), run.start.clone());
             run.nodes.push(Node {
@@ -1306,20 +1351,24 @@ impl<'a, O: StepOracle> BatchEngine<'a, O> {
                     .filter(|((_, rel, _), _)| *rel == method.relation_id())
                     .map(|(_, &id)| id)
                     .collect();
-                // Revealed sets only grow from the root's (the initial
-                // instance's facts), so grouping the facts unrevealed *at the
-                // root* bounds every per-state group the enumeration will
-                // ever see.
+                // Revealed sets only grow from the root's, so grouping the
+                // facts unrevealed *at the root* bounds every per-state group
+                // the enumeration will ever see.  A group larger than the
+                // response-size cap has responses the enumeration skips, so
+                // it truncates the witness space just like one past the
+                // group cap.
                 let mut groups: BTreeMap<Tuple, usize> = BTreeMap::new();
                 for &id in &ids {
                     let (rel, tuple) = self.interner.table.fact(id);
-                    if self.initial.contains(rel, tuple) || self.assumed.contains(&id) {
+                    if self.root.contains(rel, tuple) {
                         continue;
                     }
                     let projection = tuple.project(method.input_positions());
                     *groups.entry(projection).or_default() += 1;
                 }
-                truncated |= groups.values().any(|&size| size > group_cap);
+                truncated |= groups
+                    .values()
+                    .any(|&size| size > group_cap || size > config.max_response_size);
                 ids
             })
             .collect();
@@ -1344,6 +1393,15 @@ impl<'a, O: StepOracle> BatchEngine<'a, O> {
         };
         let threads = config.threads.max(1);
         let shares_ctx = oracle.shares_ctx();
+        let root_ctx = if shares_ctx {
+            let root = &self.root;
+            Arc::clone(
+                self.root_ctx
+                    .get_or_insert_with(|| Arc::new(oracle.prepare_root(root))),
+            )
+        } else {
+            Arc::new(oracle.prepare_root(&self.root))
+        };
         PropertyRun {
             oracle,
             start,
@@ -1359,6 +1417,7 @@ impl<'a, O: StepOracle> BatchEngine<'a, O> {
             // count.
             chunk_len: if threads > 1 { threads * 4 } else { 1 },
             shares_ctx,
+            root_ctx,
             candidate_class,
             nodes: Vec::new(),
             seen: HashSet::new(),
@@ -1442,17 +1501,26 @@ impl<'a, O: StepOracle> BatchEngine<'a, O> {
     }
 
     /// Materializes the before-configuration of a revealed set as an
-    /// overlay over the shared initial instance.  Pushes run in ascending
-    /// interned-index order; pushes of facts the base already contains are
-    /// no-ops, so the result is exactly the configuration a standalone
-    /// search would build.
+    /// overlay over the run's root instance: only the facts revealed beyond
+    /// the root are pushed, so the delta is exactly what
+    /// [`StepOracle::prepare`] layers over the root context.
     fn overlay_of(&self, revealed: &FactSet) -> InstanceOverlay {
-        let mut before = InstanceOverlay::new(self.initial.clone());
-        for index in revealed.ones() {
+        let mut before = InstanceOverlay::new(Arc::clone(&self.root));
+        for index in revealed.ones_beyond(&self.root_set) {
             let (rel, tuple) = self.interner.table.fact(index);
             before.push_fact(rel, tuple.clone());
         }
         before
+    }
+
+    /// The oracle context of a before-configuration: the run's root context
+    /// when nothing is revealed beyond the root, otherwise prepared over it.
+    fn prepare(&self, run: &PropertyRun<O>, before: &InstanceOverlay) -> Arc<O::StateCtx> {
+        if before.delta().is_empty() {
+            Arc::clone(&run.root_ctx)
+        } else {
+            Arc::new(run.oracle.prepare(&run.root_ctx, before))
+        }
     }
 
     /// Expands one node: obtains the oracle context for its configuration
@@ -1460,10 +1528,6 @@ impl<'a, O: StepOracle> BatchEngine<'a, O> {
     /// evaluates every candidate transition.
     fn expand(&self, run: &PropertyRun<O>, node_id: u32) -> Expansion<O::State> {
         let node = &run.nodes[node_id as usize];
-        enum Ctx<C> {
-            Shared(Arc<C>),
-            Owned(C),
-        }
         let mut before: Option<InstanceOverlay> = None;
         let ctx = if run.shares_ctx {
             let key = node.revealed.trimmed();
@@ -1473,7 +1537,7 @@ impl<'a, O: StepOracle> BatchEngine<'a, O> {
                 .expect("ctx cache poisoned")
                 .get(&key)
                 .cloned();
-            let shared = match cached {
+            match cached {
                 Some(ctx) => {
                     self.cache_hits.fetch_add(1, Ordering::Relaxed);
                     ctx
@@ -1481,30 +1545,26 @@ impl<'a, O: StepOracle> BatchEngine<'a, O> {
                 None => {
                     self.cache_misses.fetch_add(1, Ordering::Relaxed);
                     let overlay = self.overlay_of(&node.revealed);
-                    let prepared = Arc::new(run.oracle.prepare(&overlay));
+                    let prepared = self.prepare(run, &overlay);
                     before = Some(overlay);
                     // A racing worker may have prepared the same
                     // configuration; keep the first insertion so every
                     // later expansion shares one context.
                     self.insert_capped(&self.ctx_cache, key, prepared)
                 }
-            };
-            Ctx::Shared(shared)
+            }
         } else {
             let overlay = self.overlay_of(&node.revealed);
-            let prepared = run.oracle.prepare(&overlay);
+            let prepared = self.prepare(run, &overlay);
             before = Some(overlay);
-            Ctx::Owned(prepared)
+            prepared
         };
         let known = run.config.grounded.then(|| {
             before
                 .get_or_insert_with(|| self.overlay_of(&node.revealed))
                 .active_domain()
         });
-        let ctx_ref: &O::StateCtx = match &ctx {
-            Ctx::Shared(arc) => arc,
-            Ctx::Owned(owned) => owned,
-        };
+        let ctx_ref: &O::StateCtx = &ctx;
         let candidates = self.shared_candidates(run, &node.revealed, known.as_ref());
         let prepared = run
             .shares_ctx
@@ -1794,9 +1854,9 @@ impl<'a, O: StepOracle> BatchEngine<'a, O> {
 /// into per-step reuse deltas.
 ///
 /// A session extends `Conf(p, I0)` by an access's response through
-/// [`SessionState::assume_revealed`]: the facts stay *outside* the engine's
-/// base instance but are revealed at the root of every subsequent run, so
-/// each step's configurations are content-identical to the configurations a
+/// [`SessionState::assume_revealed`]: the facts join the root configuration
+/// of every subsequent run, so each step's configurations are
+/// content-identical to the configurations a
 /// from-scratch search over the grown instance would build — which is what
 /// lets content-addressed cache entries (trimmed revealed bitsets here,
 /// restricted `StructureKey`s in the oracles' guard caches) keep hitting
@@ -1870,7 +1930,9 @@ mod tests {
         type StateCtx = ();
         type CandidateCtx = ();
 
-        fn prepare(&self, _before: &InstanceOverlay) {}
+        fn prepare_root(&self, _root: &Instance) {}
+
+        fn prepare(&self, _root: &(), _before: &InstanceOverlay) {}
 
         fn prepare_candidate(
             &self,
@@ -2084,7 +2146,9 @@ mod tests {
             type State = u8;
             type StateCtx = ();
             type CandidateCtx = ();
-            fn prepare(&self, _before: &InstanceOverlay) {}
+            fn prepare_root(&self, _root: &Instance) {}
+
+            fn prepare(&self, _root: &(), _before: &InstanceOverlay) {}
             fn prepare_candidate(
                 &self,
                 _ctx: &(),
@@ -2123,24 +2187,37 @@ mod tests {
             )
             .outcome
         };
+        // Responses as wide as the whole group, so only the group cap cuts.
+        let wide = EngineConfig::base().max_response_size(31);
         // Within the group cap, exhaustion is a completeness certificate...
-        assert_eq!(run_with(12, EngineConfig::base()), EngineOutcome::Exhausted);
+        assert_eq!(run_with(12, wide), EngineOutcome::Exhausted);
         // ...beyond it (13th same-binding fact can never be revealed) the
         // engine must not certify anything.
         assert!(matches!(
-            run_with(13, EngineConfig::base()),
+            run_with(13, wide),
             EngineOutcome::Truncated { .. }
         ));
         // The cap is a config knob now: raising it restores the certificate,
         // lowering it withdraws one.
         assert_eq!(
-            run_with(13, EngineConfig::base().max_response_group(13)),
+            run_with(13, wide.max_response_group(13)),
             EngineOutcome::Exhausted
         );
         assert!(matches!(
-            run_with(12, EngineConfig::base().max_response_group(11)),
+            run_with(12, wide.max_response_group(11)),
             EngineOutcome::Truncated { .. }
         ));
+        // The response-size cap cuts too: a group wider than it has
+        // responses that are never tried.
+        assert_eq!(run_with(3, EngineConfig::base()), EngineOutcome::Exhausted);
+        assert!(matches!(
+            run_with(4, EngineConfig::base()),
+            EngineOutcome::Truncated { .. }
+        ));
+        assert_eq!(
+            run_with(4, EngineConfig::base().max_response_size(4)),
+            EngineOutcome::Exhausted
+        );
 
         // Facts already in the initial instance are revealed at the root and
         // never enumerated, so they must not count towards truncation.

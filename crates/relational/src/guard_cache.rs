@@ -1,9 +1,10 @@
 //! Guard-verdict memoization over structure fingerprints.
 //!
 //! The bounded decision procedures spend almost all their time re-deciding
-//! the same guard sentences: within one frontier layer the candidate
-//! transition structures share a per-state base and differ only in a tiny
-//! delta — often only in the `IsBind` fact, which most guards never mention.
+//! the same guard sentences: the candidate transition structures out of one
+//! search state share two layers — the run's root layer and the state's own
+//! layer of revealed facts — and differ only in a tiny top layer, often only
+//! in the `IsBind` fact, which most guards never mention.
 //! Yet every `CompiledSentence::holds` call re-runs a full homomorphism
 //! search.  This module supplies the two pieces that turn those repeats into
 //! hash lookups:
@@ -37,18 +38,19 @@
 //!    wrapping *sum* of its facts' lane values plus an exact fact count
 //!    (`RelationDigest`).  Sums commute, so the digest of a fact set does
 //!    not depend on which overlay chain produced it, how the facts split
-//!    between an overlay's base and its delta, or which `Arc` allocation
-//!    holds the base — equal restricted fact sets get equal keys.  That is
+//!    between an overlay's layers, or which `Arc` allocation holds a
+//!    layer — equal restricted fact sets get equal keys.  That is
 //!    what unlocks cross-state, cross-chain and cross-property cache hits
 //!    (an earlier revision keyed on the base `Arc`'s address, which made
 //!    every chain an island and forced the cache to pin every base alive).
-//! 2. **Base digests are computed once and deltas folded in per fact.**
-//!    [`Instance`] caches its per-relation digests the way it caches its
-//!    per-position index: built lazily on first demand, maintained
-//!    incrementally by `add_fact` (the only mutation on an overlay delta's
-//!    hot path), dropped by any other mutation.  So keying a candidate
-//!    structure costs a table sum over the sentence's few predicates, not a
-//!    rehash of the configuration.
+//! 2. **Layer digests are computed once and deltas folded in per fact.**
+//!    [`Instance`](crate::Instance) caches its per-relation digests the way
+//!    it caches its per-position index: built lazily on first demand,
+//!    maintained incrementally by `add_fact` (the only mutation on an
+//!    overlay delta's hot path), dropped by any other mutation.  So keying a
+//!    candidate structure costs a table sum over the sentence's few
+//!    predicates and the structure's layers, not a rehash of the
+//!    configuration.
 //! 3. **Collisions require defeating both lanes at once.**  Two different
 //!    restricted fact sets only collide if both 64-bit lane sums *and* the
 //!    fact count coincide (~2⁻¹²⁸ for the lanes); the differential harness
@@ -63,7 +65,7 @@ use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use accltl_obs::trace;
 
 use crate::index::FxHasher;
-use crate::instance::Instance;
+use crate::overlay::OverlayBase;
 use crate::symbols::RelId;
 use crate::ucq::PosFormula;
 
@@ -283,15 +285,16 @@ impl GuardCache {
     /// The per-state memoization gate shared by the search oracles: decides
     /// whether candidates over `base` should be memoized — the cache is
     /// enabled and the base holds at least [`GUARD_CACHE_CUTOFF`] facts
-    /// (below that, a homomorphism search beats a digest-and-probe).
+    /// (below that, a homomorphism search beats a digest-and-probe).  `base`
+    /// is a state's whole transition-structure base, every layer counted.
     /// Called once per expanded state from the oracles' `prepare`, so the
     /// per-consult fast path stays a branch; the returned flag is the
     /// `memoize` argument of
     /// [`crate::CompiledSentence::holds_cached`].  Purely a size/enablement
     /// gate: content-addressed keys need no base pinning.
     #[must_use]
-    pub fn memoize_gate(&self, base: &Instance) -> bool {
-        self.shared.enabled && base.fact_count() >= GUARD_CACHE_CUTOFF
+    pub fn memoize_gate(&self, base: &impl OverlayBase) -> bool {
+        self.shared.enabled && base.fact_total() >= GUARD_CACHE_CUTOFF
     }
 
     fn shard(&self, sentence: u32, key: &StructureKey) -> &Shard {
@@ -373,6 +376,7 @@ pub(crate) fn sentence_cache_id(closed: &PosFormula) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::instance::Instance;
     use crate::overlay::InstanceOverlay;
     use crate::tuple;
 
@@ -470,7 +474,7 @@ mod tests {
     fn disabled_at_construction_never_memoizes() {
         let cache = GuardCache::with_enabled(false);
         assert!(!cache.enabled());
-        assert!(!cache.memoize_gate(&base()));
+        assert!(!cache.memoize_gate(base().as_ref()));
         // Shared handles inherit the mode.
         assert!(!cache.share().enabled());
     }

@@ -113,6 +113,25 @@ impl Hash for Instance {
     }
 }
 
+/// Name-sorted slot lists up to this long are searched by a linear scan of
+/// integer id comparisons; longer ones are binary-searched, each step a
+/// string-order comparison.  Transition structures and overlay layers hold
+/// a handful of relations and are probed in the search oracles' innermost
+/// loop, where the scan is the cheaper of the two.
+const LINEAR_SLOTS: usize = 16;
+
+/// The entry of `relation` in a name-sorted slot list.
+fn find_slot<T>(slots: &[(RelId, T)], relation: RelId) -> Option<&T> {
+    if slots.len() <= LINEAR_SLOTS {
+        slots.iter().find(|(r, _)| *r == relation).map(|(_, v)| v)
+    } else {
+        slots
+            .binary_search_by(|(r, _)| r.cmp(&relation))
+            .ok()
+            .map(|found| &slots[found].1)
+    }
+}
+
 impl Instance {
     /// Creates an empty instance.
     #[must_use]
@@ -120,7 +139,7 @@ impl Instance {
         Self::default()
     }
 
-    /// The raw name-sorted relation slots, for the overlay merge-join.
+    /// The raw name-sorted relation slots, for the overlays' relation lists.
     pub(crate) fn entries(&self) -> &[(RelId, BTreeSet<Tuple>)] {
         &self.facts
     }
@@ -130,7 +149,7 @@ impl Instance {
     }
 
     fn tuple_set(&self, relation: RelId) -> Option<&BTreeSet<Tuple>> {
-        self.slot(relation).ok().map(|i| &self.facts[i].1)
+        find_slot(&self.facts, relation)
     }
 
     /// The mutable tuple set of a relation, creating the slot on demand.  An
@@ -216,11 +235,9 @@ impl Instance {
     /// The content digest of one relation's facts (empty digest when the
     /// relation is absent).  Cached per instance; see `digests`.
     pub(crate) fn relation_digest(&self, relation: RelId) -> RelationDigest {
-        let table = self.digest_table();
-        match table.binary_search_by(|(r, _)| r.cmp(&relation)) {
-            Ok(found) => table[found].1,
-            Err(_) => RelationDigest::default(),
-        }
+        find_slot(self.digest_table(), relation)
+            .copied()
+            .unwrap_or_default()
     }
 
     /// The content digest of all facts.

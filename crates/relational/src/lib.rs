@@ -94,7 +94,7 @@ pub use index::{
 };
 pub use inequality::InequalityCq;
 pub use instance::Instance;
-pub use overlay::{InstanceOverlay, InstanceView, TupleIter};
+pub use overlay::{InstanceOverlay, InstanceView, OverlayBase, TupleIter};
 pub use schema::{RelationSchema, Schema};
 pub use symbols::{IdMap, RelId, RelKey, Sym, SymKey, SymbolTable, VarId, VarKey};
 pub use term::Term;

@@ -6,7 +6,10 @@
 //! fresh `Instance` per step makes a step cost `O(|Conf|)`; an
 //! [`InstanceOverlay`] shares the base behind an [`Arc`] and records only the
 //! step's delta, so constructing the next configuration costs
-//! `O(|response|)`.
+//! `O(|response|)`.  An overlay may itself be the shared base of another
+//! ([`OverlayBase`]), which is how the bounded searches keep one indexed
+//! root layer per run under every search state's and every candidate's
+//! facts.
 //!
 //! Overlays present the same read surface as [`Instance`] — `contains`,
 //! `tuples`, `relation_size`, `facts`, `active_domain`, `Display` — with the
@@ -197,6 +200,23 @@ pub enum TupleIter<'a> {
     Set(btree_set::Iter<'a, Tuple>),
     /// An overlay relation: base and delta merged in tuple order.
     Merged(MergedTuples<'a>),
+    /// A three-layer overlay relation: a merged base stream and the delta
+    /// merged in tuple order.
+    Stacked(Box<MergedTuples<'a, TupleIter<'a>>>),
+}
+
+impl<'a> TupleIter<'a> {
+    /// `lower` with one more layer's tuples merged in, in tuple order.
+    fn layered(lower: TupleIter<'a>, upper: Option<&'a BTreeSet<Tuple>>) -> Self {
+        let Some(upper) = upper else {
+            return lower;
+        };
+        match lower {
+            TupleIter::Empty => TupleIter::Set(upper.iter()),
+            TupleIter::Set(set) => TupleIter::Merged(MergedTuples::new(set, upper)),
+            merged => TupleIter::Stacked(Box::new(MergedTuples::new(merged, upper))),
+        }
+    }
 }
 
 impl<'a> Iterator for TupleIter<'a> {
@@ -207,28 +227,30 @@ impl<'a> Iterator for TupleIter<'a> {
             TupleIter::Empty => None,
             TupleIter::Set(iter) => iter.next(),
             TupleIter::Merged(merged) => merged.next(),
+            TupleIter::Stacked(stacked) => stacked.next(),
         }
     }
 }
 
-/// Merges two ordered tuple sets into one ordered stream (duplicates, which a
+/// Merges an ordered lower stream (by default one tuple set) with an
+/// ordered tuple set into one ordered stream (duplicates, which a
 /// well-formed overlay never produces, are yielded once).
 #[derive(Debug, Clone)]
-pub struct MergedTuples<'a> {
-    base: Peekable<btree_set::Iter<'a, Tuple>>,
+pub struct MergedTuples<'a, L: Iterator<Item = &'a Tuple> = btree_set::Iter<'a, Tuple>> {
+    base: Peekable<L>,
     delta: Peekable<btree_set::Iter<'a, Tuple>>,
 }
 
-impl<'a> MergedTuples<'a> {
-    fn new(base: &'a BTreeSet<Tuple>, delta: &'a BTreeSet<Tuple>) -> Self {
+impl<'a, L: Iterator<Item = &'a Tuple>> MergedTuples<'a, L> {
+    fn new(base: L, delta: &'a BTreeSet<Tuple>) -> Self {
         MergedTuples {
-            base: base.iter().peekable(),
+            base: base.peekable(),
             delta: delta.iter().peekable(),
         }
     }
 }
 
-impl<'a> Iterator for MergedTuples<'a> {
+impl<'a, L: Iterator<Item = &'a Tuple>> Iterator for MergedTuples<'a, L> {
     type Item = &'a Tuple;
 
     fn next(&mut self) -> Option<&'a Tuple> {
@@ -247,12 +269,102 @@ impl<'a> Iterator for MergedTuples<'a> {
     }
 }
 
-/// A configuration as a copy-on-write overlay: an [`Arc`]-shared base
-/// instance plus the facts added on top of it.
+/// What an [`InstanceOverlay`] may be layered over: a plain [`Instance`], or
+/// an overlay over one.  So an overlay holds at most three layers, which is
+/// what the search oracles' transition structures use: the `pre ∪ post`
+/// image of a run's root configuration, the image of the facts one search
+/// state revealed beyond the root, and one candidate transition's response
+/// plus its `IsBind` fact.  Sealed: the layer bookkeeping it requires is
+/// crate-internal.
+pub trait OverlayBase: InstanceView + PartialEq + fmt::Debug + sealed::Layer {}
+
+impl OverlayBase for Instance {}
+
+impl OverlayBase for InstanceOverlay {}
+
+// The digests are crate-internal; the trait is unnameable outside the
+// crate, so nothing can observe them through it.
+#[allow(private_interfaces)]
+mod sealed {
+    use super::*;
+
+    /// The read surface an overlay needs from its base beyond
+    /// [`InstanceView`].
+    pub trait Layer {
+        /// The number of facts.
+        fn fact_total(&self) -> usize;
+        /// Appends the relations holding facts, in name order.
+        fn relation_ids(&self, out: &mut Vec<RelId>);
+        /// The content digest of one relation's facts.
+        fn digest_of(&self, relation: RelId) -> RelationDigest;
+        /// The content digest of all facts.
+        fn digest_all(&self) -> RelationDigest;
+        /// The facts as a standalone instance.
+        fn to_instance(&self) -> Instance;
+    }
+
+    impl Layer for Instance {
+        fn fact_total(&self) -> usize {
+            self.fact_count()
+        }
+
+        fn relation_ids(&self, out: &mut Vec<RelId>) {
+            out.extend(self.entries().iter().map(|(rel, _)| *rel));
+        }
+
+        fn digest_of(&self, relation: RelId) -> RelationDigest {
+            self.relation_digest(relation)
+        }
+
+        fn digest_all(&self) -> RelationDigest {
+            self.content_digest()
+        }
+
+        fn to_instance(&self) -> Instance {
+            self.clone()
+        }
+    }
+
+    impl Layer for InstanceOverlay {
+        fn fact_total(&self) -> usize {
+            self.fact_count()
+        }
+
+        fn relation_ids(&self, out: &mut Vec<RelId>) {
+            self.base.relation_ids(out);
+            out.extend(self.delta.entries().iter().map(|(rel, _)| *rel));
+            out.sort_unstable();
+            out.dedup();
+        }
+
+        fn digest_of(&self, relation: RelId) -> RelationDigest {
+            let mut digest = self.base.relation_digest(relation);
+            digest.merge(self.delta.relation_digest(relation));
+            digest
+        }
+
+        fn digest_all(&self) -> RelationDigest {
+            let mut digest = self.base.content_digest();
+            digest.merge(self.delta.content_digest());
+            digest
+        }
+
+        fn to_instance(&self) -> Instance {
+            self.materialize()
+        }
+    }
+}
+
+/// A configuration as a copy-on-write overlay: an [`Arc`]-shared base plus
+/// the facts added on top of it.  The base is an [`Instance`] by default;
+/// an overlay over an `Arc`-shared overlay adds a third layer (see
+/// [`OverlayBase`]).
 ///
 /// The delta never contains a fact that is already in the base (pushes of
 /// such facts are no-ops), so `fact_count` is a constant-time sum and two
-/// overlays over the same base are equal iff their deltas are.
+/// overlays over the same base are equal iff their deltas are.  Every read
+/// merges or sums the layers, with the same results, in the same order, as
+/// on the materialized instance.
 ///
 /// # Equality and hashing
 ///
@@ -265,24 +377,24 @@ impl<'a> Iterator for MergedTuples<'a> {
 /// base and delta compare unequal; compare [`InstanceOverlay::materialize`]
 /// outputs when set equality across different bases is needed.
 #[derive(Debug, Clone)]
-pub struct InstanceOverlay {
-    base: Arc<Instance>,
+pub struct InstanceOverlay<B: OverlayBase = Instance> {
+    base: Arc<B>,
     delta: Instance,
 }
 
-impl InstanceOverlay {
+impl<B: OverlayBase> InstanceOverlay<B> {
     /// An overlay with no added facts over the given base.
     #[must_use]
-    pub fn new(base: Arc<Instance>) -> Self {
+    pub fn new(base: Arc<B>) -> Self {
         InstanceOverlay {
             base,
             delta: Instance::new(),
         }
     }
 
-    /// The shared base instance.
+    /// The shared base.
     #[must_use]
-    pub fn base(&self) -> &Arc<Instance> {
+    pub fn base(&self) -> &Arc<B> {
         &self.base
     }
 
@@ -292,11 +404,16 @@ impl InstanceOverlay {
         &self.delta
     }
 
+    /// Sets the delta's index cutoff (see [`Instance::set_index_cutoff`]).
+    pub fn set_index_cutoff(&mut self, cutoff: usize) {
+        self.delta.set_index_cutoff(cutoff);
+    }
+
     /// Adds a fact on top of the base.  Returns `true` if the fact was not
     /// already present (in the base or the delta).
     pub fn push_fact(&mut self, relation: impl Into<RelId>, tuple: Tuple) -> bool {
         let relation = relation.into();
-        if self.base.contains(relation, &tuple) {
+        if self.base.has_fact(relation, &tuple) {
             return false;
         }
         self.delta.add_fact(relation, tuple)
@@ -308,7 +425,7 @@ impl InstanceOverlay {
         let Some(relation) = relation.resolve_rel() else {
             return false;
         };
-        self.base.contains(relation, tuple) || self.delta.contains(relation, tuple)
+        self.base.has_fact(relation, tuple) || self.delta.contains(relation, tuple)
     }
 
     /// Iterates over the tuples of a relation in tuple order (matching the
@@ -318,11 +435,7 @@ impl InstanceOverlay {
         let Some(relation) = relation.resolve_rel() else {
             return TupleIter::Empty;
         };
-        match (self.base.relation(relation), self.delta.relation(relation)) {
-            (Some(base), Some(delta)) => TupleIter::Merged(MergedTuples::new(base, delta)),
-            (Some(set), None) | (None, Some(set)) => TupleIter::Set(set.iter()),
-            (None, None) => TupleIter::Empty,
-        }
+        TupleIter::layered(self.base.tuples_of(relation), self.delta.relation(relation))
     }
 
     /// The number of facts in one relation.
@@ -331,43 +444,39 @@ impl InstanceOverlay {
         let Some(relation) = relation.resolve_rel() else {
             return 0;
         };
-        self.base.relation_size(relation) + self.delta.relation_size(relation)
+        self.base.count_of(relation) + self.delta.relation_size(relation)
     }
 
     /// The number of facts across all relations (constant time: the delta is
     /// disjoint from the base).
     #[must_use]
     pub fn fact_count(&self) -> usize {
-        self.base.fact_count() + self.delta.fact_count()
+        self.base.fact_total() + self.delta.fact_count()
     }
 
     /// True if the overlay holds no facts at all.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.base.is_empty() && self.delta.is_empty()
+        self.fact_count() == 0
     }
 
     /// Iterates over all facts as `(relation, tuple)` pairs, in exactly the
     /// order [`Instance::facts`] would produce on the materialized instance.
     pub fn facts(&self) -> impl Iterator<Item = (RelId, &Tuple)> {
-        RelationSlots {
-            base: self.base.entries(),
-            delta: self.delta.entries(),
-        }
-        .flat_map(|(rel, base, delta)| {
-            let iter = match (base, delta) {
-                (Some(b), Some(d)) => TupleIter::Merged(MergedTuples::new(b, d)),
-                (Some(set), None) | (None, Some(set)) => TupleIter::Set(set.iter()),
-                (None, None) => TupleIter::Empty,
-            };
-            iter.map(move |t| (rel, t))
-        })
+        let mut relations = Vec::new();
+        self.base.relation_ids(&mut relations);
+        relations.extend(self.delta.entries().iter().map(|(rel, _)| *rel));
+        relations.sort_unstable();
+        relations.dedup();
+        relations
+            .into_iter()
+            .flat_map(move |rel| self.tuples(rel).map(move |t| (rel, t)))
     }
 
     /// The active domain of the overlaid configuration.
     #[must_use]
     pub fn active_domain(&self) -> BTreeSet<Value> {
-        let mut dom = self.base.active_domain();
+        let mut dom = self.base.view_active_domain();
         dom.extend(self.delta.active_domain());
         dom
     }
@@ -375,21 +484,30 @@ impl InstanceOverlay {
     /// Materializes the overlay into a standalone [`Instance`].
     #[must_use]
     pub fn materialize(&self) -> Instance {
-        let mut instance = self.base.as_ref().clone();
+        let mut instance = self.base.to_instance();
         instance.union_in_place(&self.delta);
         instance
     }
 
+    /// Whether the base and the delta hold facts of `relation`: probes go to
+    /// the one layer that does, and merge only when both do.
+    fn layers_holding(&self, relation: RelId) -> (bool, bool) {
+        (
+            self.base.count_of(relation) > 0,
+            self.delta.relation_size(relation) > 0,
+        )
+    }
+
     /// The overlay's [`StructureKey`]: a content digest of all facts the
-    /// overlay holds.  The base's per-relation digests are computed once per
-    /// shared base and cached on it; the delta's are maintained fact by fact
-    /// as `push_fact` adds them — so the key costs a table sum, never a
+    /// overlay holds.  Every layer's per-relation digests are computed once
+    /// per layer and cached on it (the delta's are maintained fact by fact
+    /// as `push_fact` adds them) — so the key costs a table sum, never a
     /// rehash of the configuration.  Equal fact sets get equal keys no
     /// matter which chain or allocation produced them — see
     /// [`crate::guard_cache`] for why that makes it a sound cache key.
     #[must_use]
     pub fn structure_key(&self) -> StructureKey {
-        let mut digest = self.base.content_digest();
+        let mut digest = self.base.digest_all();
         digest.merge(self.delta.content_digest());
         StructureKey::from(digest)
     }
@@ -404,7 +522,7 @@ impl InstanceOverlay {
     pub fn structure_key_for(&self, relations: &[RelId]) -> StructureKey {
         let mut digest = RelationDigest::default();
         for &rel in relations {
-            digest.merge(self.base.relation_digest(rel));
+            digest.merge(self.base.digest_of(rel));
             digest.merge(self.delta.relation_digest(rel));
         }
         StructureKey::from(digest)
@@ -417,49 +535,41 @@ impl From<Instance> for InstanceOverlay {
     }
 }
 
-impl PartialEq for InstanceOverlay {
+impl<B: OverlayBase> PartialEq for InstanceOverlay<B> {
     fn eq(&self, other: &Self) -> bool {
         (Arc::ptr_eq(&self.base, &other.base) || self.base == other.base)
             && self.delta == other.delta
     }
 }
 
-impl Eq for InstanceOverlay {}
+impl<B: OverlayBase + Eq> Eq for InstanceOverlay<B> {}
 
-impl Hash for InstanceOverlay {
+impl<B: OverlayBase> Hash for InstanceOverlay<B> {
     fn hash<H: Hasher>(&self, state: &mut H) {
         // Equal overlays have equal base fact sets (hence counts) and equal
         // deltas, so this stays consistent with `Eq` while never walking the
         // shared base.
-        self.base.fact_count().hash(state);
+        self.base.fact_total().hash(state);
         self.delta.hash(state);
     }
 }
 
-impl fmt::Display for InstanceOverlay {
+impl<B: OverlayBase> fmt::Display for InstanceOverlay<B> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.is_empty() {
             return write!(f, "∅");
         }
-        let mut first = true;
-        let mut result = Ok(());
-        self.each_fact(&mut |rel, tuple| {
-            if result.is_err() {
-                return;
+        for (index, (rel, tuple)) in self.facts().enumerate() {
+            if index > 0 {
+                writeln!(f)?;
             }
-            if !first {
-                result = writeln!(f);
-            }
-            first = false;
-            if result.is_ok() {
-                result = write!(f, "{rel}{tuple}");
-            }
-        });
-        result
+            write!(f, "{rel}{tuple}")?;
+        }
+        Ok(())
     }
 }
 
-impl InstanceView for InstanceOverlay {
+impl<B: OverlayBase> InstanceView for InstanceOverlay<B> {
     fn tuples_of(&self, relation: RelId) -> TupleIter<'_> {
         self.tuples(relation)
     }
@@ -483,10 +593,14 @@ impl InstanceView for InstanceOverlay {
     }
 
     fn tuples_matching(&self, relation: RelId, position: usize, value: &Value) -> MatchIter<'_> {
-        MatchIter::merged(
-            self.base.tuples_matching(relation, position, value),
-            self.delta.tuples_matching(relation, position, value),
-        )
+        match self.layers_holding(relation) {
+            (true, false) => self.base.tuples_matching(relation, position, value),
+            (false, true) => self.delta.tuples_matching(relation, position, value),
+            _ => MatchIter::merged(
+                self.base.tuples_matching(relation, position, value),
+                self.delta.tuples_matching(relation, position, value),
+            ),
+        }
     }
 
     fn selectivity(&self, relation: RelId, position: usize, value: &Value) -> usize {
@@ -500,10 +614,14 @@ impl InstanceView for InstanceOverlay {
         relation: RelId,
         bound: &'a [(usize, Value)],
     ) -> MatchIter<'a> {
-        MatchIter::merged(
-            self.base.tuples_matching_all(relation, bound),
-            self.delta.tuples_matching_all(relation, bound),
-        )
+        match self.layers_holding(relation) {
+            (true, false) => self.base.tuples_matching_all(relation, bound),
+            (false, true) => self.delta.tuples_matching_all(relation, bound),
+            _ => MatchIter::merged(
+                self.base.tuples_matching_all(relation, bound),
+                self.delta.tuples_matching_all(relation, bound),
+            ),
+        }
     }
 
     fn guard_key(&self, relations: &[RelId]) -> Option<StructureKey> {
@@ -511,60 +629,13 @@ impl InstanceView for InstanceOverlay {
     }
 
     fn known_uniform_arity(&self, relation: RelId) -> Option<usize> {
-        match (
-            self.base.count_of(relation) == 0,
-            self.delta.count_of(relation) == 0,
-        ) {
-            (_, true) => self.base.known_uniform_arity(relation),
-            (true, false) => self.delta.known_uniform_arity(relation),
-            (false, false) => {
+        match self.layers_holding(relation) {
+            (false, true) => self.delta.known_uniform_arity(relation),
+            (true, true) => {
                 let arity = self.base.known_uniform_arity(relation)?;
                 (self.delta.known_uniform_arity(relation) == Some(arity)).then_some(arity)
             }
-        }
-    }
-}
-
-/// Merge-join over the relation slots of base and delta, in relation-name
-/// order (both inputs are name-sorted).
-struct RelationSlots<'a> {
-    base: &'a [(RelId, BTreeSet<Tuple>)],
-    delta: &'a [(RelId, BTreeSet<Tuple>)],
-}
-
-impl<'a> Iterator for RelationSlots<'a> {
-    type Item = (
-        RelId,
-        Option<&'a BTreeSet<Tuple>>,
-        Option<&'a BTreeSet<Tuple>>,
-    );
-
-    fn next(&mut self) -> Option<Self::Item> {
-        match (self.base.first(), self.delta.first()) {
-            (Some((b_rel, b_set)), Some((d_rel, d_set))) => match b_rel.cmp(d_rel) {
-                std::cmp::Ordering::Less => {
-                    self.base = &self.base[1..];
-                    Some((*b_rel, Some(b_set), None))
-                }
-                std::cmp::Ordering::Greater => {
-                    self.delta = &self.delta[1..];
-                    Some((*d_rel, None, Some(d_set)))
-                }
-                std::cmp::Ordering::Equal => {
-                    self.base = &self.base[1..];
-                    self.delta = &self.delta[1..];
-                    Some((*b_rel, Some(b_set), Some(d_set)))
-                }
-            },
-            (Some((rel, set)), None) => {
-                self.base = &self.base[1..];
-                Some((*rel, Some(set), None))
-            }
-            (None, Some((rel, set))) => {
-                self.delta = &self.delta[1..];
-                Some((*rel, None, Some(set)))
-            }
-            (None, None) => None,
+            _ => self.base.known_uniform_arity(relation),
         }
     }
 }

@@ -9,9 +9,12 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use accltl_core::automata::{accltl_plus_to_automaton, bounded_emptiness_report, EmptinessConfig};
+use accltl_core::logic::vocabulary::{transition_structure, TransitionVocab};
 use accltl_core::logic::BoundedSearcher;
+use accltl_core::paths::engine::{Candidate, FactUniverse};
 use accltl_core::prelude::*;
 use accltl_core::relational::overlay::InstanceOverlay;
+use accltl_core::relational::{GuardCache, InstanceView, RelId};
 
 /// Strategy: a random access path over the phone-directory schema — each step
 /// is an AcM1 or AcM2 access whose response reveals zero or more compatible
@@ -106,8 +109,178 @@ fn verdict_discriminant(outcome: &SatOutcome) -> u8 {
     }
 }
 
+/// Asserts that two views agree on every read the guard evaluation makes:
+/// fact iteration, per-relation counts, membership, value-index probes (in
+/// order), selectivities and restricted guard keys.  `flat` is the
+/// materialized instance; `layered` may only answer `known_uniform_arity`
+/// when the answer is true of `flat`'s tuples, since it is free only where
+/// an index happens to be built.
+fn assert_same_view(layered: &impl InstanceView, flat: &Instance, absent: &[(RelId, Tuple)]) {
+    let mut facts_layered = Vec::new();
+    layered.each_fact(&mut |rel, tuple| facts_layered.push((rel, tuple.clone())));
+    let facts_flat: Vec<(RelId, Tuple)> = flat.facts().map(|(rel, t)| (rel, t.clone())).collect();
+    assert_eq!(facts_layered, facts_flat);
+
+    let relations: Vec<RelId> = flat.nonempty_relations().collect();
+    let values: Vec<Value> = flat.active_domain().into_iter().collect();
+    for &rel in relations.iter().chain(absent.iter().map(|(rel, _)| rel)) {
+        assert_eq!(layered.count_of(rel), flat.count_of(rel), "{rel}");
+        if let Some(arity) = layered.known_uniform_arity(rel) {
+            assert!(flat.tuples(rel).all(|t| t.arity() == arity), "{rel}");
+        }
+        let tuples: Vec<&Tuple> = flat.tuples(rel).collect();
+        let arity = tuples.iter().map(|t| t.arity()).max().unwrap_or(1);
+        for position in 0..arity {
+            for value in &values {
+                let a: Vec<&Tuple> = layered.tuples_matching(rel, position, value).collect();
+                let b: Vec<&Tuple> = flat.tuples_matching(rel, position, value).collect();
+                assert_eq!(a, b, "{rel} #{position} = {value}");
+                assert_eq!(
+                    layered.selectivity(rel, position, value),
+                    flat.selectivity(rel, position, value)
+                );
+            }
+        }
+        // Bound on every position of one tuple, on its first two, and on
+        // nothing at all.
+        let mut bounds: Vec<Vec<(usize, Value)>> = vec![Vec::new()];
+        for tuple in &tuples {
+            let full: Vec<(usize, Value)> = tuple.values().iter().copied().enumerate().collect();
+            bounds.push(full.iter().take(2).cloned().collect());
+            bounds.push(full);
+        }
+        for bound in &bounds {
+            let a: Vec<&Tuple> = layered.tuples_matching_all(rel, bound).collect();
+            let b: Vec<&Tuple> = flat.tuples_matching_all(rel, bound).collect();
+            assert_eq!(a, b, "{rel} {bound:?}");
+        }
+    }
+    for (rel, tuple) in flat.facts() {
+        assert!(layered.has_fact(rel, tuple));
+    }
+    for (rel, tuple) in absent {
+        assert_eq!(layered.has_fact(*rel, tuple), flat.contains(*rel, tuple));
+    }
+
+    // Guard keys: every relation at once, each relation alone, and the
+    // relations without the last one.
+    let keyed = InstanceOverlay::from(flat.clone());
+    let mut restrictions: Vec<Vec<RelId>> = vec![relations.clone()];
+    restrictions.extend(relations.iter().map(|&rel| vec![rel]));
+    restrictions.push(relations[..relations.len().saturating_sub(1)].to_vec());
+    for restriction in &restrictions {
+        assert_eq!(
+            layered.guard_key(restriction),
+            keyed.guard_key(restriction),
+            "{restriction:?}"
+        );
+    }
+}
+
+/// One case of `layered_transition_structures_match_materialized_ones`:
+/// transition `step_seed` of `path` over `initial`, with the before-facts
+/// picked by `assumed_seed`'s bits joining the root.
+fn check_layered_transition_structure(
+    path: &AccessPath,
+    initial: &Instance,
+    step_seed: u8,
+    assumed_seed: u32,
+    zero_ary: bool,
+    index_cutoff: usize,
+) {
+    let schema = phone_directory_access_schema();
+    let transitions = path.transitions(&schema, initial).unwrap();
+    if transitions.is_empty() {
+        return;
+    }
+    let transition = &transitions[step_seed as usize % transitions.len()];
+
+    // Root: the initial instance plus a random subset of the facts
+    // revealed before the transition.
+    let mut root = initial.clone();
+    for (bit, (rel, tuple)) in transition.before.facts().enumerate() {
+        if assumed_seed >> (bit % 32) & 1 == 1 {
+            root.add_fact(rel, tuple.clone());
+        }
+    }
+    let mut before = InstanceOverlay::new(Arc::new(root.clone()));
+    for (rel, tuple) in transition.before.facts() {
+        before.push_fact(rel, tuple.clone());
+    }
+
+    let vocab = TransitionVocab::new(&schema);
+    let cache = GuardCache::new();
+    let root_layers = vocab.root_layer(&root, index_cutoff, &cache);
+    let state = vocab.state_layer(&root_layers, &before, index_cutoff, &cache);
+    let method = schema.require_method(transition.access.method).unwrap();
+    let relation = method.relation_id();
+    let universe = FactUniverse::new(
+        transition
+            .response
+            .iter()
+            .map(|t| (relation, t.clone()))
+            .collect(),
+    );
+    let added: Vec<u32> = (0..universe.len() as u32).collect();
+    let candidate = Candidate {
+        method,
+        binding: &transition.access.binding,
+        added: &added,
+    };
+    let layered = vocab.candidate_structure(&state, &candidate, &universe, zero_ary);
+
+    let mut flat = transition_structure(transition, zero_ary);
+    flat.set_index_cutoff(index_cutoff);
+    assert_eq!(layered.fact_count(), flat.fact_count());
+    assert_eq!(
+        state.layers().materialize(),
+        vocab
+            .root_layer(&transition.before, index_cutoff, &cache)
+            .layers()
+            .materialize()
+    );
+
+    // Facts of the other transitions' structures that this one lacks.
+    let absent: Vec<(RelId, Tuple)> = transitions
+        .iter()
+        .flat_map(|other| {
+            transition_structure(other, !zero_ary)
+                .facts()
+                .map(|(rel, t)| (rel, t.clone()))
+                .collect::<Vec<_>>()
+        })
+        .filter(|(rel, tuple)| !flat.contains(*rel, tuple))
+        .collect();
+    assert_same_view(&layered, &flat, &absent);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The search oracles' three-layer candidate structures (the run root's
+    /// `pre ∪ post` image, the state's layer of facts revealed beyond the
+    /// root, and the candidate's response and `IsBind` fact) read exactly
+    /// like the materialized transition structure `M(t)`, for every split
+    /// of the before-configuration into root (initial plus assumed facts)
+    /// and revealed facts.
+    #[test]
+    fn layered_transition_structures_match_materialized_ones(
+        path in random_path(),
+        initial in random_initial(),
+        step_seed in any::<u8>(),
+        assumed_seed in any::<u32>(),
+        zero_ary in any::<bool>(),
+        index_cutoff in prop_oneof![Just(0usize), Just(2), Just(8)],
+    ) {
+        check_layered_transition_structure(
+            &path,
+            &initial,
+            step_seed,
+            assumed_seed,
+            zero_ary,
+            index_cutoff,
+        );
+    }
 
     /// The overlay configuration sequence is observationally identical to the
     /// eagerly materialized one: fact set, iteration order and Display.

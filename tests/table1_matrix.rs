@@ -262,3 +262,66 @@ fn engines_agree_across_rows() {
             .unwrap());
     }
 }
+
+/// `F(IsBind_AcM1 ∧ ⋀_{i≤k} (Mobile#^post(Smith, OX13QD, Parks Rd, i) ∧
+/// ¬Mobile#^pre(Smith, OX13QD, Parks Rd, i)))`: some `AcM1` access reveals
+/// `k` fresh `Smith` facts at once.  With `zero_ary` the binding atom is the
+/// 0-ary proposition (a `ZeroAry` formula); otherwise it names the binding
+/// `Smith` (a `BindingPositive` formula).  Its witness is one `AcM1("Smith")`
+/// access returning all `k` facts.
+fn wide_response_formula(k: i64, zero_ary: bool) -> AccLtl {
+    let bind = if zero_ary {
+        isbind_prop("AcM1")
+    } else {
+        isbind_atom("AcM1", vec![Term::constant("Smith")])
+    };
+    let mut conjuncts = vec![AccLtl::atom(bind)];
+    for i in 1..=k {
+        let fact = || {
+            vec![
+                Term::constant("Smith"),
+                Term::constant("OX13QD"),
+                Term::constant("Parks Rd"),
+                Term::constant(i),
+            ]
+        };
+        conjuncts.push(AccLtl::atom(post_atom("Mobile#", fact())));
+        conjuncts.push(AccLtl::not(AccLtl::atom(pre_atom("Mobile#", fact()))));
+    }
+    AccLtl::finally(AccLtl::and(conjuncts))
+}
+
+/// A witness whose one response is wider than the response-size cap (3 by
+/// default) is outside the enumerated witness space, so exhausting that
+/// space proves nothing: on both decidable rows the search must answer
+/// `Unknown`, never `Unsatisfiable`, while a response within the cap is
+/// still found.
+#[test]
+fn responses_past_the_size_cap_are_never_certified_unsatisfiable() {
+    let schema = phone_directory_access_schema();
+    let analyzer = AccessAnalyzer::new(schema.clone());
+    for (zero_ary, fragment, engine) in [
+        (false, Fragment::BindingPositive, Engine::AutomatonPipeline),
+        (true, Fragment::ZeroAry, Engine::ZeroFragment),
+    ] {
+        let within = wide_response_formula(3, zero_ary);
+        let report = analyzer.check_satisfiable(&within);
+        let SatOutcome::Satisfiable { witness } = &report.outcome else {
+            panic!("k = 3, {fragment}: {:?}", report.outcome);
+        };
+        assert!(within
+            .holds_on_path(witness, &schema, &Instance::new(), zero_ary)
+            .unwrap());
+        for k in [4, 5] {
+            let formula = wide_response_formula(k, zero_ary);
+            let report = analyzer.check_satisfiable(&formula);
+            assert_eq!(report.fragment, fragment, "k = {k}");
+            assert_eq!(report.engine, engine, "k = {k}");
+            assert_ne!(
+                report.outcome,
+                SatOutcome::Unsatisfiable,
+                "k = {k}, {fragment}"
+            );
+        }
+    }
+}
