@@ -300,17 +300,15 @@ impl AccessAnalyzer {
             if indices.is_empty() {
                 continue;
             }
-            let config = match request.config {
-                Some(_) => BoundedSearchConfig::default(),
-                None => self.search_config,
-            };
-            let searcher = BoundedSearcher::shared(
+            let mut searcher = BoundedSearcher::shared(
                 &self.schema,
                 Arc::clone(&self.initial),
                 zero_ary,
-                config,
-                request.config,
+                self.search_config,
             );
+            if let Some(engine) = request.config {
+                searcher = searcher.with_engine(engine);
+            }
             let formulas: Vec<AccLtl> = indices
                 .iter()
                 .map(|&index| request.properties[index].clone())
@@ -490,7 +488,6 @@ impl AccessAnalyzer {
                     Arc::clone(&self.initial),
                     zero_ary,
                     self.search_config,
-                    None,
                 )
                 .open_session(formulas)
             })

@@ -463,7 +463,7 @@ pub struct BoundedSearcher<'a> {
     initial: Arc<Instance>,
     zero_ary: bool,
     config: BoundedSearchConfig,
-    /// When set (see [`BoundedSearcher::with_engine_config`]), used verbatim
+    /// When set (see [`BoundedSearcher::with_engine`]), used verbatim
     /// as the engine configuration instead of mapping
     /// [`BoundedSearchConfig`] over [`EngineConfig::from_env`].
     engine_override: Option<EngineConfig>,
@@ -479,36 +479,46 @@ impl<'a> BoundedSearcher<'a> {
         zero_ary: bool,
         config: BoundedSearchConfig,
     ) -> Self {
-        Self::shared(schema, Arc::new(initial.clone()), zero_ary, config, None)
+        Self::shared(schema, Arc::new(initial.clone()), zero_ary, config)
     }
 
     /// A searcher over an already shared initial instance, so callers that
     /// keep `I0` behind an [`Arc`] (the analyzer) hand it to every run and
-    /// session without copying it; `engine` is as in
-    /// [`BoundedSearcher::with_engine_config`].
+    /// session without copying it.
     #[must_use]
     pub fn shared(
         schema: &'a AccessSchema,
         initial: Arc<Instance>,
         zero_ary: bool,
         config: BoundedSearchConfig,
-        engine: Option<EngineConfig>,
     ) -> Self {
         BoundedSearcher {
             schema,
             initial,
             zero_ary,
             config,
-            engine_override: engine,
+            engine_override: None,
         }
     }
 
-    /// A searcher driven by an explicit [`EngineConfig`] (the batch-request
-    /// path): the engine config is used verbatim — budgets, threads and the
-    /// index/guard-cache ablation flags included — instead of mapping
-    /// [`BoundedSearchConfig`] over the environment defaults.  The
-    /// empty-binding mode is still forced by `zero_ary`, and the empty path
-    /// is never accepted as a witness.
+    /// This searcher driven by an explicit [`EngineConfig`] (the
+    /// batch-request path): the engine config is used verbatim — budgets,
+    /// threads and the index/guard-cache ablation flags included — instead
+    /// of mapping [`BoundedSearchConfig`] over the environment defaults, and
+    /// the search config is reset to its default.  The empty-binding mode is
+    /// still forced by `zero_ary`, and the empty path is never accepted as a
+    /// witness.
+    #[must_use]
+    pub fn with_engine(self, engine: EngineConfig) -> Self {
+        BoundedSearcher {
+            config: BoundedSearchConfig::default(),
+            engine_override: Some(engine),
+            ..self
+        }
+    }
+
+    /// A searcher over a copy of `initial` driven by an explicit
+    /// [`EngineConfig`]; see [`BoundedSearcher::with_engine`].
     #[must_use]
     pub fn with_engine_config(
         schema: &'a AccessSchema,
@@ -516,13 +526,7 @@ impl<'a> BoundedSearcher<'a> {
         zero_ary: bool,
         engine: EngineConfig,
     ) -> Self {
-        Self::shared(
-            schema,
-            Arc::new(initial.clone()),
-            zero_ary,
-            BoundedSearchConfig::default(),
-            Some(engine),
-        )
+        Self::new(schema, initial, zero_ary, BoundedSearchConfig::default()).with_engine(engine)
     }
 
     /// The engine configuration of this searcher's runs: the explicit
@@ -915,13 +919,13 @@ impl<'a> MonitorSession<'a> {
                 // Scratch mode: exactly what a caller without a session
                 // would run — a fresh searcher (fresh root guard cache,
                 // fresh engine) over the grown instance.
-                let searcher = BoundedSearcher::shared(
-                    self.schema,
-                    Arc::clone(&self.current),
-                    self.zero_ary,
-                    self.search_config,
-                    Some(self.engine_config),
-                );
+                let searcher = BoundedSearcher {
+                    schema: self.schema,
+                    initial: Arc::clone(&self.current),
+                    zero_ary: self.zero_ary,
+                    config: self.search_config,
+                    engine_override: Some(self.engine_config),
+                };
                 let reports = searcher.run_batch(&self.properties);
                 let delta = reports
                     .first()

@@ -168,10 +168,19 @@ impl TransitionVocab {
         StateLayers::new(InstanceOverlay::new(Arc::new(image)), cache)
     }
 
-    /// The `pre ∪ post` image of a search state's configuration `before`,
-    /// an overlay over its run's root configuration: `root`'s layer shared,
-    /// plus a state layer holding the image of the facts `before` reveals
-    /// beyond it.  Costs `O(|revealed beyond the root|)`.
+    /// The `pre ∪ post` image of a search state's configuration `before`:
+    /// `root`'s layer shared, plus a state layer holding the image of the
+    /// facts `before` reveals beyond it.  Costs `O(|revealed beyond the
+    /// root|)`.
+    ///
+    /// Only `before`'s delta is imaged, so two conditions must hold or the
+    /// result silently misses facts:
+    /// - `root` is what [`TransitionVocab::root_layer`] returned (an empty
+    ///   delta), not another state's layers;
+    /// - `before` is an overlay whose base is the very instance `root` was
+    ///   built from.
+    ///
+    /// Debug builds check both by fact counts.
     #[must_use]
     pub fn state_layer(
         &self,
@@ -180,6 +189,15 @@ impl TransitionVocab {
         index_cutoff: usize,
         cache: &GuardCache,
     ) -> StateLayers {
+        debug_assert!(
+            root.layers.delta().is_empty(),
+            "state layers must be built over a root layer"
+        );
+        debug_assert_eq!(
+            root.layers.base().fact_count(),
+            2 * before.base().fact_count(),
+            "the configuration's base must be the root's instance"
+        );
         let mut layers = InstanceOverlay::new(Arc::clone(root.layers.base()));
         layers.set_index_cutoff(index_cutoff);
         for (rel, tuple) in before.delta().facts() {

@@ -113,23 +113,13 @@ impl Hash for Instance {
     }
 }
 
-/// Name-sorted slot lists up to this long are searched by a linear scan of
-/// integer id comparisons; longer ones are binary-searched, each step a
-/// string-order comparison.  Transition structures and overlay layers hold
-/// a handful of relations and are probed in the search oracles' innermost
-/// loop, where the scan is the cheaper of the two.
-const LINEAR_SLOTS: usize = 16;
-
-/// The entry of `relation` in a name-sorted slot list.
+/// The entry of `relation` in a name-sorted slot list, found by a linear
+/// scan of integer id comparisons.  Transition structures and overlay
+/// layers hold a few relations each and are probed in the search oracles'
+/// innermost loop, where the scan beats a binary search whose every step is
+/// a string-order comparison.
 fn find_slot<T>(slots: &[(RelId, T)], relation: RelId) -> Option<&T> {
-    if slots.len() <= LINEAR_SLOTS {
-        slots.iter().find(|(r, _)| *r == relation).map(|(_, v)| v)
-    } else {
-        slots
-            .binary_search_by(|(r, _)| r.cmp(&relation))
-            .ok()
-            .map(|found| &slots[found].1)
-    }
+    slots.iter().find(|(r, _)| *r == relation).map(|(_, v)| v)
 }
 
 impl Instance {
