@@ -159,18 +159,19 @@ pub fn bounded_emptiness_batch(
     config: &EmptinessConfig,
 ) -> Vec<SearchReport<EmptinessOutcome>> {
     let engine = config.engine_config(EngineConfig::from_env());
-    bounded_emptiness_batch_with_config(automata, schema, initial, engine)
+    bounded_emptiness_batch_with_config(automata, schema, Arc::new(initial.clone()), engine)
 }
 
 /// [`bounded_emptiness_batch`] driven by an explicit [`EngineConfig`] (the
 /// batch-request path): budgets, threads and the index/guard-cache ablation
 /// flags are taken verbatim; `max_guard_checks` is the *total* per-automaton
-/// guard budget, split evenly across its chains.
+/// guard budget, split evenly across its chains.  `initial` is shared with
+/// the engine's root layer as-is, never copied.
 #[must_use]
 pub fn bounded_emptiness_batch_with_config(
     automata: &[&AAutomaton],
     schema: &AccessSchema,
-    initial: &Instance,
+    initial: Arc<Instance>,
     engine: EngineConfig,
 ) -> Vec<SearchReport<EmptinessOutcome>> {
     let _batch_span =
@@ -216,7 +217,7 @@ pub fn bounded_emptiness_batch_with_config(
     // next chain — or its verdict — exactly as the sequential chain loop
     // would.
     let mut batch: BatchEngine<'_, AutomatonOracle<'_>> =
-        BatchEngine::new(schema, Arc::new(initial.clone()));
+        BatchEngine::new(schema, Arc::clone(&initial));
     loop {
         let mut specs = Vec::new();
         let mut wave_slots = Vec::new();
@@ -241,7 +242,7 @@ pub fn bounded_emptiness_batch_with_config(
                 });
                 continue;
             }
-            let universe = FactUniverse::new(guard_fact_universe(chain, schema, initial));
+            let universe = FactUniverse::new(guard_fact_universe(chain, schema, &initial));
             let oracle = AutomatonOracle::new(
                 chain,
                 schema,

@@ -6,8 +6,8 @@ use std::sync::Arc;
 
 use accltl_automata::applications::{containment_automaton, ltr_automaton};
 use accltl_automata::{
-    accltl_plus_to_automaton, bounded_emptiness_batch, bounded_emptiness_batch_with_config,
-    bounded_emptiness_report, AAutomaton, EmptinessConfig, EmptinessOutcome,
+    accltl_plus_to_automaton, bounded_emptiness_batch_with_config, bounded_emptiness_report,
+    AAutomaton, EmptinessConfig, EmptinessOutcome,
 };
 use accltl_logic::bounded::{
     BoundedSearchConfig, BoundedSearcher, MonitorSession as BoundedSession, SatOutcome,
@@ -257,10 +257,15 @@ impl AccessAnalyzer {
     /// properties that dispatch to the same engine through one shared
     /// configuration-space exploration: zero-ary fragments share one
     /// [`BoundedSearcher::run_batch`] run, `AccLTL+` formulas share one
-    /// [`bounded_emptiness_batch`] run, and full-language formulas share a
-    /// second bounded batch.  Reports come back in input order, and each is
-    /// identical to what [`AccessAnalyzer::check_satisfiable`] returns for
-    /// that property alone (the engine's determinism contract).
+    /// [`bounded_emptiness_batch_with_config`] run, and full-language
+    /// formulas share a second bounded batch.  Reports come back in input
+    /// order, and each is identical to what
+    /// [`AccessAnalyzer::check_satisfiable`] returns for that property alone
+    /// (the engine's determinism contract).
+    ///
+    /// Every `Satisfiable` witness is re-validated against the schema before
+    /// it is returned; one that fails [`AccessPath::validate`] certifies
+    /// nothing and is reported as `Unknown`.
     ///
     /// With [`BatchRequest::config`] set, the explicit [`EngineConfig`] is
     /// used verbatim for every property instead of the analyzer's budgets.
@@ -275,7 +280,7 @@ impl AccessAnalyzer {
         let mut report = |index: usize, outcome: SatOutcome, run: RunReport| {
             let fragment = fragments[index];
             reports[index] = Some(AnalyzerReport {
-                outcome,
+                outcome: certified(outcome, &self.schema),
                 fragment,
                 engine: engine_for(fragment),
                 run: run.with_chase(self.chase_stats),
@@ -330,17 +335,16 @@ impl AccessAnalyzer {
                 .map(|&index| accltl_plus_to_automaton(&request.properties[index]))
                 .collect();
             let refs: Vec<&AAutomaton> = automata.iter().collect();
-            let emptiness = match request.config {
-                Some(engine) => {
-                    bounded_emptiness_batch_with_config(&refs, &self.schema, &self.initial, engine)
-                }
-                None => bounded_emptiness_batch(
-                    &refs,
-                    &self.schema,
-                    &self.initial,
-                    &self.emptiness_config,
-                ),
-            };
+            let engine = request.config.unwrap_or_else(|| {
+                self.emptiness_config
+                    .engine_config(EngineConfig::from_env())
+            });
+            let emptiness = bounded_emptiness_batch_with_config(
+                &refs,
+                &self.schema,
+                Arc::clone(&self.initial),
+                engine,
+            );
             for (&index, search) in plus.iter().zip(emptiness) {
                 let run = RunReport::from_search(&search);
                 report(index, satisfiability(search.verdict), run);
@@ -531,6 +535,22 @@ fn runs_zero_ary(engine: Engine) -> bool {
 fn downgrade(verdict: SatOutcome) -> SatOutcome {
     match verdict {
         SatOutcome::Unsatisfiable => SatOutcome::Unknown { explored: 0 },
+        other => other,
+    }
+}
+
+/// A `Satisfiable` verdict whose witness is not a valid access path of the
+/// schema is reported as `Unknown`: the witness is checked independently of
+/// the engine that found it.
+fn certified(verdict: SatOutcome, schema: &AccessSchema) -> SatOutcome {
+    match verdict {
+        SatOutcome::Satisfiable { witness } if witness.validate(schema).is_err() => {
+            trace::event(
+                "analyzer.witness_rejected",
+                &[("steps", witness.len() as u64)],
+            );
+            SatOutcome::Unknown { explored: 0 }
+        }
         other => other,
     }
 }

@@ -126,8 +126,6 @@ impl RunReport {
                         "tuples_rescanned",
                         "fd_merges",
                         "ind_additions",
-                        "facts_rewritten",
-                        "index_rebuilds_avoided",
                     ],
                 )?;
                 Some(ChaseStats {
@@ -136,12 +134,6 @@ impl RunReport {
                     tuples_rescanned: require_usize(stats, "chase", "tuples_rescanned")?,
                     fd_merges: require_usize(stats, "chase", "fd_merges")?,
                     ind_additions: require_usize(stats, "chase", "ind_additions")?,
-                    facts_rewritten: require_usize(stats, "chase", "facts_rewritten")?,
-                    index_rebuilds_avoided: require_usize(
-                        stats,
-                        "chase",
-                        "index_rebuilds_avoided",
-                    )?,
                 })
             }
         };
@@ -201,7 +193,7 @@ mod tests {
     #[test]
     fn from_json_round_trips_byte_identically() {
         // Every optional field populated: the chase block present with all
-        // seven counters nonzero, plus nonzero cache splits.
+        // five counters nonzero, plus nonzero cache splits.
         let full = RunReport {
             explored: 12,
             cost: 34,
@@ -218,8 +210,6 @@ mod tests {
                 tuples_rescanned: 8,
                 fd_merges: 1,
                 ind_additions: 3,
-                facts_rewritten: 5,
-                index_rebuilds_avoided: 7,
             }),
         };
         let bare = RunReport {

@@ -84,11 +84,9 @@
 //!
 //! Every `ACCLTL_*` environment variable has exactly one read site:
 //! [`EngineConfig::from_env`] folds in the search/index/cache knobs (and
-//! every front-end uses it for defaults), while the two subsystem ablation
-//! flags live with their subsystems — `ACCLTL_DISABLE_LTS_OVERLAY` in
-//! [`crate::lts::LtsOptions::from_env`] and
-//! `ACCLTL_DISABLE_INCREMENTAL_CHASE` in
-//! `accltl_relational::chase::ChaseConfig::from_env`.
+//! every front-end uses it for defaults), while the one subsystem ablation
+//! flag lives with its subsystem — `ACCLTL_DISABLE_LTS_OVERLAY` in
+//! [`crate::lts::LtsOptions::from_env`].
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::hash::Hash;

@@ -75,9 +75,9 @@ impl FunctionalDependency {
     ///
     /// The choice is deterministic: the first tuple (in tuple order) that
     /// belongs to a violating LHS-group, paired with the first group member
-    /// disagreeing with it on the RHS.  The incremental chase
-    /// ([`crate::chase()`]) reproduces exactly this choice from per-position
-    /// indexes and dirty-tuple worklists instead of this nested scan.
+    /// disagreeing with it on the RHS.  The chase ([`crate::chase()`])
+    /// repairs exactly this violation, so its repair sequence is
+    /// deterministic.
     #[must_use]
     pub fn find_violation(
         &self,
@@ -170,9 +170,8 @@ impl InclusionDependency {
     /// Returns a source tuple with no matching target tuple, if any.
     ///
     /// The choice is deterministic: the first unwitnessed source in tuple
-    /// order.  The incremental chase ([`crate::chase()`]) reproduces exactly
-    /// this choice by probing target witnesses through per-position indexes
-    /// over a dirty-source worklist instead of this scan.
+    /// order.  The chase ([`crate::chase()`]) repairs exactly this
+    /// violation, so its repair sequence is deterministic.
     #[must_use]
     pub fn find_violation(&self, instance: &Instance) -> Option<crate::tuple::Tuple> {
         for src_tuple in instance.tuples(self.source) {

@@ -1,6 +1,6 @@
 //! Per-position value indexes: `(relation, position, value) → tuple ids`.
 //!
-//! Every decision procedure in the workspace — the chase, CQ/UCQ containment,
+//! Every decision procedure in the workspace — CQ/UCQ containment,
 //! long-term relevance, the bounded `AccLTL` search, A-automaton emptiness —
 //! bottoms out in homomorphism enumeration and Datalog fixpoints.  Before
 //! this module those inner loops scanned whole relations tuple-at-a-time; now
@@ -20,20 +20,16 @@
 //! or not; it is property-tested in `tests/index_props.rs` and CI-enforced by
 //! diffing example outputs with [`DISABLE_INDEXES_ENV_VAR`] set.
 //!
-//! Maintenance is two-sided: [`crate::Instance::add_fact`] inserts into the
-//! posting lists and [`crate::Instance::remove_fact`] deletes from them, so
-//! the incremental chase can rewrite facts across repair steps without ever
-//! rebuilding the index.  Removal leaves the arena slot in place as an
-//! unreferenced tombstone (no posting list points at it any more), which
-//! keeps every id stable and every binary search valid; tombstones are
-//! bounded by the number of insertions, which the chase already budgets.
+//! Maintenance is insert-only: [`crate::Instance::add_fact`] inserts into
+//! the posting lists, and every other mutation drops the index to be rebuilt
+//! on the next probe.
 //!
 //! # Scan fallback
 //!
 //! Setting `ACCLTL_DISABLE_INDEXES=1` (see [`DISABLE_INDEXES_ENV_VAR`])
 //! reaches only the search oracles, through `EngineConfig::disable_indexes`
-//! (read by `EngineConfig::from_env`); the chase and the LTS explorer keep
-//! their indexes.  The process-wide switch is [`set_indexing_enabled`],
+//! (read by `EngineConfig::from_env`); the LTS explorer keeps its
+//! indexes.  The process-wide switch is [`set_indexing_enabled`],
 //! under which every consumer falls back to the scanning defaults.
 //! [`ScanView`] offers the same
 //! fallback per call site (used by the parity tests and the A/B benches).
@@ -185,17 +181,11 @@ pub struct RelationIndex {
     arena: Vec<Tuple>,
     postings: PostingMap,
     shape: ArityShape,
-    /// Indexed tuples still present (arena length minus removal tombstones).
-    live: usize,
-    /// Live `(position, value)` posting entries: the sum of live tuples'
+    /// `(position, value)` posting entries: the sum of the tuples'
     /// arities.  `slots / postings.len()` is the exact average posting-list
     /// length, which [`RelationIndex::discriminating`] compares against the
     /// relation size to decide whether probing beats scanning.
     slots: usize,
-    /// Live zero-arity tuples.  The empty tuple owns no posting entry, so
-    /// removal cannot locate it through a posting list; it is tracked by
-    /// count instead (a tuple set holds at most one).
-    nullary: usize,
 }
 
 impl RelationIndex {
@@ -206,20 +196,14 @@ impl RelationIndex {
             arena,
             postings,
             shape,
-            live,
             slots,
-            nullary,
         } = self;
         *shape = match *shape {
             ArityShape::Empty => ArityShape::Uniform(tuple.arity()),
             ArityShape::Uniform(a) if a == tuple.arity() => ArityShape::Uniform(a),
             _ => ArityShape::Mixed,
         };
-        *live += 1;
         *slots += tuple.arity();
-        if tuple.arity() == 0 {
-            *nullary += 1;
-        }
         let id = u32::try_from(arena.len()).expect("relation index arena overflow");
         for (position, value) in tuple.values().iter().enumerate() {
             let position = u32::try_from(position).expect("tuple arity overflow");
@@ -233,70 +217,16 @@ impl RelationIndex {
         arena.push(tuple);
     }
 
-    /// Unindexes one tuple, returning whether it was present.
-    ///
-    /// The tuple's id is removed from every posting list it appears in; the
-    /// arena slot stays behind as an unreferenced tombstone (ids must remain
-    /// stable for the other lists' binary searches).  The arity shape is kept
-    /// as-is — a conservative summary stays sound under deletion.
-    pub(crate) fn remove(&mut self, tuple: &Tuple) -> bool {
-        let RelationIndex {
-            arena,
-            postings,
-            live,
-            slots,
-            nullary,
-            ..
-        } = self;
-        if tuple.arity() == 0 {
-            if *nullary == 0 {
-                return false;
-            }
-            *nullary -= 1;
-            *live -= 1;
-            return true;
-        }
-        // Locate the arena id through the first position's posting list.
-        let first_key = (0u32, tuple.values()[0]);
-        let id = {
-            let Some(list) = postings.get(&first_key) else {
-                return false;
-            };
-            let Ok(at) = list.binary_search_by(|&j| arena[j as usize].cmp(tuple)) else {
-                return false;
-            };
-            list[at]
-        };
-        for (position, value) in tuple.values().iter().enumerate() {
-            let position = u32::try_from(position).expect("tuple arity overflow");
-            let key = (position, *value);
-            let mut emptied = false;
-            if let Some(list) = postings.get_mut(&key) {
-                if let Ok(at) = list.binary_search_by(|&j| arena[j as usize].cmp(tuple)) {
-                    debug_assert_eq!(list[at], id, "posting lists agree on tuple ids");
-                    list.remove(at);
-                }
-                emptied = list.is_empty();
-            }
-            if emptied {
-                postings.remove(&key);
-            }
-        }
-        *live -= 1;
-        *slots -= tuple.arity();
-        true
-    }
-
-    /// The number of indexed tuples still present.
+    /// The number of indexed tuples.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.live
+        self.arena.len()
     }
 
-    /// True if no tuples are indexed (or all were removed).
+    /// True if no tuples are indexed.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.arena.is_empty()
     }
 
     /// Whether this relation's posting lists actually discriminate: probing
@@ -307,7 +237,7 @@ impl RelationIndex {
     /// per relation.  Never affects results, only which path produces them.
     #[must_use]
     pub fn discriminating(&self) -> bool {
-        2 * self.slots <= self.live * self.postings.len()
+        2 * self.slots <= self.len() * self.postings.len()
     }
 
     /// The uniform arity of the indexed tuples, if they all agree.
@@ -438,13 +368,6 @@ impl InstanceIndex {
                 index.insert(tuple);
                 self.relations.insert(relation.id(), index);
             }
-        }
-    }
-
-    /// Incremental maintenance: unindexes one removed fact.
-    pub(crate) fn remove_fact(&mut self, relation: RelId, tuple: &Tuple) {
-        if let Some(index) = self.relations.get_mut(relation.id()) {
-            index.remove(tuple);
         }
     }
 }
@@ -740,37 +663,6 @@ mod tests {
             hits,
             vec![&tuple!["a", 1], &tuple!["m", 1], &tuple!["z", 1]]
         );
-    }
-
-    #[test]
-    fn removal_unindexes_and_reinsertion_reindexes() {
-        let mut index = sample_index();
-        assert!(index.remove(&tuple!["a", 1]));
-        assert!(!index.remove(&tuple!["a", 1]), "second removal is a no-op");
-        assert!(!index.remove(&tuple!["q", 9]), "absent tuples report false");
-        assert_eq!(index.len(), 2);
-        assert_eq!(index.selectivity(0, &Value::str("a")), 1);
-        assert_eq!(index.selectivity(1, &Value::Int(1)), 1);
-        let hits: Vec<&Tuple> = index.matching(0, &Value::str("a")).collect();
-        assert_eq!(hits, vec![&tuple!["a", 2]]);
-        // Re-inserting after removal restores the exact posting state.
-        index.insert(tuple!["a", 1]);
-        assert_eq!(index.len(), 3);
-        let hits: Vec<&Tuple> = index.matching(0, &Value::str("a")).collect();
-        assert_eq!(hits, vec![&tuple!["a", 1], &tuple!["a", 2]]);
-        let bound = vec![(0, Value::str("a")), (1, Value::Int(1))];
-        let both: Vec<&Tuple> = index.matching_all(&bound).collect();
-        assert_eq!(both, vec![&tuple!["a", 1]]);
-    }
-
-    #[test]
-    fn nullary_tuples_are_tracked_by_count() {
-        let mut index = RelationIndex::default();
-        index.insert(Tuple::new(vec![]));
-        assert_eq!(index.len(), 1);
-        assert!(index.remove(&Tuple::new(vec![])));
-        assert!(index.is_empty());
-        assert!(!index.remove(&Tuple::new(vec![])));
     }
 
     #[test]

@@ -42,8 +42,8 @@ pub struct Instance {
     facts: Vec<(RelId, BTreeSet<Tuple>)>,
     /// Lazily built per-position value index (see [`crate::index`]):
     /// populated on the first indexed lookup against a relation of at least
-    /// the index cutoff, maintained incrementally by [`Instance::add_fact`]
-    /// and [`Instance::remove_fact`], and dropped by every other mutation
+    /// the index cutoff, maintained incrementally by [`Instance::add_fact`],
+    /// and dropped by every other mutation
     /// (and by `Clone`).  Never consulted by `Eq`/`Ord`/`Hash`, which remain
     /// pure fact-set comparisons.
     index: OnceLock<InstanceIndex>,
@@ -134,10 +134,6 @@ impl Instance {
         &self.facts
     }
 
-    fn slot(&self, relation: RelId) -> std::result::Result<usize, usize> {
-        self.facts.binary_search_by(|(r, _)| r.cmp(&relation))
-    }
-
     fn tuple_set(&self, relation: RelId) -> Option<&BTreeSet<Tuple>> {
         find_slot(&self.facts, relation)
     }
@@ -177,8 +173,8 @@ impl Instance {
 
     /// The per-position index of `relation`, if indexing is enabled and the
     /// relation is large enough to be worth it.  Builds the whole-instance
-    /// index on first demand; afterwards [`Instance::add_fact`] and
-    /// [`Instance::remove_fact`] maintain it incrementally.
+    /// index on first demand; afterwards [`Instance::add_fact`] maintains it
+    /// incrementally.
     ///
     /// With no explicit cutoff configured (neither [`Instance::set_index_cutoff`]
     /// nor `ACCLTL_INDEX_CUTOFF` threaded through a search front-end), the
@@ -284,36 +280,6 @@ impl Instance {
     pub fn extend_facts<R: Into<RelId>>(&mut self, facts: impl IntoIterator<Item = (R, Tuple)>) {
         for (rel, tuple) in facts {
             self.add_fact(rel, tuple);
-        }
-    }
-
-    /// Removes a fact. Returns `true` if it was present.  String keys resolve
-    /// without growing the intern pool (absent names answer `false`).
-    ///
-    /// A built per-position index is maintained incrementally (the chase
-    /// removes and re-adds facts across repair steps, and rebuilding per
-    /// step is exactly what the incremental chase exists to avoid); the
-    /// digest table is add-only and is dropped instead, to be rebuilt
-    /// lazily.
-    pub fn remove_fact(&mut self, relation: impl RelKey, tuple: &Tuple) -> bool {
-        let Some(relation) = relation.resolve_rel() else {
-            return false;
-        };
-        match self.slot(relation) {
-            Ok(found) => {
-                let removed = self.facts[found].1.remove(tuple);
-                if self.facts[found].1.is_empty() {
-                    self.facts.remove(found);
-                }
-                if removed {
-                    if let Some(index) = self.index.get_mut() {
-                        index.remove_fact(relation, tuple);
-                    }
-                    self.digests.take();
-                }
-                removed
-            }
-            Err(_) => false,
         }
     }
 
@@ -533,16 +499,14 @@ mod tests {
     }
 
     #[test]
-    fn add_contains_remove_roundtrip() {
+    fn add_contains_roundtrip() {
         let mut inst = Instance::new();
         let t = tuple!["a", 1];
         assert!(inst.add_fact("R", t.clone()));
         assert!(!inst.add_fact("R", t.clone()));
         assert!(inst.contains("R", &t));
+        assert!(!inst.contains("R", &tuple!["a", 2]));
         assert_eq!(inst.fact_count(), 1);
-        assert!(inst.remove_fact("R", &t));
-        assert!(!inst.remove_fact("R", &t));
-        assert!(inst.is_empty());
     }
 
     #[test]
@@ -630,43 +594,6 @@ mod tests {
         // Duplicate adds leave the digest untouched.
         assert!(!incremental.add_fact("Extra", tuple![42]));
         assert_eq!(incremental.content_digest(), fresh.content_digest());
-        // Removal drops the table; the rebuild agrees with a fresh instance.
-        assert!(incremental.remove_fact("Extra", &tuple![42]));
-        assert!(fresh.remove_fact("Extra", &tuple![42]));
-        assert_eq!(incremental.content_digest(), fresh.content_digest());
-    }
-
-    #[test]
-    fn index_maintained_across_removal_matches_fresh_build() {
-        let mut incremental = Instance::new();
-        for i in 0..20i64 {
-            incremental.add_fact("R", tuple![i % 4, i]);
-        }
-        // Force the index, then mutate through the incremental paths.
-        let rel = RelId::new("R");
-        assert!(incremental.query_index(rel).is_some());
-        assert!(incremental.remove_fact("R", &tuple![1, 5]));
-        assert!(incremental.remove_fact("R", &tuple![2, 14]));
-        incremental.add_fact("R", tuple![1, 5]);
-        let mut fresh = Instance::new();
-        for i in 0..20i64 {
-            if i != 14 {
-                fresh.add_fact("R", tuple![i % 4, i]);
-            }
-        }
-        assert_eq!(incremental, fresh);
-        let maintained: Vec<Tuple> = incremental
-            .query_index(rel)
-            .expect("index stays live across removals")
-            .matching(0, &Value::Int(1))
-            .cloned()
-            .collect();
-        let scanned: Vec<Tuple> = fresh
-            .tuples("R")
-            .filter(|t| t.get(0) == Some(&Value::Int(1)))
-            .cloned()
-            .collect();
-        assert_eq!(maintained, scanned);
     }
 
     #[test]

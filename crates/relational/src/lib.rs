@@ -73,10 +73,7 @@ pub mod ucq;
 pub mod value;
 
 pub use atom::Atom;
-pub use chase::{
-    chase, chase_with_stats, ChaseConfig, ChaseOutcome, ChaseStats,
-    DISABLE_INCREMENTAL_CHASE_ENV_VAR,
-};
+pub use chase::{chase, chase_with_stats, ChaseConfig, ChaseOutcome, ChaseStats};
 pub use constraints::{
     Constraint, DisjointnessConstraint, FunctionalDependency, InclusionDependency,
 };

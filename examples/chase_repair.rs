@@ -2,11 +2,10 @@
 //! repairs, functional-dependency null merges, and a denial-constraint
 //! failure.
 //!
-//! Run with `cargo run --example chase_repair`.  The output is deterministic
-//! and byte-identical whichever discovery mode runs — re-run with
-//! `ACCLTL_DISABLE_INCREMENTAL_CHASE=1` and diff; CI does exactly that.  Only mode-invariant counters are printed:
-//! per-mode work counters (tuples rescanned, index rebuilds avoided) are the
-//! point of the incremental mode and intentionally differ.
+//! Run with `cargo run --example chase_repair`.  The output is deterministic:
+//! the repair sequence, and so the instance and its fresh-null names, depends
+//! only on the input and the constraint order.  The repair counters are
+//! printed; the work counter `tuples_rescanned` is left to `ACCLTL_STATS=1`.
 
 use accltl_core::prelude::*;
 use accltl_core::relational::chase::{chase_with_stats, ChaseConfig, ChaseOutcome};

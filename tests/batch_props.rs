@@ -9,6 +9,8 @@
 
 mod common;
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
 use accltl_core::automata::{
@@ -244,7 +246,7 @@ fn emptiness_budget_cutoffs_are_partition_independent() {
                     &bounded_emptiness_batch_with_config(
                         std::slice::from_ref(a),
                         &schema,
-                        &initial,
+                        Arc::new(initial.clone()),
                         engine,
                     )
                     .pop()
@@ -252,10 +254,11 @@ fn emptiness_budget_cutoffs_are_partition_independent() {
                 )
             })
             .collect();
-        let batched: Vec<_> = bounded_emptiness_batch_with_config(&refs, &schema, &initial, engine)
-            .iter()
-            .map(digest)
-            .collect();
+        let batched: Vec<_> =
+            bounded_emptiness_batch_with_config(&refs, &schema, Arc::new(initial.clone()), engine)
+                .iter()
+                .map(digest)
+                .collect();
         assert_eq!(batched, standalone, "budget {budget}");
     }
 }

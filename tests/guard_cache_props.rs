@@ -9,6 +9,8 @@
 
 mod common;
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
 use accltl_core::automata::{
@@ -51,7 +53,7 @@ fn emptiness(
     bounded_emptiness_batch_with_config(
         &[automaton],
         schema,
-        initial,
+        Arc::new(initial.clone()),
         emptiness_engine(disable_guard_cache),
     )
     .pop()
@@ -200,7 +202,6 @@ fn fig1_x4_cache_is_alive_and_accounted() {
 #[test]
 fn equal_content_chains_hit_across_allocations() {
     use accltl_core::relational::{CompiledSentence, GuardCache, GuardCacheStats};
-    use std::sync::Arc;
 
     let sentence = CompiledSentence::compile(&PosFormula::exists(
         vec!["s", "p", "n", "h"],

@@ -12,7 +12,7 @@
 
 mod common;
 
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use proptest::prelude::*;
 
@@ -222,52 +222,38 @@ proptest! {
     }
 }
 
-/// The chase's repair counters (passes, violation checks, FD merges, IND
-/// additions) are identical between the scan and incremental modes, and
-/// both modes reconcile into the registry.
+/// The chase's counters (passes, violation checks, tuples rescanned, FD
+/// merges, IND additions) reconcile into the registry.
 #[test]
-fn chase_counters_are_mode_invariant_and_reconciled() {
+fn chase_counters_reconcile_with_the_registry() {
     let _guard = obs_lock();
     let (instance, constraints) = violating_instance();
 
-    let mut per_mode = Vec::new();
-    for incremental in [false, true] {
-        let config = ChaseConfig {
-            incremental,
-            ..ChaseConfig::base()
-        };
-        let before = snapshot();
-        let (outcome, stats) = chase_with_stats(&instance, &constraints, &config);
-        let after = snapshot();
-        assert!(outcome.completed().is_some(), "chase completes");
+    let before = snapshot();
+    let (outcome, stats) = chase_with_stats(&instance, &constraints, &ChaseConfig::base());
+    let after = snapshot();
+    assert!(outcome.completed().is_some(), "chase completes");
 
-        assert_eq!(delta(&before, &after, "chase.runs"), 1);
-        assert_eq!(delta(&before, &after, "chase.passes"), stats.passes as u64);
-        assert_eq!(
-            delta(&before, &after, "chase.violation_checks"),
-            stats.violation_checks as u64
-        );
-        assert_eq!(
-            delta(&before, &after, "chase.fd_merges"),
-            stats.fd_merges as u64
-        );
-        assert_eq!(
-            delta(&before, &after, "chase.ind_additions"),
-            stats.ind_additions as u64
-        );
-        per_mode.push((
-            stats.passes,
-            stats.violation_checks,
-            stats.fd_merges,
-            stats.ind_additions,
-        ));
-        assert!(stats.fd_merges > 0, "FD violation was repaired");
-        assert!(stats.ind_additions > 0, "IND violation was repaired");
-    }
+    assert_eq!(delta(&before, &after, "chase.runs"), 1);
+    assert_eq!(delta(&before, &after, "chase.passes"), stats.passes as u64);
     assert_eq!(
-        per_mode[0], per_mode[1],
-        "repair counters differ between scan and incremental modes"
+        delta(&before, &after, "chase.violation_checks"),
+        stats.violation_checks as u64
     );
+    assert_eq!(
+        delta(&before, &after, "chase.tuples_rescanned"),
+        stats.tuples_rescanned as u64
+    );
+    assert_eq!(
+        delta(&before, &after, "chase.fd_merges"),
+        stats.fd_merges as u64
+    );
+    assert_eq!(
+        delta(&before, &after, "chase.ind_additions"),
+        stats.ind_additions as u64
+    );
+    assert!(stats.fd_merges > 0, "FD violation was repaired");
+    assert!(stats.ind_additions > 0, "IND violation was repaired");
 }
 
 /// The emptiness front-end reconciles through the same registry names as
@@ -284,7 +270,7 @@ fn emptiness_reconciles_with_report_counters() {
         let reports = bounded_emptiness_batch_with_config(
             &refs,
             &schema,
-            &Instance::new(),
+            Arc::new(Instance::new()),
             EngineConfig::base().threads(2),
         );
         let after = snapshot();

@@ -11,6 +11,8 @@
 
 mod common;
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
 use accltl_core::automata::{
@@ -92,7 +94,7 @@ proptest! {
             let reference: Vec<_> = bounded_emptiness_batch_with_config(
                 &refs,
                 &schema,
-                &initial,
+                Arc::new(initial.clone()),
                 EngineConfig::base().threads(1),
             )
             .iter()
@@ -103,7 +105,7 @@ proptest! {
                 for steal_batch in [1usize, 3] {
                     let engine = EngineConfig::base().threads(threads).steal_batch(steal_batch);
                     let reports =
-                        bounded_emptiness_batch_with_config(&refs, &schema, &initial, engine);
+                        bounded_emptiness_batch_with_config(&refs, &schema, Arc::new(initial.clone()), engine);
                     let core: Vec<_> = reports.iter().map(core_digest).collect();
                     prop_assert_eq!(
                         &core, &reference,
@@ -200,10 +202,14 @@ fn emptiness_witnesses_survive_oversubscription() {
         let automaton = accltl_plus_to_automaton(&AccLtl::finally(jones_post()));
         for threads in [1usize, 16] {
             let engine = EngineConfig::base().threads(threads);
-            let report =
-                bounded_emptiness_batch_with_config(&[&automaton], &schema, &initial, engine)
-                    .pop()
-                    .expect("one report");
+            let report = bounded_emptiness_batch_with_config(
+                &[&automaton],
+                &schema,
+                Arc::new(initial.clone()),
+                engine,
+            )
+            .pop()
+            .expect("one report");
             let EmptinessOutcome::NonEmpty { witness } = &report.verdict else {
                 panic!("expected a witness, got {:?}", report.verdict);
             };

@@ -325,3 +325,31 @@ fn responses_past_the_size_cap_are_never_certified_unsatisfiable() {
         }
     }
 }
+
+/// `F ∃x. Address^post(x)` names the 4-ary `Address` with one argument.  The
+/// zero-ary search finds a path on which it holds, but that path's `AcM2`
+/// access carries one input of two, so it fails `AccessPath::validate`.  The
+/// analyzer re-validates every witness: it may answer `Satisfiable` only
+/// with a valid one, through either entry point.
+#[test]
+fn invalid_witnesses_are_never_certificates() {
+    let schema = phone_directory_access_schema();
+    let analyzer = AccessAnalyzer::new(schema.clone());
+    let formula = AccLtl::finally(AccLtl::atom(PosFormula::exists(
+        vec!["x"],
+        post_atom("Address", vec![Term::var("x")]),
+    )));
+    let single = analyzer.check_satisfiable(&formula);
+    let batched = analyzer
+        .check_all(&BatchRequest::new(vec![formula.clone(), formula]))
+        .into_iter();
+    for report in std::iter::once(single).chain(batched) {
+        match &report.outcome {
+            SatOutcome::Satisfiable { witness } => assert!(
+                witness.validate(&schema).is_ok(),
+                "invalid witness certified: {witness}"
+            ),
+            SatOutcome::Unknown { .. } | SatOutcome::Unsatisfiable => {}
+        }
+    }
+}
