@@ -96,11 +96,6 @@ fn chase(
     chase_with_stats(inst, constraints, &ChaseConfig { max_steps })
 }
 
-/// True if the tuple mentions a labelled null.
-fn has_null(tuple: &Tuple) -> bool {
-    tuple.values().iter().any(Value::is_labelled_null)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -129,7 +124,7 @@ proptest! {
         };
         if let Some(result) = result {
             for (rel, tuple) in inst.facts() {
-                if !has_null(tuple) {
+                if !tuple.values().iter().any(Value::is_labelled_null) {
                     prop_assert!(result.contains(rel, tuple), "lost {}{}", rel, tuple);
                 }
             }
@@ -140,13 +135,10 @@ proptest! {
 /// One line per case: the outcome (kind plus instance or violated
 /// constraint, facts joined by `; `) and the repair counters.
 fn render(outcome: &ChaseOutcome, stats: &ChaseStats) -> String {
+    let one_line = |inst: &Instance| inst.to_string().replace('\n', "; ");
     let body = match outcome {
-        ChaseOutcome::Completed(inst) => {
-            format!("completed {}", inst.to_string().replace('\n', "; "))
-        }
-        ChaseOutcome::BudgetExhausted(inst) => {
-            format!("exhausted {}", inst.to_string().replace('\n', "; "))
-        }
+        ChaseOutcome::Completed(inst) => format!("completed {}", one_line(inst)),
+        ChaseOutcome::BudgetExhausted(inst) => format!("exhausted {}", one_line(inst)),
         ChaseOutcome::Failed { violated } => format!("failed {violated}"),
     };
     format!(
