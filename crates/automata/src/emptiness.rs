@@ -43,7 +43,7 @@ use std::sync::Arc;
 use accltl_logic::vocabulary::{base_relation, CandidateStructure, StateLayers, TransitionVocab};
 use accltl_paths::engine::{
     BatchEngine, Candidate, EmptyBindingMode, EngineConfig, EngineOutcome, FactUniverse,
-    PropertySpec, SearchReport, StepOracle, StepOutcome,
+    PropertyFacts, PropertySpec, SearchReport, StepOracle, StepOutcome,
 };
 use accltl_paths::{AccessPath, AccessSchema};
 use accltl_relational::{
@@ -219,8 +219,7 @@ pub fn bounded_emptiness_batch_with_config(
     let mut batch: BatchEngine<'_, AutomatonOracle<'_>> =
         BatchEngine::new(schema, Arc::clone(&initial));
     loop {
-        let mut specs = Vec::new();
-        let mut wave_slots = Vec::new();
+        let mut wave: Vec<(usize, &AAutomaton)> = Vec::new();
         for (index, slot) in slots.iter_mut().enumerate() {
             if slot.verdict.is_some() {
                 continue;
@@ -242,30 +241,39 @@ pub fn bounded_emptiness_batch_with_config(
                 });
                 continue;
             }
-            let universe = FactUniverse::new(guard_fact_universe(chain, schema, &initial));
-            let oracle = AutomatonOracle::new(
-                chain,
-                schema,
-                &handles[index],
-                engine.disable_indexes,
-                engine.index_cutoff,
-            );
-            specs.push(PropertySpec {
+            wave.push((index, chain));
+        }
+        if wave.is_empty() {
+            break;
+        }
+        let prepared: Vec<(AutomatonOracle<'_>, PropertyFacts)> = wave
+            .iter()
+            .map(|&(index, chain)| {
+                let oracle = AutomatonOracle::new(
+                    chain,
+                    schema,
+                    &handles[index],
+                    engine.disable_indexes,
+                    engine.index_cutoff,
+                );
+                let facts = PropertyFacts::new(guard_facts(chain, schema), chain.constants.clone());
+                (oracle, facts)
+            })
+            .collect();
+        let specs = wave
+            .iter()
+            .zip(&prepared)
+            .map(|(&(index, chain), (oracle, facts))| PropertySpec {
                 oracle,
                 start: chain.initial,
-                universe,
-                constants: chain.constants.clone(),
+                facts,
                 config: engine
                     .max_guard_checks(budgets[index])
                     .grounded(false)
                     .empty_bindings(EmptyBindingMode::Enumerate),
-            });
-            wave_slots.push(index);
-        }
-        if specs.is_empty() {
-            break;
-        }
-        for (index, report) in wave_slots.into_iter().zip(batch.run(specs)) {
+            })
+            .collect();
+        for (&(index, _), report) in wave.iter().zip(batch.run(specs)) {
             let slot = &mut slots[index];
             slot.explored += report.explored;
             slot.cost += report.cost;
@@ -454,9 +462,9 @@ impl StepOracle for AutomatonOracle<'_> {
     }
 }
 
-/// The canonical fact universe of an automaton: canonical databases of every
-/// guard's positive part, mapped back to the base relations, plus the initial
-/// instance.
+/// The canonical guard facts of an automaton: canonical databases of every
+/// guard's positive part, mapped back to the base relations (the engine adds
+/// the initial instance's facts per run).
 ///
 /// When a guard conjoins an `IsBind_AcM(c̄)` atom with constant arguments and
 /// a data atom over the method's relation, the canonical fact is additionally
@@ -464,13 +472,8 @@ impl StepOracle for AutomatonOracle<'_> {
 /// well-formed response to that access must agree with the binding, so the
 /// witness fact the guard is looking for carries the constants (this is how
 /// the Example 2.3 long-term-relevance automata find their witnesses).
-fn guard_fact_universe(
-    automaton: &AAutomaton,
-    schema: &AccessSchema,
-    initial: &Instance,
-) -> Vec<(RelId, Tuple)> {
-    let mut facts: BTreeSet<(RelId, Tuple)> =
-        initial.facts().map(|(r, t)| (r, t.clone())).collect();
+fn guard_facts(automaton: &AAutomaton, schema: &AccessSchema) -> BTreeSet<(RelId, Tuple)> {
+    let mut facts: BTreeSet<(RelId, Tuple)> = BTreeSet::new();
     for (index, transition) in automaton.transitions.iter().enumerate() {
         let positive = &transition.guard.positive;
         for (disjunct_index, icq) in positive.to_inequality_union().iter().enumerate() {
@@ -514,7 +517,7 @@ fn guard_fact_universe(
             }
         }
     }
-    facts.into_iter().collect()
+    facts
 }
 
 #[cfg(test)]

@@ -6,8 +6,8 @@ use std::sync::Arc;
 
 use accltl_automata::applications::{containment_automaton, ltr_automaton};
 use accltl_automata::{
-    accltl_plus_to_automaton, bounded_emptiness_batch_with_config, bounded_emptiness_report,
-    AAutomaton, EmptinessConfig, EmptinessOutcome,
+    accltl_plus_to_automaton, bounded_emptiness_batch_with_config, AAutomaton, EmptinessConfig,
+    EmptinessOutcome,
 };
 use accltl_logic::bounded::{
     BoundedSearchConfig, BoundedSearcher, MonitorSession as BoundedSession, SatOutcome,
@@ -371,14 +371,7 @@ impl AccessAnalyzer {
             return ContainmentOutcome::Contained;
         }
         let automaton = containment_automaton(&self.schema, q1, q2, &self.disjointness);
-        match bounded_emptiness_report(
-            &automaton,
-            &self.schema,
-            &self.initial,
-            &self.emptiness_config,
-        )
-        .verdict
-        {
+        match self.emptiness(&automaton, &self.initial) {
             EmptinessOutcome::Empty => ContainmentOutcome::Contained,
             EmptinessOutcome::NonEmpty { witness } => ContainmentOutcome::NotContained {
                 counterexample: witness,
@@ -410,7 +403,7 @@ impl AccessAnalyzer {
         access: &Access,
         query: &UnionOfCqs,
         grounded: bool,
-        initial: &Instance,
+        initial: &Arc<Instance>,
     ) -> LtrVerdict {
         if self.disjointness.is_empty() {
             let options = LtrOptions {
@@ -424,20 +417,25 @@ impl AccessAnalyzer {
         // union of verdicts.
         for disjunct in &query.disjuncts {
             let automaton = ltr_automaton(&self.schema, access, disjunct, &self.disjointness);
-            match bounded_emptiness_report(
-                &automaton,
-                &self.schema,
-                initial,
-                &self.emptiness_config,
-            )
-            .verdict
-            {
+            match self.emptiness(&automaton, initial) {
                 EmptinessOutcome::NonEmpty { witness } => return LtrVerdict::Relevant { witness },
                 EmptinessOutcome::Unknown => return LtrVerdict::Unknown,
                 EmptinessOutcome::Empty => {}
             }
         }
         LtrVerdict::NotRelevant
+    }
+
+    /// Emptiness of one automaton over a shared known instance, under the
+    /// analyzer's emptiness budgets (the engine config `check_all` uses).
+    fn emptiness(&self, automaton: &AAutomaton, initial: &Arc<Instance>) -> EmptinessOutcome {
+        let engine = self
+            .emptiness_config
+            .engine_config(EngineConfig::from_env());
+        bounded_emptiness_batch_with_config(&[automaton], &self.schema, Arc::clone(initial), engine)
+            .pop()
+            .expect("one automaton in, one report out")
+            .verdict
     }
 
     /// Maximal answers of a query under the access restrictions, relative to
@@ -503,7 +501,7 @@ impl AccessAnalyzer {
             slots,
             zero: open(&zero, true),
             other: open(&other, false),
-            current: Arc::clone(&self.initial),
+            unmonitored: Arc::clone(&self.initial),
             steps: 0,
             last: SessionReport::default(),
         };
@@ -586,8 +584,10 @@ pub struct MonitorSession<'a> {
     slots: Vec<(bool, usize)>,
     zero: Option<BoundedSession<'a>>,
     other: Option<BoundedSession<'a>>,
-    /// Shared with the analyzer until a response reveals a new fact.
-    current: Arc<Instance>,
+    /// The grown instance of a session without properties; otherwise each
+    /// engine group holds it ([`BoundedSession::current`]).  Shared with
+    /// the analyzer until a response reveals a new fact.
+    unmonitored: Arc<Instance>,
     steps: usize,
     last: SessionReport,
 }
@@ -609,7 +609,15 @@ impl<'a> MonitorSession<'a> {
     /// so far.
     #[must_use]
     pub fn current(&self) -> &Instance {
-        &self.current
+        self.current_shared()
+    }
+
+    /// The grown instance, as the engine group that holds it shares it.
+    fn current_shared(&self) -> &Arc<Instance> {
+        match (&self.zero, &self.other) {
+            (Some(session), _) | (None, Some(session)) => session.current(),
+            (None, None) => &self.unmonitored,
+        }
     }
 
     /// Number of [`MonitorSession::step`] calls so far.
@@ -640,9 +648,11 @@ impl<'a> MonitorSession<'a> {
             .validate(&self.analyzer.schema)?;
         self.steps += 1;
         let _span = trace::span_fields("analyzer.session_step", &[("step", self.steps as u64)]);
-        for tuple in response {
-            if !self.current.contains(relation, tuple) {
-                Arc::make_mut(&mut self.current).add_fact(relation, tuple.clone());
+        if self.zero.is_none() && self.other.is_none() {
+            for tuple in response {
+                if !self.unmonitored.contains(relation, tuple) {
+                    Arc::make_mut(&mut self.unmonitored).add_fact(relation, tuple.clone());
+                }
             }
         }
         if let Some(session) = self.zero.as_mut() {
@@ -691,7 +701,7 @@ impl<'a> MonitorSession<'a> {
         grounded: bool,
     ) -> LtrVerdict {
         self.analyzer
-            .long_term_relevant_in(access, query, grounded, &self.current)
+            .long_term_relevant_in(access, query, grounded, self.current_shared())
     }
 
     /// Sums the engine groups' latest [`SessionReport`]s into one.

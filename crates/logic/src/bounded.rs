@@ -56,12 +56,13 @@ use std::sync::{Arc, RwLock};
 
 use accltl_paths::engine::{
     BatchEngine, Candidate, EmptyBindingMode, EngineCacheStats, EngineConfig, EngineOutcome,
-    EngineReport, FactUniverse, PropertySpec, SearchReport, SessionState, StepOracle, StepOutcome,
+    EngineReport, FactUniverse, PropertyFacts, PropertySpec, SearchReport, SessionState,
+    StepOracle, StepOutcome,
 };
 use accltl_paths::{Access, AccessPath, AccessSchema, Response};
 use accltl_relational::{
     CompiledSentence, GuardCache, GuardCacheStats, Instance, InstanceOverlay, PosFormula, RelId,
-    ScanView, Tuple, Value,
+    ScanView, Tuple,
 };
 
 use crate::accltl::AccLtl;
@@ -131,14 +132,15 @@ impl SatOutcome {
     }
 }
 
-/// Builds the bounded fact universe of a formula: the canonical databases of
-/// its IsBind-erased positive sentences, mapped to base relations, together
-/// with the facts of the initial instance.
-fn fact_universe(formula: &AccLtl, initial: &Instance) -> Vec<(RelId, Tuple)> {
-    let mut facts: BTreeSet<(RelId, Tuple)> =
-        initial.facts().map(|(rel, t)| (rel, t.clone())).collect();
-
-    for (sentence_index, sentence) in formula.atom_sentences().iter().enumerate() {
+/// The canonical sentence facts of a formula: the canonical databases of its
+/// IsBind-erased positive sentences (given in sorted order), mapped to base
+/// relations.  Together with the facts of the initial instance, which the
+/// engine adds per run, they form Lemma 4.13's bounded fact universe `I'_f`.
+fn canonical_facts<'s>(
+    sentences: impl Iterator<Item = &'s PosFormula>,
+) -> BTreeSet<(RelId, Tuple)> {
+    let mut facts = BTreeSet::new();
+    for (sentence_index, sentence) in sentences.enumerate() {
         let erased = erase_isbind(sentence);
         for (disjunct_index, icq) in erased.to_inequality_union().iter().enumerate() {
             // Rename the variables apart so that witnesses of distinct
@@ -154,17 +156,7 @@ fn fact_universe(formula: &AccLtl, initial: &Instance) -> Vec<(RelId, Tuple)> {
             }
         }
     }
-    facts.into_iter().collect()
-}
-
-/// The constants mentioned anywhere in the formula (used as candidate binding
-/// values for empty responses).
-fn formula_constants(formula: &AccLtl) -> BTreeSet<Value> {
-    formula
-        .atom_sentences()
-        .iter()
-        .flat_map(PosFormula::constants)
-        .collect()
+    facts
 }
 
 /// The [`StepOracle`] of the bounded satisfiability search: the logical state
@@ -179,7 +171,10 @@ fn formula_constants(formula: &AccLtl) -> BTreeSet<Value> {
 /// of a formula tree.  Two ids are equal iff their obligations are, which is
 /// all the engine observes; the numbering itself follows first-reach order
 /// and may differ between thread counts without changing any verdict,
-/// witness or count.
+/// witness or count.  An oracle lives as long as its [`PreparedProperty`]:
+/// a monitoring session keeps it — table, memo and all — across every step,
+/// so an id keeps its number from the step that first reached it, and a
+/// later step replays memoized progressions instead of re-deriving them.
 struct FormulaOracle {
     vocab: TransitionVocab,
     /// Atom sentences of the formula in sorted order, each DNF-compiled
@@ -194,9 +189,10 @@ struct FormulaOracle {
     /// consult it before any homomorphism search (and repeated occurrences
     /// of one atom inside a single progression hit it immediately).
     /// Owning the handle — rather than borrowing the root — is what lets a
-    /// monitoring session store its oracles alongside the root cache for
-    /// the session's lifetime.  Shared by all worker threads; disabled it
-    /// only counts consults.
+    /// monitoring session keep its oracles, and with them the verdict map,
+    /// for the session's lifetime; the engine reports each run's consults
+    /// as a delta of these counters.  Shared by all worker threads;
+    /// disabled it only counts consults.
     cache: GuardCache,
     zero_ary: bool,
     /// Evaluate by scanning instead of through value indexes
@@ -211,8 +207,10 @@ struct FormulaOracle {
     /// One-step progressions memoized per (obligation id, atom-verdict
     /// mask): the progressed successor is a pure function of the obligation
     /// and the verdicts of the formula's atom sentences, so candidates whose
-    /// guards agree replay one result instead of re-deriving it.  Shared by
-    /// all worker threads; bypassed for formulas with more than 32 atoms.
+    /// guards agree replay one result instead of re-deriving it — within a
+    /// run and, since the mask is always decided first (every consult
+    /// counted), across the runs of a session too.  Shared by all worker
+    /// threads; bypassed for formulas with more than 32 atoms.
     progress_memo: RwLock<HashMap<(u32, u32), Progressed>>,
 }
 
@@ -581,30 +579,30 @@ impl<'a> BoundedSearcher<'a> {
             &[("formulas", formulas.len() as u64)],
         );
         let engine_config = self.engine_config();
-        let cache = GuardCache::with_enabled(!engine_config.disable_guard_cache);
-        run_formula_batch(
+        let prepared = prepare_batch(
             self.schema,
-            &self.initial,
+            formulas,
             self.zero_ary,
             self.config.allow_empty_path,
             engine_config,
-            &cache,
-            formulas,
-            |specs| BatchEngine::new(self.schema, Arc::clone(&self.initial)).run(specs),
-        )
+        );
+        run_formula_batch(&prepared, engine_config, |specs| {
+            BatchEngine::new(self.schema, Arc::clone(&self.initial)).run(specs)
+        })
     }
 
-    /// Opens a long-lived monitoring session over a property batch: an
-    /// opening check (step 0) runs immediately, and every
-    /// [`MonitorSession::step`] extends `Conf(p, I0)` by one access's
-    /// response and re-derives all verdicts on the session's persistent
-    /// engine state.  Verdicts, witnesses, explored counts and
-    /// guard-consult totals of every step are byte-identical to a
-    /// from-scratch [`BoundedSearcher::run_batch`] over the grown instance
-    /// (`ACCLTL_DISABLE_SESSION_REUSE=1` selects exactly that scratch
-    /// path); the session only changes what is *recomputed*, which each
-    /// step's [`SessionReport`] accounts for.  The engine configuration is
-    /// resolved once, here.
+    /// Opens a long-lived monitoring session over a property batch: the
+    /// properties are prepared once, here, an opening check (step 0) runs
+    /// immediately, and every [`MonitorSession::step`] extends
+    /// `Conf(p, I0)` by one access's response and re-derives all verdicts
+    /// on the session's persistent engine state with the same prepared
+    /// properties.  Verdicts, witnesses, explored counts and guard-consult
+    /// totals of every step are byte-identical to a from-scratch
+    /// [`BoundedSearcher::run_batch`] over the grown instance
+    /// (`ACCLTL_DISABLE_SESSION_REUSE=1` selects exactly that scratch path,
+    /// re-preparing every step); the session only changes what is
+    /// *recomputed*, which each step's [`SessionReport`] accounts for.  The
+    /// engine configuration is resolved once, here.
     #[must_use]
     pub fn open_session(&self, properties: &[AccLtl]) -> MonitorSession<'a> {
         let _span = accltl_obs::trace::span_fields(
@@ -612,91 +610,159 @@ impl<'a> BoundedSearcher<'a> {
             &[("properties", properties.len() as u64)],
         );
         let engine_config = self.engine_config();
-        let root_cache = GuardCache::with_enabled(!engine_config.disable_guard_cache);
-        let state = (!engine_config.disable_session_reuse)
-            .then(|| SessionState::new(self.schema, Arc::clone(&self.initial)));
         let mut session = MonitorSession {
             schema: self.schema,
             zero_ary: self.zero_ary,
-            search_config: self.config,
+            allow_empty_path: self.config.allow_empty_path,
             engine_config,
             properties: properties.to_vec(),
-            current: Arc::clone(&self.initial),
-            root_cache,
-            state,
+            mode: SessionMode::Scratch {
+                current: Arc::clone(&self.initial),
+            },
             reports: Vec::new(),
             steps: 0,
             last: SessionReport::default(),
         };
+        if !engine_config.disable_session_reuse {
+            session.mode = SessionMode::Reuse {
+                prepared: session.prepare(),
+                state: Box::new(SessionState::new(self.schema, Arc::clone(&self.initial))),
+            };
+        }
         let delta = session.recheck();
         session.finish_step(false, delta);
         session
     }
 }
 
-/// Builds the per-formula property specs over `initial`, runs them through
-/// `run` (a fresh [`BatchEngine`] for plain batches, a session's persistent
-/// [`SessionState`] for monitoring steps), and assembles the per-formula
-/// search reports, feeding the per-report counters into the process-wide
-/// registry exactly once.  [`BoundedSearcher::run_batch`] and the session
-/// step path share this verbatim, so their reports are byte-identical by
-/// construction: specs, universes, constants, empty-path short-circuits and
-/// report assembly cannot drift apart.
-#[allow(clippy::too_many_arguments)]
-fn run_formula_batch(
-    schema: &AccessSchema,
-    initial: &Instance,
-    zero_ary: bool,
-    allow_empty_path: bool,
-    engine_config: EngineConfig,
-    root_cache: &GuardCache,
-    formulas: &[AccLtl],
-    run: impl FnOnce(Vec<PropertySpec<FormulaOracle>>) -> Vec<EngineReport>,
-) -> Vec<SearchReport<SatOutcome>> {
-    let mut reports: Vec<Option<SearchReport<SatOutcome>>> =
-        formulas.iter().map(|_| None).collect();
-    let mut specs = Vec::new();
-    let mut spec_slots = Vec::new();
-    for (slot, formula) in formulas.iter().enumerate() {
+/// One bounded-search property prepared for any number of runs: everything
+/// that depends on the formula alone.  [`BoundedSearcher::run_batch`]
+/// prepares its formulas once per call; a [`MonitorSession`] prepares them
+/// once per session and lends them to every step's run, since the per-run
+/// part — the root instance's facts and active domain — is merged in by the
+/// engine ([`PropertyFacts`]).
+struct PreparedProperty {
+    /// The formula's oracle: compiled atom sentences, a guard-cache share
+    /// handle, and the obligation table and progression memo, which keep
+    /// growing across the runs that reuse it.
+    oracle: FormulaOracle,
+    /// The id of the normalized formula in `oracle`'s obligation table.
+    start: u32,
+    /// The canonical sentence facts, and the formula's constants plus
+    /// every value of those facts (the formula-side binding values).
+    facts: PropertyFacts,
+}
+
+impl PreparedProperty {
+    /// Prepares `formula` with a share handle of `root_cache`; `None` when
+    /// `allow_empty_path` holds and the empty path already witnesses it.
+    fn new(
+        schema: &AccessSchema,
+        formula: &AccLtl,
+        zero_ary: bool,
+        allow_empty_path: bool,
+        engine_config: EngineConfig,
+        root_cache: &GuardCache,
+    ) -> Option<Self> {
+        let start = formula.normalize();
+        if allow_empty_path && start.accepts_empty() {
+            return None;
+        }
         // One share-handle per formula: one underlying verdict map, but
         // per-formula consult counters (so batched totals equal sequential
         // totals).
-        let handle = root_cache.share();
-        let start = formula.normalize();
-        if allow_empty_path && start.accepts_empty() {
-            reports[slot] = Some(SearchReport {
-                verdict: SatOutcome::Satisfiable {
-                    witness: AccessPath::new(),
-                },
-                explored: 0,
-                cost: 0,
-                cache: handle.stats(),
-                engine_cache: EngineCacheStats::default(),
-            });
-            continue;
-        }
-        let universe = FactUniverse::new(fact_universe(formula, initial));
-        let constants = formula_constants(formula);
         let oracle = FormulaOracle::new(
             schema,
             formula,
             zero_ary,
-            handle,
+            root_cache.share(),
             engine_config.disable_indexes,
             engine_config.index_cutoff,
         );
+        let sentences = || oracle.compiled.iter().map(|(sentence, _)| sentence);
+        let facts = PropertyFacts::new(
+            canonical_facts(sentences()),
+            sentences().flat_map(PosFormula::constants).collect(),
+        );
         let start = oracle.intern(start);
-        specs.push(PropertySpec {
+        Some(PreparedProperty {
             oracle,
             start,
-            universe,
-            constants,
-            config: engine_config,
-        });
-        spec_slots.push(slot);
+            facts,
+        })
     }
-    if !specs.is_empty() {
-        for (slot, report) in spec_slots.into_iter().zip(run(specs)) {
+}
+
+/// Prepares a property batch over one fresh root guard cache, in input
+/// order.
+fn prepare_batch(
+    schema: &AccessSchema,
+    formulas: &[AccLtl],
+    zero_ary: bool,
+    allow_empty_path: bool,
+    engine_config: EngineConfig,
+) -> Vec<Option<PreparedProperty>> {
+    let root_cache = GuardCache::with_enabled(!engine_config.disable_guard_cache);
+    formulas
+        .iter()
+        .map(|formula| {
+            PreparedProperty::new(
+                schema,
+                formula,
+                zero_ary,
+                allow_empty_path,
+                engine_config,
+                &root_cache,
+            )
+        })
+        .collect()
+}
+
+/// Runs prepared properties through `run` (a fresh [`BatchEngine`] for
+/// plain batches, a session's persistent [`SessionState`] for monitoring
+/// steps), and assembles the per-formula search reports, feeding the
+/// per-report counters into the process-wide registry exactly once.  The
+/// root-dependent part of every property — its universe and binding pool
+/// over the run's root instance — is the engine's.
+/// [`BoundedSearcher::run_batch`] and the session step path share this
+/// verbatim, so their reports are byte-identical by construction: specs,
+/// empty-path short-circuits and report assembly cannot drift apart.
+fn run_formula_batch(
+    prepared: &[Option<PreparedProperty>],
+    engine_config: EngineConfig,
+    run: impl FnOnce(Vec<PropertySpec<'_, FormulaOracle>>) -> Vec<EngineReport>,
+) -> Vec<SearchReport<SatOutcome>> {
+    let specs: Vec<PropertySpec<'_, FormulaOracle>> = prepared
+        .iter()
+        .flatten()
+        .map(|property| PropertySpec {
+            oracle: &property.oracle,
+            start: property.start,
+            facts: &property.facts,
+            config: engine_config,
+        })
+        .collect();
+    let mut searched = if specs.is_empty() {
+        Vec::new()
+    } else {
+        run(specs)
+    }
+    .into_iter();
+    let reports: Vec<SearchReport<SatOutcome>> = prepared
+        .iter()
+        .map(|property| {
+            if property.is_none() {
+                return SearchReport {
+                    verdict: SatOutcome::Satisfiable {
+                        witness: AccessPath::new(),
+                    },
+                    explored: 0,
+                    cost: 0,
+                    cache: GuardCacheStats::default(),
+                    engine_cache: EngineCacheStats::default(),
+                };
+            }
+            let report = searched.next().expect("one report per searched property");
             let verdict = match report.outcome {
                 EngineOutcome::Witness { witness } => SatOutcome::Satisfiable { witness },
                 EngineOutcome::Exhausted => SatOutcome::Unsatisfiable,
@@ -706,18 +772,14 @@ fn run_formula_batch(
                 | EngineOutcome::OutOfStates { explored }
                 | EngineOutcome::OutOfBudget { explored } => SatOutcome::Unknown { explored },
             };
-            reports[slot] = Some(SearchReport {
+            SearchReport {
                 verdict,
                 explored: report.explored,
                 cost: report.cost,
                 cache: report.cache.unwrap_or_default(),
                 engine_cache: report.engine_cache,
-            });
-        }
-    }
-    let reports: Vec<SearchReport<SatOutcome>> = reports
-        .into_iter()
-        .map(|report| report.expect("every formula reported"))
+            }
+        })
         .collect();
     // Reconcile the per-report legacy counters into the process-wide
     // registry — exactly once per report, here at assembly time, so
@@ -775,41 +837,52 @@ pub struct SessionReport {
 }
 
 /// A long-lived relevance-monitoring session (see
-/// [`BoundedSearcher::open_session`]): holds the property batch, the
-/// instance grown so far, the persistent root guard cache and the
-/// persistent engine state, and re-derives every property's verdict after
+/// [`BoundedSearcher::open_session`]): holds the property batch and the
+/// instance grown so far, and re-derives every property's verdict after
 /// each access/response step.
 ///
-/// In session mode (the default) each step runs on one persistent
+/// In session mode (the default) the properties are prepared once, at open
+/// (compiled sentences, canonical facts, binding values, and oracles whose
+/// obligation tables, progression memos and guard-cache handles persist),
+/// and each step runs them on one persistent
 /// [`SessionState`]: the step's response facts are assumed revealed at the
 /// root, so configurations keep their content across steps and the
 /// engine's content-addressed caches — and the root guard cache's
 /// restricted `StructureKey`s — only miss where the perturbation actually
-/// changed something.  Under `ACCLTL_DISABLE_SESSION_REUSE=1` every step
-/// constructs a fresh [`BoundedSearcher`] over the grown instance instead;
-/// both modes produce byte-identical verdicts, witnesses, explored counts
-/// and guard-consult totals.
+/// changed something.  The engine's root is the session's one copy of the
+/// grown instance.  Under `ACCLTL_DISABLE_SESSION_REUSE=1` every step
+/// re-prepares the properties and searches from scratch over the grown
+/// instance instead (fresh root guard cache, fresh engine); both modes
+/// produce byte-identical verdicts, witnesses, explored counts and
+/// guard-consult totals.
 pub struct MonitorSession<'a> {
     schema: &'a AccessSchema,
     zero_ary: bool,
-    search_config: BoundedSearchConfig,
+    allow_empty_path: bool,
     /// Resolved once at open (the single env read); every step — session
     /// or scratch — runs under exactly this configuration.
     engine_config: EngineConfig,
     properties: Vec<AccLtl>,
-    /// `I0` extended by every response received so far (shared with the
-    /// searcher until the first response reveals a new fact).
-    current: Arc<Instance>,
-    /// The session-lifetime guard cache; each step's oracles hold
-    /// [`GuardCache::share`] handles of it.
-    root_cache: GuardCache,
-    /// The persistent engine state; `None` under
-    /// [`EngineConfig::disable_session_reuse`].
-    state: Option<SessionState<'a, FormulaOracle>>,
+    mode: SessionMode<'a>,
     /// Per-property reports of the latest step, in property order.
     reports: Vec<SearchReport<SatOutcome>>,
     steps: usize,
     last: SessionReport,
+}
+
+/// How a [`MonitorSession`] re-derives its verdicts.
+enum SessionMode<'a> {
+    /// The properties, prepared once at open, run on one persistent engine
+    /// whose root is `I0` extended by every response so far.
+    Reuse {
+        prepared: Vec<Option<PreparedProperty>>,
+        state: Box<SessionState<'a, FormulaOracle>>,
+    },
+    /// [`EngineConfig::disable_session_reuse`]: each step prepares and
+    /// searches from scratch over `current`, `I0` extended by every response
+    /// so far (shared with the searcher until a response reveals a new
+    /// fact).
+    Scratch { current: Arc<Instance> },
 }
 
 impl<'a> MonitorSession<'a> {
@@ -819,10 +892,14 @@ impl<'a> MonitorSession<'a> {
         &self.properties
     }
 
-    /// The initial instance extended by every response received so far.
+    /// The initial instance extended by every response received so far
+    /// (the searcher's own until a response reveals a new fact).
     #[must_use]
-    pub fn current(&self) -> &Instance {
-        &self.current
+    pub fn current(&self) -> &Arc<Instance> {
+        match &self.mode {
+            SessionMode::Reuse { state, .. } => state.root(),
+            SessionMode::Scratch { current } => current,
+        }
     }
 
     /// Per-property reports of the latest step, in property order.
@@ -853,10 +930,9 @@ impl<'a> MonitorSession<'a> {
     /// Extends the session by one access and its response, then re-derives
     /// every property's verdict.  The `(access, response)` pair is
     /// validated like an access-path step; the response's facts join the
-    /// current instance (and, in session mode, the persistent engine's
-    /// root).  Returns the step's accounting; per-property verdicts are
-    /// read through [`MonitorSession::reports`] /
-    /// [`MonitorSession::verdict`].
+    /// current instance (in session mode, the persistent engine's root).
+    /// Returns the step's accounting; per-property verdicts are read
+    /// through [`MonitorSession::reports`] / [`MonitorSession::verdict`].
     pub fn step(
         &mut self,
         access: &Access,
@@ -867,20 +943,20 @@ impl<'a> MonitorSession<'a> {
         AccessPath::from_steps(vec![(access.clone(), response.clone())]).validate(self.schema)?;
         let mut fresh = false;
         for tuple in response {
-            if !self.current.contains(relation, tuple) {
-                Arc::make_mut(&mut self.current).add_fact(relation, tuple.clone());
-                if let Some(state) = self.state.as_mut() {
-                    state.assume_revealed(relation, tuple);
+            fresh |= match &mut self.mode {
+                SessionMode::Reuse { state, .. } => state.assume_revealed(relation, tuple),
+                SessionMode::Scratch { current } => {
+                    !current.contains(relation, tuple)
+                        && Arc::make_mut(current).add_fact(relation, tuple.clone())
                 }
-                fresh = true;
-            }
+            };
         }
         self.steps += 1;
         let _span = accltl_obs::trace::span_fields(
             "session.step",
             &[("step", self.steps as u64), ("fresh", u64::from(fresh))],
         );
-        if !fresh && self.state.is_some() {
+        if !fresh && matches!(self.mode, SessionMode::Reuse { .. }) {
             // The configuration space is unchanged, so by determinism a
             // re-run would reproduce the previous reports byte for byte;
             // replay them instead of exploring.  (Scratch mode re-runs
@@ -893,40 +969,42 @@ impl<'a> MonitorSession<'a> {
         Ok(&self.last)
     }
 
+    /// Prepares the session's properties, counting each preparation in the
+    /// `session.prepared` registry counter: once per session in session
+    /// mode, once per step in scratch mode.
+    fn prepare(&self) -> Vec<Option<PreparedProperty>> {
+        accltl_obs::metrics::add("session.prepared", self.properties.len() as u64);
+        prepare_batch(
+            self.schema,
+            &self.properties,
+            self.zero_ary,
+            self.allow_empty_path,
+            self.engine_config,
+        )
+    }
+
     /// Re-derives every property's verdict over the current instance and
     /// returns the step's engine-cache delta.
     fn recheck(&mut self) -> EngineCacheStats {
-        let (reports, delta) = match self.state.as_mut() {
-            Some(state) => {
+        let (reports, delta) = match &mut self.mode {
+            SessionMode::Reuse { prepared, state } => {
                 let mut delta = EngineCacheStats::default();
-                let reports = run_formula_batch(
-                    self.schema,
-                    &self.current,
-                    self.zero_ary,
-                    self.search_config.allow_empty_path,
-                    self.engine_config,
-                    &self.root_cache,
-                    &self.properties,
-                    |specs| {
-                        let (reports, step_delta) = state.run_step(specs);
-                        delta = step_delta;
-                        reports
-                    },
-                );
+                let reports = run_formula_batch(prepared, self.engine_config, |specs| {
+                    let (reports, step_delta) = state.run_step(specs);
+                    delta = step_delta;
+                    reports
+                });
                 (reports, delta)
             }
-            None => {
-                // Scratch mode: exactly what a caller without a session
-                // would run — a fresh searcher (fresh root guard cache,
-                // fresh engine) over the grown instance.
-                let searcher = BoundedSearcher {
-                    schema: self.schema,
-                    initial: Arc::clone(&self.current),
-                    zero_ary: self.zero_ary,
-                    config: self.search_config,
-                    engine_override: Some(self.engine_config),
-                };
-                let reports = searcher.run_batch(&self.properties);
+            SessionMode::Scratch { current } => {
+                // Exactly what a caller without a session would run: fresh
+                // preparations, a fresh root guard cache and a fresh engine
+                // over the grown instance.
+                let current = Arc::clone(current);
+                let prepared = self.prepare();
+                let reports = run_formula_batch(&prepared, self.engine_config, |specs| {
+                    BatchEngine::new(self.schema, current).run(specs)
+                });
                 let delta = reports
                     .first()
                     .map(|report| report.engine_cache)

@@ -88,6 +88,7 @@
 //! flag lives with its subsystem — `ACCLTL_DISABLE_LTS_OVERLAY` in
 //! [`crate::lts::LtsOptions::from_env`].
 
+use std::cmp;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -123,7 +124,10 @@ pub const STEAL_BATCH_ENV_VAR: &str = "ACCLTL_STEAL_BATCH";
 /// [`SessionState`]).  Read once, by [`EngineConfig::from_env`].
 pub const DISABLE_SESSION_REUSE_ENV_VAR: &str = "ACCLTL_DISABLE_SESSION_REUSE";
 
-/// The finite fact universe a search draws its responses from.
+/// The engine's table of interned facts: every fact any run's root or
+/// property has mentioned, indexed by a dense id that stays stable for the
+/// engine's lifetime.  Oracles read candidate responses from it
+/// ([`Candidate::added`] holds its indices).
 #[derive(Debug, Clone, Default)]
 pub struct FactUniverse {
     facts: Vec<(RelId, Tuple)>,
@@ -154,23 +158,6 @@ impl FactUniverse {
         let (rel, tuple) = &self.facts[index as usize];
         (*rel, tuple)
     }
-
-    /// Iterates over `(index, relation, tuple)`.
-    pub fn iter(&self) -> impl Iterator<Item = (u32, RelId, &Tuple)> {
-        self.facts
-            .iter()
-            .enumerate()
-            .map(|(i, (rel, tuple))| (i as u32, *rel, tuple))
-    }
-
-    /// Every value occurring in some universe fact.
-    #[must_use]
-    pub fn values(&self) -> BTreeSet<Value> {
-        self.facts
-            .iter()
-            .flat_map(|(_, t)| t.values().iter().copied())
-            .collect()
-    }
 }
 
 /// One candidate transition handed to the [`StepOracle`].
@@ -180,7 +167,7 @@ pub struct Candidate<'a> {
     pub method: &'a AccessMethod,
     /// The binding of the access.
     pub binding: &'a Tuple,
-    /// Universe indices of the facts revealed by the response.
+    /// [`FactUniverse`] indices of the facts revealed by the response.
     pub added: &'a [u32],
 }
 
@@ -224,9 +211,9 @@ impl<S> StepOutcome<S> {
 /// `step` is then called once per candidate and must not clone the
 /// configuration — push the candidate's delta onto an overlay instead.
 ///
-/// `Send + Sync` because a batch's property runs (each owning its oracle)
-/// sit behind the lock the [`pool`] workers read expansion
-/// tasks through.
+/// `Send + Sync` because a batch's property runs (each borrowing its
+/// oracle) sit behind the lock the [`pool`] workers read expansion tasks
+/// through.
 pub trait StepOracle: Send + Sync {
     /// The logical component of a search state (an interned obligation id,
     /// an automaton state, ...).  The engine hashes and clones it once per
@@ -301,50 +288,6 @@ pub trait StepOracle: Send + Sync {
     /// only cache hit/miss splits may move.
     fn shares_ctx(&self) -> bool {
         false
-    }
-}
-
-/// Borrowed oracles are oracles, so a caller can keep ownership while a
-/// batch runs.
-impl<O: StepOracle + ?Sized> StepOracle for &O {
-    type State = O::State;
-    type StateCtx = O::StateCtx;
-    type CandidateCtx = O::CandidateCtx;
-
-    fn prepare_root(&self, root: &Instance) -> Self::StateCtx {
-        (**self).prepare_root(root)
-    }
-
-    fn prepare(&self, root: &Self::StateCtx, before: &InstanceOverlay) -> Self::StateCtx {
-        (**self).prepare(root, before)
-    }
-
-    fn prepare_candidate(
-        &self,
-        ctx: &Self::StateCtx,
-        candidate: &Candidate<'_>,
-        universe: &FactUniverse,
-    ) -> Self::CandidateCtx {
-        (**self).prepare_candidate(ctx, candidate, universe)
-    }
-
-    fn step(
-        &self,
-        state: &Self::State,
-        ctx: &Self::StateCtx,
-        prepared: &Self::CandidateCtx,
-        candidate: &Candidate<'_>,
-        universe: &FactUniverse,
-    ) -> StepOutcome<Self::State> {
-        (**self).step(state, ctx, prepared, candidate, universe)
-    }
-
-    fn cache_stats(&self) -> Option<GuardCacheStats> {
-        (**self).cache_stats()
-    }
-
-    fn shares_ctx(&self) -> bool {
-        (**self).shares_ctx()
     }
 }
 
@@ -774,19 +717,46 @@ impl<V> SearchReport<V> {
     }
 }
 
-/// One property of a batch: an oracle, its start state, the fact universe
-/// it draws responses from, extra constants eligible as guessed binding
-/// values, and its own engine configuration.
-pub struct PropertySpec<O: StepOracle> {
+/// The root-independent half of a property's witness space: the facts the
+/// property adds to every run's root instance (a formula's canonical
+/// sentence facts, an automaton's guard facts) and the binding values it
+/// adds to the root's active domain.  Built once per property; each run
+/// merges it with that run's root ([`BatchEngine::run`]), so a monitoring
+/// session keeps one across all its steps.
+#[derive(Debug, Clone, Default)]
+pub struct PropertyFacts {
+    /// Sorted and duplicate-free.
+    facts: Vec<(RelId, Tuple)>,
+    /// The property's constants plus every value of `facts`; sorted and
+    /// duplicate-free.
+    values: Vec<Value>,
+}
+
+impl PropertyFacts {
+    /// The property's own facts, and the extra constants (formula or
+    /// automaton constants) eligible as guessed binding values.
+    #[must_use]
+    pub fn new(facts: BTreeSet<(RelId, Tuple)>, constants: BTreeSet<Value>) -> Self {
+        let mut values = constants;
+        values.extend(facts.iter().flat_map(|(_, t)| t.values().iter().copied()));
+        PropertyFacts {
+            facts: facts.into_iter().collect(),
+            values: values.into_iter().collect(),
+        }
+    }
+}
+
+/// One property of a batch, borrowed for the length of one run: an oracle,
+/// its start state, its root-independent facts, and its own engine
+/// configuration.  The engine never owns an oracle, so a caller may keep
+/// oracles (and what they memoize) alive across runs.
+pub struct PropertySpec<'p, O: StepOracle> {
     /// The property's step oracle.
-    pub oracle: O,
+    pub oracle: &'p O,
     /// The logical start state.
     pub start: O::State,
-    /// The property's fact universe.
-    pub universe: FactUniverse,
-    /// Extra values (formula or automaton constants) eligible as guessed
-    /// binding values.
-    pub constants: BTreeSet<Value>,
+    /// The property's facts and binding values beyond the run's root.
+    pub facts: &'p PropertyFacts,
     /// The property's engine configuration.
     pub config: EngineConfig,
 }
@@ -848,6 +818,15 @@ impl FactSet {
         (self.words[(index / 64) as usize] >> (index % 64)) & 1 == 1
     }
 
+    /// True if every index set in `other` is set here (widths may differ).
+    fn contains_all(&self, other: &FactSet) -> bool {
+        other
+            .words
+            .iter()
+            .enumerate()
+            .all(|(i, &word)| self.words.get(i).copied().unwrap_or(0) & word == word)
+    }
+
     /// Iterates over the indices set here but not in `other` (of the same
     /// width), in ascending order.
     fn ones_beyond<'s>(&'s self, other: &'s FactSet) -> impl Iterator<Item = u32> + 's {
@@ -896,6 +875,17 @@ struct OwnedCandidate {
     added: Vec<u32>,
 }
 
+impl OwnedCandidate {
+    /// The borrowed form handed to the oracle.
+    fn borrow<'c>(&'c self, methods: &[&'c AccessMethod]) -> Candidate<'c> {
+        Candidate {
+            method: methods[self.method],
+            binding: &self.binding,
+            added: &self.added,
+        }
+    }
+}
+
 /// Everything the candidate enumeration of [`BatchEngine::candidates`]
 /// depends on besides the revealed set: properties with equal signatures
 /// (same universe facts per method, same binding pool, same caps) produce
@@ -921,36 +911,82 @@ type Expansion<S> = (Arc<Vec<OwnedCandidate>>, Vec<StepOutcome<S>>);
 #[derive(Default)]
 struct FactInterner {
     table: FactUniverse,
-    ids: HashMap<(RelId, Tuple), u32>,
+    /// Per relation, tuple → id (nested, so a lookup borrows the tuple).
+    ids: HashMap<RelId, HashMap<Tuple, u32>>,
 }
 
 impl FactInterner {
     fn intern(&mut self, rel: RelId, tuple: &Tuple) -> u32 {
-        if let Some(&id) = self.ids.get(&(rel, tuple.clone())) {
+        let ids = self.ids.entry(rel).or_default();
+        if let Some(&id) = ids.get(tuple) {
             return id;
         }
         let id = self.table.facts.len() as u32;
         self.table.facts.push((rel, tuple.clone()));
-        self.ids.insert((rel, tuple.clone()), id);
+        ids.insert(tuple.clone(), id);
         id
     }
+}
+
+/// The part of a run's setup that depends on its root instance alone,
+/// computed once per [`BatchEngine::run`] and merged into every property.
+struct RootFacts {
+    /// Per non-empty root relation: the interned ids of its tuples, in tuple
+    /// order.
+    relations: Vec<(RelId, Vec<u32>)>,
+    /// The root's active domain, sorted.
+    values: Vec<Value>,
+}
+
+impl RootFacts {
+    /// The interned ids of a relation's root tuples, in tuple order.
+    fn of(&self, rel: RelId) -> &[u32] {
+        self.relations
+            .iter()
+            .find(|(r, _)| *r == rel)
+            .map_or(&[], |(_, ids)| ids)
+    }
+}
+
+/// Merges two sorted, duplicate-free lists into one, keeping a single copy
+/// of every element both hold.
+fn merge_sorted<T: Copy>(a: &[T], b: &[T], order: impl Fn(&T, &T) -> cmp::Ordering) -> Vec<T> {
+    let mut merged = Vec::with_capacity(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        match order(&a[i], &b[j]) {
+            cmp::Ordering::Less => {
+                merged.push(a[i]);
+                i += 1;
+            }
+            cmp::Ordering::Greater => {
+                merged.push(b[j]);
+                j += 1;
+            }
+            cmp::Ordering::Equal => {
+                merged.push(a[i]);
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    merged.extend_from_slice(&a[i..]);
+    merged.extend_from_slice(&b[j..]);
+    merged
 }
 
 /// The per-property half of a batch run: everything whose value may differ
 /// between properties — frontier, arena, dedup set, budget, truncation
 /// flag, binding pool — mirroring exactly the state a standalone
 /// single-property search would keep.
-struct PropertyRun<O: StepOracle> {
-    oracle: O,
+struct PropertyRun<'p, O: StepOracle> {
+    oracle: &'p O,
     start: O::State,
-    /// The property's own universe (used for oracle `step` calls, candidate
-    /// responses and witness reconstruction, so per-property behaviour never
-    /// depends on batch neighbours' facts).
-    universe: FactUniverse,
-    /// Interned id → index in this property's universe.
-    local_of: HashMap<u32, u32>,
-    /// Per method: interned indices of its relation's universe facts, in
-    /// universe order.
+    /// The oracle's guard-consult counters when the run began: a report
+    /// counts this run's consults only, even when the oracle outlives it.
+    cache_before: GuardCacheStats,
+    /// Per method: interned indices of its relation's universe facts (the
+    /// root's and the property's own), in fact order.
     method_facts: Vec<Vec<u32>>,
     truncated: bool,
     binding_pool: Vec<Value>,
@@ -972,7 +1008,7 @@ struct PropertyRun<O: StepOracle> {
     report: Option<EngineReport>,
 }
 
-impl<O: StepOracle> PropertyRun<O> {
+impl<O: StepOracle> PropertyRun<'_, O> {
     fn finish(&mut self, outcome: EngineOutcome) {
         // `engine_cache` is engine-wide; `BatchEngine::run` stamps the
         // final snapshot over this placeholder on every report it returns.
@@ -980,7 +1016,10 @@ impl<O: StepOracle> PropertyRun<O> {
             outcome,
             explored: self.nodes.len(),
             cost: self.spent,
-            cache: self.oracle.cache_stats(),
+            cache: self
+                .oracle
+                .cache_stats()
+                .map(|now| now.since(self.cache_before)),
             engine_cache: EngineCacheStats::default(),
         });
     }
@@ -1030,6 +1069,9 @@ pub struct BatchEngine<'a, O: StepOracle> {
     /// The shared oracles' context for `root` ([`StepOracle::prepare_root`]),
     /// reused across runs until an assumed fact grows the root.
     root_ctx: Option<Arc<O::StateCtx>>,
+    /// Set when an assumed fact grows the root; the next run then drops the
+    /// cache entries no run can reach any more.
+    root_grown: bool,
     interner: FactInterner,
     /// Prepared oracle contexts keyed by trimmed revealed set, shared
     /// across properties and states when the oracle opts in
@@ -1087,6 +1129,7 @@ impl<'a, O: StepOracle> BatchEngine<'a, O> {
             root: initial,
             root_set: FactSet::empty(0),
             root_ctx: None,
+            root_grown: false,
             interner: FactInterner::default(),
             ctx_cache: RwLock::new(HashMap::new()),
             candidate_classes: Vec::new(),
@@ -1104,13 +1147,16 @@ impl<'a, O: StepOracle> BatchEngine<'a, O> {
     /// `Conf(p, I0)` by an access's response without rebasing the engine:
     /// subsequent runs are byte-identical (verdicts, witnesses, explored
     /// counts, consult totals) to runs of a fresh engine whose initial
-    /// instance additionally contains the assumed facts.
-    pub fn assume_revealed(&mut self, rel: RelId, tuple: &Tuple) {
-        self.interner.intern(rel, tuple);
-        if !self.root.contains(rel, tuple) {
-            Arc::make_mut(&mut self.root).add_fact(rel, tuple.clone());
-            self.root_ctx = None;
+    /// instance additionally contains the assumed facts.  Returns true when
+    /// the fact was not in the root yet.
+    pub fn assume_revealed(&mut self, rel: RelId, tuple: &Tuple) -> bool {
+        if self.root.contains(rel, tuple) {
+            return false;
         }
+        Arc::make_mut(&mut self.root).add_fact(rel, tuple.clone());
+        self.root_ctx = None;
+        self.root_grown = true;
+        true
     }
 
     /// A snapshot of the engine's shared-cache counters.  [`BatchEngine::run`]
@@ -1162,27 +1208,27 @@ impl<'a, O: StepOracle> BatchEngine<'a, O> {
     /// May be called repeatedly on one engine: interned facts and shared
     /// contexts persist, so later calls (e.g. successive emptiness-chain
     /// waves) keep hitting earlier calls' work.
-    pub fn run(&mut self, properties: Vec<PropertySpec<O>>) -> Vec<EngineReport> {
+    pub fn run(&mut self, properties: Vec<PropertySpec<'_, O>>) -> Vec<EngineReport> {
         let _run_span =
             trace::span_fields("engine.run", &[("properties", properties.len() as u64)]);
-        let mut runs: Vec<PropertyRun<O>> = properties
+        let root_facts = self.root_facts();
+        let mut runs: Vec<PropertyRun<'_, O>> = properties
             .into_iter()
-            .map(|spec| self.register(spec))
+            .map(|spec| self.register(spec, &root_facts))
             .collect();
-        // The root revealed set spans the whole intern table: every interned
-        // fact already present in the root instance.  For any single
-        // property this is its own "universe ∩ root" plus bits for facts
-        // outside its universe — bits its candidate enumeration never
-        // inspects and whose facts the before-overlays take from the root
-        // instance, so per-property behaviour is unchanged while all
-        // properties agree on what a configuration *is*.
+        // The root revealed set holds every fact of the root instance: each
+        // property's own "universe ∩ root", so all properties agree on what
+        // a configuration *is*.
         let mut root = FactSet::empty(self.interner.table.len());
-        for (id, rel, tuple) in self.interner.table.iter() {
-            if self.root.contains(rel, tuple) {
+        for (_, ids) in &root_facts.relations {
+            for &id in ids {
                 root.insert(id);
             }
         }
         self.root_set = root.clone();
+        if std::mem::take(&mut self.root_grown) {
+            self.drop_unreachable();
+        }
         for run in &mut runs {
             let key = (root.clone(), run.start.clone());
             run.nodes.push(Node {
@@ -1319,60 +1365,88 @@ impl<'a, O: StepOracle> BatchEngine<'a, O> {
         self.reported_cache = stats;
     }
 
-    /// Interns a property's universe and sets up its run state.
-    fn register(&mut self, spec: PropertySpec<O>) -> PropertyRun<O> {
+    /// Drops the shared-cache entries keyed by a revealed set that lacks a
+    /// root fact.  Revealed sets only grow from the root's, so no later run
+    /// can look such an entry up again; dropping it here, inside the step
+    /// that grew the root, keeps a monitoring session's caches (and its
+    /// teardown) to what its current root can still reach.  Lookup
+    /// counters are unaffected: a dropped entry would never have been hit.
+    fn drop_unreachable(&mut self) {
+        let root = &self.root_set;
+        self.ctx_cache
+            .get_mut()
+            .expect("ctx cache poisoned")
+            .retain(|revealed, _| revealed.contains_all(root));
+        self.candidate_cache
+            .get_mut()
+            .expect("candidate cache poisoned")
+            .retain(|(_, revealed), _| revealed.contains_all(root));
+        self.candidate_ctx_cache
+            .get_mut()
+            .expect("candidate ctx cache poisoned")
+            .retain(|(_, revealed), _| revealed.contains_all(root));
+    }
+
+    /// Interns the root instance's facts and collects its active domain:
+    /// the root half of every property's universe and binding pool.
+    fn root_facts(&mut self) -> RootFacts {
+        let root = Arc::clone(&self.root);
+        let relations = root
+            .nonempty_relations()
+            .map(|rel| {
+                let ids = root
+                    .tuples(rel)
+                    .map(|tuple| self.interner.intern(rel, tuple))
+                    .collect();
+                (rel, ids)
+            })
+            .collect();
+        RootFacts {
+            relations,
+            values: root.active_domain().into_iter().collect(),
+        }
+    }
+
+    /// Sets up a property's run state over the run's root.  The property's
+    /// universe is the root's facts merged with its own, in fact order, and
+    /// its binding pool the root's active domain merged with its own values
+    /// — exactly the facts and values of one sorted set built over both.
+    fn register<'p>(&mut self, spec: PropertySpec<'p, O>, root: &RootFacts) -> PropertyRun<'p, O> {
         let PropertySpec {
             oracle,
             start,
-            universe,
-            constants,
+            facts,
             config,
         } = spec;
-        let fact_ids: Vec<u32> = universe
-            .iter()
-            .map(|(_, rel, tuple)| self.interner.intern(rel, tuple))
-            .collect();
-        let local_of: HashMap<u32, u32> = fact_ids
-            .iter()
-            .enumerate()
-            .map(|(local, &id)| (id, local as u32))
-            .collect();
         let group_cap = config.group_cap();
         let mut truncated = false;
-        let method_facts: Vec<Vec<u32>> = self
-            .methods
-            .iter()
-            .map(|method| {
-                let ids: Vec<u32> = universe
-                    .iter()
-                    .zip(&fact_ids)
-                    .filter(|((_, rel, _), _)| *rel == method.relation_id())
-                    .map(|(_, &id)| id)
-                    .collect();
-                // Revealed sets only grow from the root's, so grouping the
-                // facts unrevealed *at the root* bounds every per-state group
-                // the enumeration will ever see.  A group larger than the
-                // response-size cap has responses the enumeration skips, so
-                // it truncates the witness space just like one past the
-                // group cap.
-                let mut groups: BTreeMap<Tuple, usize> = BTreeMap::new();
-                for &id in &ids {
-                    let (rel, tuple) = self.interner.table.fact(id);
-                    if self.root.contains(rel, tuple) {
-                        continue;
-                    }
-                    let projection = tuple.project(method.input_positions());
-                    *groups.entry(projection).or_default() += 1;
+        let mut method_facts: Vec<Vec<u32>> = Vec::with_capacity(self.methods.len());
+        for method in &self.methods {
+            let rel = method.relation_id();
+            // Revealed sets only grow from the root's, so grouping the
+            // property's facts missing from the root bounds every per-state
+            // group the enumeration will ever see.  A group larger than the
+            // response-size cap has responses the enumeration skips, so it
+            // truncates the witness space just like one past the group cap.
+            let mut groups: BTreeMap<Tuple, usize> = BTreeMap::new();
+            let mut own: Vec<u32> = Vec::new();
+            for (_, tuple) in facts.facts.iter().filter(|(r, _)| *r == rel) {
+                own.push(self.interner.intern(rel, tuple));
+                if !self.root.contains(rel, tuple) {
+                    *groups
+                        .entry(tuple.project(method.input_positions()))
+                        .or_default() += 1;
                 }
-                truncated |= groups
-                    .values()
-                    .any(|&size| size > group_cap || size > config.max_response_size);
-                ids
-            })
-            .collect();
-        let mut pool = universe.values();
-        pool.extend(constants.iter().copied());
-        let binding_pool: Vec<Value> = pool.into_iter().collect();
+            }
+            truncated |= groups
+                .values()
+                .any(|&size| size > group_cap || size > config.max_response_size);
+            let table = &self.interner.table;
+            method_facts.push(merge_sorted(root.of(rel), &own, |&a, &b| {
+                table.fact(a).1.cmp(table.fact(b).1)
+            }));
+        }
+        let binding_pool = merge_sorted(&root.values, &facts.values, Value::cmp);
         let class = CandidateClass {
             method_facts: method_facts.clone(),
             binding_pool: binding_pool.clone(),
@@ -1403,8 +1477,7 @@ impl<'a, O: StepOracle> BatchEngine<'a, O> {
         PropertyRun {
             oracle,
             start,
-            universe,
-            local_of,
+            cache_before: oracle.cache_stats().unwrap_or_default(),
             method_facts,
             truncated,
             binding_pool,
@@ -1435,7 +1508,7 @@ impl<'a, O: StepOracle> BatchEngine<'a, O> {
     /// [`crate::pool`] contract).
     fn merge_chunk(
         &self,
-        run: &mut PropertyRun<O>,
+        run: &mut PropertyRun<'_, O>,
         node_ids: &[u32],
         expansions: Vec<Expansion<O::State>>,
     ) {
@@ -1513,7 +1586,7 @@ impl<'a, O: StepOracle> BatchEngine<'a, O> {
 
     /// The oracle context of a before-configuration: the run's root context
     /// when nothing is revealed beyond the root, otherwise prepared over it.
-    fn prepare(&self, run: &PropertyRun<O>, before: &InstanceOverlay) -> Arc<O::StateCtx> {
+    fn prepare(&self, run: &PropertyRun<'_, O>, before: &InstanceOverlay) -> Arc<O::StateCtx> {
         if before.delta().is_empty() {
             Arc::clone(&run.root_ctx)
         } else {
@@ -1524,7 +1597,7 @@ impl<'a, O: StepOracle> BatchEngine<'a, O> {
     /// Expands one node: obtains the oracle context for its configuration
     /// (shared across properties/states when the oracle allows), and
     /// evaluates every candidate transition.
-    fn expand(&self, run: &PropertyRun<O>, node_id: u32) -> Expansion<O::State> {
+    fn expand(&self, run: &PropertyRun<'_, O>, node_id: u32) -> Expansion<O::State> {
         let node = &run.nodes[node_id as usize];
         let mut before: Option<InstanceOverlay> = None;
         let ctx = if run.shares_ctx {
@@ -1567,27 +1640,19 @@ impl<'a, O: StepOracle> BatchEngine<'a, O> {
         let prepared = run
             .shares_ctx
             .then(|| self.shared_candidate_ctxs(run, ctx_ref, &candidates, &node.revealed));
-        let mut local_added: Vec<u32> = Vec::new();
+        let universe = &self.interner.table;
         let mut outcomes = Vec::with_capacity(candidates.len());
         for (index, candidate) in candidates.iter().enumerate() {
-            local_added.clear();
-            local_added.extend(candidate.added.iter().map(|id| run.local_of[id]));
-            let borrowed = Candidate {
-                method: self.methods[candidate.method],
-                binding: &candidate.binding,
-                added: &local_added,
-            };
+            let borrowed = candidate.borrow(&self.methods);
             let outcome = match &prepared {
                 Some(ctxs) => {
                     run.oracle
-                        .step(&node.state, ctx_ref, &ctxs[index], &borrowed, &run.universe)
+                        .step(&node.state, ctx_ref, &ctxs[index], &borrowed, universe)
                 }
                 None => {
-                    let ctx = run
-                        .oracle
-                        .prepare_candidate(ctx_ref, &borrowed, &run.universe);
+                    let ctx = run.oracle.prepare_candidate(ctx_ref, &borrowed, universe);
                     run.oracle
-                        .step(&node.state, ctx_ref, &ctx, &borrowed, &run.universe)
+                        .step(&node.state, ctx_ref, &ctx, &borrowed, universe)
                 }
             };
             outcomes.push(outcome);
@@ -1604,7 +1669,7 @@ impl<'a, O: StepOracle> BatchEngine<'a, O> {
     /// race, so every expansion sees one context vector.
     fn shared_candidate_ctxs(
         &self,
-        run: &PropertyRun<O>,
+        run: &PropertyRun<'_, O>,
         ctx: &O::StateCtx,
         candidates: &[OwnedCandidate],
         revealed: &FactSet,
@@ -1621,21 +1686,16 @@ impl<'a, O: StepOracle> BatchEngine<'a, O> {
             return ctxs;
         }
         self.cache_misses.fetch_add(1, Ordering::Relaxed);
-        let mut local_added: Vec<u32> = Vec::new();
-        let mut built = Vec::with_capacity(candidates.len());
-        for candidate in candidates {
-            local_added.clear();
-            local_added.extend(candidate.added.iter().map(|id| run.local_of[id]));
-            built.push(run.oracle.prepare_candidate(
-                ctx,
-                &Candidate {
-                    method: self.methods[candidate.method],
-                    binding: &candidate.binding,
-                    added: &local_added,
-                },
-                &run.universe,
-            ));
-        }
+        let built = candidates
+            .iter()
+            .map(|candidate| {
+                run.oracle.prepare_candidate(
+                    ctx,
+                    &candidate.borrow(&self.methods),
+                    &self.interner.table,
+                )
+            })
+            .collect();
         self.insert_capped(&self.candidate_ctx_cache, key, Arc::new(built))
     }
 
@@ -1645,7 +1705,7 @@ impl<'a, O: StepOracle> BatchEngine<'a, O> {
     /// race, so every expansion of the configuration sees one list.
     fn shared_candidates(
         &self,
-        run: &PropertyRun<O>,
+        run: &PropertyRun<'_, O>,
         revealed: &FactSet,
         known_values: Option<&BTreeSet<Value>>,
     ) -> Arc<Vec<OwnedCandidate>> {
@@ -1675,7 +1735,7 @@ impl<'a, O: StepOracle> BatchEngine<'a, O> {
     /// `added` holds *interned* indices.
     fn candidates(
         &self,
-        run: &PropertyRun<O>,
+        run: &PropertyRun<'_, O>,
         revealed: &FactSet,
         known_values: Option<&BTreeSet<Value>>,
     ) -> Vec<OwnedCandidate> {
@@ -1753,7 +1813,7 @@ impl<'a, O: StepOracle> BatchEngine<'a, O> {
     /// the enumeration complete for non-text positions.
     fn empty_response_bindings(
         &self,
-        run: &PropertyRun<O>,
+        run: &PropertyRun<'_, O>,
         method_index: usize,
         known_values: Option<&BTreeSet<Value>>,
     ) -> Vec<Tuple> {
@@ -1804,7 +1864,7 @@ impl<'a, O: StepOracle> BatchEngine<'a, O> {
     /// interpretation: one type-appropriate fresh value per input position
     /// (the binding carries no information, but an ill-typed one would make
     /// every witness fail `AccessSchema::validate_access`).
-    fn placeholder_binding(&self, run: &PropertyRun<O>, method_index: usize) -> Tuple {
+    fn placeholder_binding(&self, run: &PropertyRun<'_, O>, method_index: usize) -> Tuple {
         let method = self.methods[method_index];
         let input_types = self.method_input_types[method_index].as_deref();
         Tuple::new(
@@ -1821,7 +1881,7 @@ impl<'a, O: StepOracle> BatchEngine<'a, O> {
     /// accepting transition.
     fn reconstruct(
         &self,
-        run: &PropertyRun<O>,
+        run: &PropertyRun<'_, O>,
         end: u32,
         final_access: Access,
         final_added: &[u32],
@@ -1846,10 +1906,12 @@ impl<'a, O: StepOracle> BatchEngine<'a, O> {
 }
 
 /// The resumable engine state behind a monitoring session: one persistent
-/// [`BatchEngine`] whose interned fact table, prepared-context cache,
-/// candidate enumerations and per-candidate contexts survive across steps,
-/// plus the bookkeeping that turns the engine's cumulative cache counters
-/// into per-step reuse deltas.
+/// [`BatchEngine`] whose root instance, interned fact table,
+/// prepared-context cache, candidate enumerations and per-candidate
+/// contexts survive across steps, plus the bookkeeping that turns the
+/// engine's cumulative cache counters into per-step reuse deltas.  The
+/// properties themselves — oracles and [`PropertyFacts`] — belong to the
+/// caller, which prepares them once and lends them to every step.
 ///
 /// A session extends `Conf(p, I0)` by an access's response through
 /// [`SessionState::assume_revealed`]: the facts join the root configuration
@@ -1859,9 +1921,10 @@ impl<'a, O: StepOracle> BatchEngine<'a, O> {
 /// lets content-addressed cache entries (trimmed revealed bitsets here,
 /// restricted `StructureKey`s in the oracles' guard caches) keep hitting
 /// after a perturbation.  Only entries whose key content actually mentions
-/// the perturbed facts miss; everything else is reused.  Frontier bitsets
-/// and the node arena are rebuilt per step *by contract*: explored counts
-/// are part of the byte-identical-verdict guarantee
+/// the perturbed facts miss; everything else is reused.  The root is the
+/// session's one copy of the grown instance ([`SessionState::root`]).
+/// Frontier bitsets and the node arena are rebuilt per step *by contract*:
+/// explored counts are part of the byte-identical-verdict guarantee
 /// ([`EngineConfig::disable_session_reuse`]), so a step must visit exactly
 /// the states a from-scratch run would.
 pub struct SessionState<'a, O: StepOracle> {
@@ -1881,10 +1944,17 @@ impl<'a, O: StepOracle> SessionState<'a, O> {
         }
     }
 
+    /// `I0` extended by every fact assumed revealed so far: the root of
+    /// every subsequent step (shared with `I0` until the first new fact).
+    #[must_use]
+    pub fn root(&self) -> &Arc<Instance> {
+        &self.engine.root
+    }
+
     /// Marks a response fact as revealed at the root of every subsequent
-    /// step (see [`BatchEngine::assume_revealed`]).
-    pub fn assume_revealed(&mut self, rel: RelId, tuple: &Tuple) {
-        self.engine.assume_revealed(rel, tuple);
+    /// step (see [`BatchEngine::assume_revealed`]); true when it is new.
+    pub fn assume_revealed(&mut self, rel: RelId, tuple: &Tuple) -> bool {
+        self.engine.assume_revealed(rel, tuple)
     }
 
     /// Runs one step's property batch on the persistent engine.  Returns
@@ -1896,7 +1966,7 @@ impl<'a, O: StepOracle> SessionState<'a, O> {
     /// surfaces.
     pub fn run_step(
         &mut self,
-        specs: Vec<PropertySpec<O>>,
+        specs: Vec<PropertySpec<'_, O>>,
     ) -> (Vec<EngineReport>, EngineCacheStats) {
         let reports = self.engine.run(specs);
         let now = self.engine.engine_cache_stats();
@@ -1966,8 +2036,13 @@ mod tests {
         }
     }
 
-    fn universe() -> FactUniverse {
-        FactUniverse::new(vec![
+    /// A property's own facts, with no extra constants.
+    fn facts_of(facts: impl IntoIterator<Item = (RelId, Tuple)>) -> PropertyFacts {
+        PropertyFacts::new(facts.into_iter().collect(), BTreeSet::new())
+    }
+
+    fn universe() -> PropertyFacts {
+        facts_of([
             (
                 RelId::new("Mobile#"),
                 tuple!["Smith", "OX13QD", "Parks Rd", 5551212],
@@ -1982,19 +2057,18 @@ mod tests {
     /// Runs one property alone, as a one-property batch.
     fn run_alone<O: StepOracle>(
         oracle: &O,
-        universe: FactUniverse,
+        facts: PropertyFacts,
         initial: Instance,
         config: EngineConfig,
         start: O::State,
     ) -> EngineReport {
         let schema = phone_directory_access_schema();
-        let mut batch: BatchEngine<'_, &O> = BatchEngine::new(&schema, Arc::new(initial));
+        let mut batch: BatchEngine<'_, O> = BatchEngine::new(&schema, Arc::new(initial));
         batch
             .run(vec![PropertySpec {
                 oracle,
                 start,
-                universe,
-                constants: BTreeSet::new(),
+                facts: &facts,
                 config,
             }])
             .pop()
@@ -2010,19 +2084,20 @@ mod tests {
     /// binding-guess tests below inspect.
     fn root_candidates(
         schema: &AccessSchema,
-        universe: FactUniverse,
+        facts: PropertyFacts,
         config: EngineConfig,
     ) -> Vec<OwnedCandidate> {
         let oracle = CountdownOracle;
-        let mut batch: BatchEngine<'_, &CountdownOracle> =
+        let mut batch: BatchEngine<'_, CountdownOracle> =
             BatchEngine::new(schema, Arc::new(Instance::new()));
-        let run = batch.register(PropertySpec {
+        let root = batch.root_facts();
+        let spec = PropertySpec {
             oracle: &oracle,
             start: 1u8,
-            universe,
-            constants: BTreeSet::new(),
+            facts: &facts,
             config,
-        });
+        };
+        let run = batch.register(spec, &root);
         let revealed = FactSet::empty(batch.interner.table.len());
         batch.candidates(&run, &revealed, None)
     }
@@ -2084,14 +2159,14 @@ mod tests {
         // universe must reproduce each standalone outcome and report.
         let schema = phone_directory_access_schema();
         let oracle = CountdownOracle;
+        let facts = universe();
         let spec = |start: u8| PropertySpec {
             oracle: &oracle,
             start,
-            universe: universe(),
-            constants: BTreeSet::new(),
+            facts: &facts,
             config: EngineConfig::base(),
         };
-        let mut batch: BatchEngine<'_, &CountdownOracle> =
+        let mut batch: BatchEngine<'_, CountdownOracle> =
             BatchEngine::new(&schema, Arc::new(Instance::new()));
         let batched = batch.run(vec![spec(1), spec(2), spec(3)]);
         for (start, report) in [1u8, 2, 3].into_iter().zip(&batched) {
@@ -2110,21 +2185,20 @@ mod tests {
     fn per_property_budgets_cut_off_independently() {
         let schema = phone_directory_access_schema();
         let oracle = CountdownOracle;
-        let mut batch: BatchEngine<'_, &CountdownOracle> =
+        let facts = universe();
+        let mut batch: BatchEngine<'_, CountdownOracle> =
             BatchEngine::new(&schema, Arc::new(Instance::new()));
         let reports = batch.run(vec![
             PropertySpec {
                 oracle: &oracle,
                 start: 2u8,
-                universe: universe(),
-                constants: BTreeSet::new(),
+                facts: &facts,
                 config: EngineConfig::base().max_guard_checks(3),
             },
             PropertySpec {
                 oracle: &oracle,
                 start: 2u8,
-                universe: universe(),
-                constants: BTreeSet::new(),
+                facts: &facts,
                 config: EngineConfig::base(),
             },
         ]);
@@ -2176,14 +2250,7 @@ mod tests {
                     )
                 })
                 .collect();
-            run_alone(
-                &DeadOracle,
-                FactUniverse::new(facts),
-                Instance::new(),
-                config,
-                0,
-            )
-            .outcome
+            run_alone(&DeadOracle, facts_of(facts), Instance::new(), config, 0).outcome
         };
         // Responses as wide as the whole group, so only the group cap cuts.
         let wide = EngineConfig::base().max_response_size(31);
@@ -2233,7 +2300,7 @@ mod tests {
         }
         let outcome = run_alone(
             &DeadOracle,
-            FactUniverse::new(facts),
+            facts_of(facts),
             initial,
             EngineConfig::base(),
             0,
@@ -2265,7 +2332,7 @@ mod tests {
         let access = crate::access::AccessSchema::new(schema)
             .with_method(AccessMethod::new("AcNum", "NumRel", vec![0]))
             .unwrap();
-        let universe = FactUniverse::new(vec![
+        let universe = facts_of([
             (RelId::new("NumRel"), tuple![7, "seven"]),
             (RelId::new("NumRel"), tuple![9, "nine"]),
         ]);
@@ -2303,7 +2370,7 @@ mod tests {
         let access = crate::access::AccessSchema::new(schema)
             .with_method(AccessMethod::new("AcNum", "NumRel", vec![0]))
             .unwrap();
-        let universe = FactUniverse::new(vec![(RelId::new("TxtRel"), tuple!["only-text"])]);
+        let universe = facts_of([(RelId::new("TxtRel"), tuple!["only-text"])]);
         let empty_bindings: Vec<_> = root_candidates(&access, universe, EngineConfig::base())
             .into_iter()
             .filter(|c| c.added.is_empty())
@@ -2330,7 +2397,7 @@ mod tests {
             .unwrap();
         let candidates = root_candidates(
             &access,
-            FactUniverse::default(),
+            PropertyFacts::default(),
             EngineConfig::base().empty_bindings(EmptyBindingMode::Placeholder),
         );
         assert_eq!(candidates.len(), 1);
@@ -2347,7 +2414,7 @@ mod tests {
         let schema = phone_directory_access_schema();
         let candidates = root_candidates(
             &schema,
-            FactUniverse::default(),
+            PropertyFacts::default(),
             EngineConfig::base().empty_bindings(EmptyBindingMode::Placeholder),
         );
         assert_eq!(candidates.len(), schema.method_count());

@@ -53,8 +53,8 @@ pub use access::{Access, AccessMethod, AccessSchema};
 pub use answerability::{accessible_part, maximal_answers, AnswerabilityReport};
 pub use engine::{
     BatchEngine, Candidate, EmptyBindingMode, EngineCacheStats, EngineConfig, EngineOutcome,
-    EngineReport, FactUniverse, PropertySpec, SearchReport, SessionState, StepOracle, StepOutcome,
-    DISABLE_SESSION_REUSE_ENV_VAR,
+    EngineReport, FactUniverse, PropertyFacts, PropertySpec, SearchReport, SessionState,
+    StepOracle, StepOutcome, DISABLE_SESSION_REUSE_ENV_VAR,
 };
 pub use error::PathError;
 pub use lts::{LtsExplorer, LtsOptions, LtsTree, ResponsePolicy, DISABLE_LTS_OVERLAY_ENV_VAR};

@@ -179,6 +179,16 @@ impl GuardCacheStats {
     pub fn total(&self) -> u64 {
         self.hits + self.misses
     }
+
+    /// The consults counted since `earlier`, a snapshot of the same
+    /// counters.
+    #[must_use]
+    pub fn since(&self, earlier: GuardCacheStats) -> GuardCacheStats {
+        GuardCacheStats {
+            hits: self.hits.saturating_sub(earlier.hits),
+            misses: self.misses.saturating_sub(earlier.misses),
+        }
+    }
 }
 
 /// Guard structures with fewer facts than this are evaluated directly even

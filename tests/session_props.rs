@@ -14,6 +14,7 @@ mod common;
 use proptest::prelude::*;
 
 use accltl_core::logic::bounded::{BoundedSearcher, MonitorSession};
+use accltl_core::obs::metrics;
 use accltl_core::paths::DISABLE_SESSION_REUSE_ENV_VAR;
 use accltl_core::prelude::*;
 
@@ -271,6 +272,166 @@ fn env_flag_disables_reuse_with_identical_reports() {
     }
     // The zero-delta repeat replayed in reuse mode.
     assert!(reusing.last_report().replayed);
+}
+
+/// A fixed 12-step stream over Fig-1 ×8 in the shape of the `monitor-log`
+/// benchmark: responses revealing fresh `Mobile#` facts (a predicate the
+/// properties' guards never read after the first), fresh `Address` facts
+/// (one they do read), and verbatim repeats of earlier steps.
+fn monitor_stream() -> Vec<(Access, Response)> {
+    let mobile = |j: usize| {
+        let name = format!("Caller_{j}");
+        let (street, postcode) = (format!("Street{j}"), format!("OX{j}QD"));
+        let fact = tuple![
+            name.as_str(),
+            postcode.as_str(),
+            street.as_str(),
+            5_560_000 + j as i64
+        ];
+        (
+            Access::new("AcM1", tuple![name.as_str()]),
+            [fact].into_iter().collect::<Response>(),
+        )
+    };
+    let address = |j: usize, residents: usize| {
+        let (street, postcode) = (format!("NewSt_{j}"), format!("NW_{j}"));
+        let response: Response = (0..residents)
+            .map(|h| {
+                let name = format!("Mover_{j}_{h}");
+                tuple![street.as_str(), postcode.as_str(), name.as_str(), h as i64]
+            })
+            .collect();
+        (
+            Access::new("AcM2", tuple![street.as_str(), postcode.as_str()]),
+            response,
+        )
+    };
+    vec![
+        address(0, 1),
+        mobile(0),
+        address(1, 2),
+        mobile(1),
+        address(0, 1),
+        address(2, 1),
+        mobile(2),
+        mobile(1),
+        address(3, 2),
+        mobile(3),
+        address(4, 1),
+        address(3, 2),
+    ]
+}
+
+/// Four properties over the phone-directory vocabulary: the benchmark's
+/// FD + dataflow shape, an `U`/`X` obligation, Jones's address, and a
+/// disjunction of 33 atom sentences — more than the 32 a progression-memo
+/// mask can key, so that property progresses without the memo.
+fn monitor_properties() -> Vec<AccLtl> {
+    let schema = phone_directory_access_schema();
+    let fd = properties::functional_dependency_formula(
+        &schema,
+        &FunctionalDependency::new("Address", vec![0], 1),
+    );
+    let wide = AccLtl::finally(AccLtl::or(
+        (0..33)
+            .map(|i| {
+                let name = format!("Mover_{}_{}", i % 5, i / 5);
+                AccLtl::atom(PosFormula::exists(
+                    vec!["s", "p", "h"],
+                    pre_atom(
+                        "Address",
+                        vec![
+                            Term::var("s"),
+                            Term::var("p"),
+                            Term::constant(name.as_str()),
+                            Term::var("h"),
+                        ],
+                    ),
+                ))
+            })
+            .collect(),
+    ));
+    assert!(wide.atom_sentences().len() > 32);
+    vec![
+        AccLtl::and(vec![fd, common::dataflow_formula()]),
+        AccLtl::and(vec![
+            AccLtl::until(
+                AccLtl::not(common::mobile_pre()),
+                AccLtl::atom(isbind_prop("AcM2")),
+            ),
+            AccLtl::next(AccLtl::finally(common::jones_post())),
+        ]),
+        AccLtl::finally(common::jones_post()),
+        wide,
+    ]
+}
+
+/// The monitoring loop of the `monitor-log` benchmark, step by step: a
+/// session prepares its properties once, at open, and after every step its
+/// reports equal both a from-scratch batch over the grown instance and a
+/// `disable_session_reuse` session re-preparing every step.
+#[test]
+fn monitor_streams_prepare_once_and_match_scratch_every_step() {
+    let _guard = flag_lock();
+    let schema = phone_directory_access_schema();
+    let initial = common::scaled_initial(8);
+    let properties = monitor_properties();
+    let stream = monitor_stream();
+    for zero_ary in [false, true] {
+        let reusing = EngineConfig::base().threads(1);
+        let disabled = reusing.disable_session_reuse(true);
+
+        // The reusing session alone, so the registry delta is its own.
+        let before = metrics::snapshot();
+        let mut session = BoundedSearcher::with_engine_config(&schema, &initial, zero_ary, reusing)
+            .open_session(&properties);
+        let mut digests = vec![session_digests(&session)];
+        let mut currents = vec![session.current().clone()];
+        let mut replayed = 0;
+        for (access, response) in &stream {
+            replayed += usize::from(
+                session
+                    .step(access, response)
+                    .expect("well-formed step")
+                    .replayed,
+            );
+            digests.push(session_digests(&session));
+            currents.push(session.current().clone());
+        }
+        let prepared = metrics::snapshot()
+            .delta(&before)
+            .counter("session.prepared");
+        assert_eq!(
+            prepared,
+            properties.len() as u64,
+            "a reusing session prepares each property exactly once"
+        );
+        // The three verbatim repeats reveal nothing new and replay.
+        assert_eq!(replayed, 3);
+
+        let mut scratch =
+            BoundedSearcher::with_engine_config(&schema, &initial, zero_ary, disabled)
+                .open_session(&properties);
+        for (step, (digest, current)) in digests.iter().zip(&currents).enumerate() {
+            if step > 0 {
+                let (access, response) = &stream[step - 1];
+                scratch.step(access, response).expect("well-formed step");
+            }
+            assert_eq!(scratch.current(), current, "step {step}");
+            assert_eq!(
+                digest,
+                &session_digests(&scratch),
+                "step {step} diverged between reuse and scratch mode (zero_ary {zero_ary})"
+            );
+            let fresh = BoundedSearcher::with_engine_config(&schema, current, zero_ary, reusing)
+                .run_batch(&properties);
+            assert_eq!(
+                digest,
+                &fresh.iter().map(common::digest).collect::<Vec<_>>(),
+                "step {step} diverged from a from-scratch batch (zero_ary {zero_ary})"
+            );
+        }
+    }
 }
 
 /// Invalid steps (unknown method, response violating the binding) error
