@@ -6,7 +6,7 @@ use std::fmt;
 
 use accltl_logic::vocabulary::{mentions_isbind, path_structures};
 use accltl_paths::Transition;
-use accltl_relational::{CompiledSentence, GuardCache, Instance, InstanceView, PosFormula, Value};
+use accltl_relational::{CompiledSentence, Instance, InstanceView, PosFormula, Value};
 
 /// A transition guard `ψ− ∧ ψ+`: a positive boolean combination of *negated*
 /// `FO∃+Acc` sentences that must not mention `IsBind` (`negated`), conjoined
@@ -83,27 +83,19 @@ impl CompiledGuard {
     /// Evaluates the compiled guard on a transition structure.
     #[must_use]
     pub fn satisfied_by(&self, structure: &impl InstanceView) -> bool {
-        self.positive.holds(structure) && self.negated.iter().all(|s| !s.holds(structure))
+        self.satisfied_with(|sentence| sentence.holds(structure))
     }
 
-    /// [`CompiledGuard::satisfied_by`] with every sentence memoized through
-    /// a guard-verdict cache ([`CompiledSentence::holds_cached`]; `memoize`
-    /// is the caller's per-state size gate).  Verdicts — and the sentence
-    /// consult sequence, since `&&`/`all` short-circuit on identical
-    /// verdicts identically — match the uncached evaluation by
-    /// construction.
+    /// The guard's verdict with `holds` deciding each of its sentences —
+    /// for the search oracles, a counted guard-cache consult
+    /// ([`CompiledSentence::holds_cached`] and its layered form).  As long
+    /// as `holds` agrees with [`CompiledSentence::holds`], verdicts — and
+    /// the sentence consult sequence, since `&&`/`all` short-circuit on
+    /// identical verdicts identically — match [`CompiledGuard::satisfied_by`]
+    /// by construction.
     #[must_use]
-    pub fn satisfied_by_cached(
-        &self,
-        structure: &impl InstanceView,
-        cache: &GuardCache,
-        memoize: bool,
-    ) -> bool {
-        self.positive.holds_cached(structure, cache, memoize)
-            && self
-                .negated
-                .iter()
-                .all(|s| !s.holds_cached(structure, cache, memoize))
+    pub fn satisfied_with(&self, mut holds: impl FnMut(&CompiledSentence) -> bool) -> bool {
+        holds(&self.positive) && self.negated.iter().all(|s| !holds(s))
     }
 }
 

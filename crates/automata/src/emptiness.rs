@@ -29,6 +29,18 @@
 //! consults, cached or not); every report surfaces the hit/miss counters in
 //! its [`SearchReport`].
 //!
+//! A consult the cache cannot answer is evaluated layer by layer
+//! ([`StateLayers::decide`]).  Guard sentences are positive existential,
+//! hence monotone, and a candidate's transition structure only adds its
+//! state's revealed facts and its own `Rpost`/`IsBind` facts to the run's
+//! root image: a match lies wholly in the root — whose verdict is decided
+//! once per run and shared by every state — or maps an atom onto an added
+//! fact, and a search seeded by those few facts finds it.  When the added
+//! facts are at least as many as the root's (always, over an empty `I_0`),
+//! the structure is searched whole.  Verdicts, witnesses and consult totals
+//! equal those of whole-structure evaluation, which
+//! [`EngineConfig::disable_indexes`] keeps as the scanning reference.
+//!
 //! [`bounded_emptiness_batch`] checks many automata through one
 //! [`BatchEngine`]: chains are scheduled in waves (every live automaton's
 //! current chain searches concurrently, then advances), so overlay bases,
@@ -47,8 +59,7 @@ use accltl_paths::engine::{
 };
 use accltl_paths::{AccessPath, AccessSchema};
 use accltl_relational::{
-    GuardCache, GuardCacheStats, Instance, InstanceOverlay, InstanceView, RelId, ScanView, Sym,
-    Tuple, Value,
+    GuardCache, GuardCacheStats, Instance, InstanceOverlay, RelId, ScanView, Sym, Tuple, Value,
 };
 
 use crate::a_automaton::{AAutomaton, CompiledGuard};
@@ -380,15 +391,20 @@ impl<'a> AutomatonOracle<'a> {
         }
     }
 
-    fn guard_holds(&self, index: usize, structure: &impl InstanceView, memoize: bool) -> bool {
+    /// Decides the guard of transition `index` on a candidate structure out
+    /// of the state `ctx`, every sentence a counted guard-cache consult:
+    /// layer by layer ([`StateLayers::decide`]), or by a whole-structure
+    /// scan under [`EngineConfig::disable_indexes`], the reference both
+    /// paths must agree with.
+    fn guard_holds(&self, index: usize, ctx: &StateLayers, structure: &CandidateStructure) -> bool {
+        let guard = &self.compiled[index];
         if self.scan {
-            return self.compiled[index].satisfied_by_cached(
-                &ScanView(structure),
-                self.cache,
-                memoize,
-            );
+            let scan = ScanView(structure);
+            return guard.satisfied_with(|sentence| {
+                sentence.holds_cached(&scan, self.cache, ctx.memoize())
+            });
         }
-        self.compiled[index].satisfied_by_cached(structure, self.cache, memoize)
+        guard.satisfied_with(|sentence| ctx.decide(sentence, structure, self.cache))
     }
 }
 
@@ -433,7 +449,7 @@ impl StepOracle for AutomatonOracle<'_> {
         let mut accept = false;
         for &index in &self.outgoing[*state] {
             cost += 1;
-            if !self.guard_holds(index, structure, ctx.memoize()) {
+            if !self.guard_holds(index, ctx, structure) {
                 continue;
             }
             let to = self.automaton.transitions[index].to;

@@ -182,7 +182,9 @@ struct FormulaOracle {
     /// every candidate structure.  A sentence's position is its bit in the
     /// verdict mask, so a step decides them by position, never by formula
     /// lookup.
-    compiled: Vec<(PosFormula, CompiledSentence)>,
+    /// Equal sentences of one batch share one compilation
+    /// ([`SentencePool`]).
+    compiled: Vec<(PosFormula, Arc<CompiledSentence>)>,
     /// The search's guard-verdict cache, an owned
     /// [`GuardCache::share`] handle of the batch's root cache (one shared
     /// verdict map, per-formula consult counters): obligation checks
@@ -255,23 +257,15 @@ impl Progressed {
 
 impl FormulaOracle {
     fn new(
-        schema: &AccessSchema,
-        formula: &AccLtl,
+        vocab: TransitionVocab,
+        compiled: Vec<(PosFormula, Arc<CompiledSentence>)>,
         zero_ary: bool,
         cache: GuardCache,
         scan: bool,
         index_cutoff: usize,
     ) -> Self {
-        let compiled = formula
-            .atom_sentences()
-            .into_iter()
-            .map(|sentence| {
-                let compiled = CompiledSentence::compile(&sentence);
-                (sentence, compiled)
-            })
-            .collect();
         FormulaOracle {
-            vocab: TransitionVocab::new(schema),
+            vocab,
             compiled,
             cache,
             zero_ary,
@@ -323,21 +317,31 @@ impl FormulaOracle {
             .ok()
     }
 
-    /// Decides the atom sentence at `index` (⊤ and ⊥ uncounted, every other
-    /// sentence a counted guard-cache consult).
-    fn eval_at(&self, index: usize, structure: &CandidateStructure, memoize: bool) -> bool {
+    /// Decides the atom sentence at `index` on a candidate structure out of
+    /// the state `ctx` (⊤ and ⊥ uncounted, every other sentence a counted
+    /// guard-cache consult): layer by layer ([`StateLayers::decide`]), or
+    /// by a whole-structure scan under [`EngineConfig::disable_indexes`],
+    /// the reference both paths must agree with.
+    fn eval_at(&self, index: usize, ctx: &StateLayers, structure: &CandidateStructure) -> bool {
         let (sentence, compiled) = &self.compiled[index];
         match sentence {
             PosFormula::True => true,
             PosFormula::False => false,
-            _ if self.scan => compiled.holds_cached(&ScanView(structure), &self.cache, memoize),
-            _ => compiled.holds_cached(structure, &self.cache, memoize),
+            _ if self.scan => {
+                compiled.holds_cached(&ScanView(structure), &self.cache, ctx.memoize())
+            }
+            _ => ctx.decide(compiled, structure, &self.cache),
         }
     }
 
-    fn eval(&self, sentence: &PosFormula, structure: &CandidateStructure, memoize: bool) -> bool {
+    fn eval(
+        &self,
+        sentence: &PosFormula,
+        ctx: &StateLayers,
+        structure: &CandidateStructure,
+    ) -> bool {
         if let Some(index) = self.position(sentence) {
-            return self.eval_at(index, structure, memoize);
+            return self.eval_at(index, ctx, structure);
         }
         match sentence {
             PosFormula::True => true,
@@ -370,6 +374,15 @@ impl StepOracle for FormulaOracle {
         self.vocab.root_layer(root, self.index_cutoff, &self.cache)
     }
 
+    fn grow_root(
+        &self,
+        previous: Arc<StateLayers>,
+        _root: &Instance,
+        added: &[(RelId, Tuple)],
+    ) -> StateLayers {
+        self.vocab.grow_root_layer(previous, added, &self.cache)
+    }
+
     fn prepare(&self, root: &StateLayers, before: &InstanceOverlay) -> StateLayers {
         self.vocab
             .state_layer(root, before, self.index_cutoff, &self.cache)
@@ -398,14 +411,12 @@ impl StepOracle for FormulaOracle {
         // then a pure function of the obligation and this verdict mask.
         if self.compiled.len() > 32 {
             return self
-                .progress_state(state, &|sentence| {
-                    self.eval(sentence, structure, ctx.memoize())
-                })
+                .progress_state(state, &|sentence| self.eval(sentence, ctx, structure))
                 .outcome();
         }
         let mut mask = 0u32;
         for bit in 0..self.compiled.len() {
-            if self.eval_at(bit, structure, ctx.memoize()) {
+            if self.eval_at(bit, ctx, structure) {
                 mask |= 1 << bit;
             }
         }
@@ -430,7 +441,7 @@ impl StepOracle for FormulaOracle {
                 Some(bit) => mask >> bit & 1 == 1,
                 None => {
                     unkeyed.set(true);
-                    self.eval(sentence, structure, ctx.memoize())
+                    self.eval(sentence, ctx, structure)
                 }
             },
         });
@@ -649,52 +660,54 @@ struct PreparedProperty {
     /// The id of the normalized formula in `oracle`'s obligation table.
     start: u32,
     /// The canonical sentence facts, and the formula's constants plus
-    /// every value of those facts (the formula-side binding values).
-    facts: PropertyFacts,
+    /// every value of those facts (the formula-side binding values);
+    /// shared by the batch's formulas with the same atom sentences.
+    facts: Arc<PropertyFacts>,
 }
 
-impl PreparedProperty {
-    /// Prepares `formula` with a share handle of `root_cache`; `None` when
-    /// `allow_empty_path` holds and the empty path already witnesses it.
-    fn new(
-        schema: &AccessSchema,
+/// The root-independent work a property batch shares between formulas:
+/// members of one property family mention the same atom sentences, so each
+/// distinct sentence is compiled once, and each distinct sorted sentence
+/// list gets its canonical facts built once.
+#[derive(Default)]
+struct SentencePool {
+    compiled: HashMap<PosFormula, Arc<CompiledSentence>>,
+    facts: HashMap<Vec<PosFormula>, Arc<PropertyFacts>>,
+}
+
+impl SentencePool {
+    /// The compiled atom sentences of a formula, in sorted order, and
+    /// their [`PropertyFacts`].
+    fn prepare(
+        &mut self,
         formula: &AccLtl,
-        zero_ary: bool,
-        allow_empty_path: bool,
-        engine_config: EngineConfig,
-        root_cache: &GuardCache,
-    ) -> Option<Self> {
-        let start = formula.normalize();
-        if allow_empty_path && start.accepts_empty() {
-            return None;
-        }
-        // One share-handle per formula: one underlying verdict map, but
-        // per-formula consult counters (so batched totals equal sequential
-        // totals).
-        let oracle = FormulaOracle::new(
-            schema,
-            formula,
-            zero_ary,
-            root_cache.share(),
-            engine_config.disable_indexes,
-            engine_config.index_cutoff,
-        );
-        let sentences = || oracle.compiled.iter().map(|(sentence, _)| sentence);
-        let facts = PropertyFacts::new(
-            canonical_facts(sentences()),
-            sentences().flat_map(PosFormula::constants).collect(),
-        );
-        let start = oracle.intern(start);
-        Some(PreparedProperty {
-            oracle,
-            start,
-            facts,
-        })
+    ) -> (Vec<(PosFormula, Arc<CompiledSentence>)>, Arc<PropertyFacts>) {
+        let sentences: Vec<PosFormula> = formula.atom_sentences().into_iter().collect();
+        let facts = self.facts.entry(sentences.clone()).or_insert_with(|| {
+            Arc::new(PropertyFacts::new(
+                canonical_facts(sentences.iter()),
+                sentences.iter().flat_map(PosFormula::constants).collect(),
+            ))
+        });
+        let facts = Arc::clone(facts);
+        let compiled = sentences
+            .into_iter()
+            .map(|sentence| {
+                let compiled = self
+                    .compiled
+                    .entry(sentence.clone())
+                    .or_insert_with(|| Arc::new(CompiledSentence::compile(&sentence)));
+                let compiled = Arc::clone(compiled);
+                (sentence, compiled)
+            })
+            .collect();
+        (compiled, facts)
     }
 }
 
 /// Prepares a property batch over one fresh root guard cache, in input
-/// order.
+/// order; `None` marks a formula the empty path already witnesses (when
+/// `allow_empty_path` holds).
 fn prepare_batch(
     schema: &AccessSchema,
     formulas: &[AccLtl],
@@ -703,17 +716,33 @@ fn prepare_batch(
     engine_config: EngineConfig,
 ) -> Vec<Option<PreparedProperty>> {
     let root_cache = GuardCache::with_enabled(!engine_config.disable_guard_cache);
+    let vocab = TransitionVocab::new(schema);
+    let mut pool = SentencePool::default();
     formulas
         .iter()
         .map(|formula| {
-            PreparedProperty::new(
-                schema,
-                formula,
+            let start = formula.normalize();
+            if allow_empty_path && start.accepts_empty() {
+                return None;
+            }
+            let (compiled, facts) = pool.prepare(formula);
+            // One share-handle per formula: one underlying verdict map, but
+            // per-formula consult counters (so batched totals equal
+            // sequential totals).
+            let oracle = FormulaOracle::new(
+                vocab.clone(),
+                compiled,
                 zero_ary,
-                allow_empty_path,
-                engine_config,
-                &root_cache,
-            )
+                root_cache.share(),
+                engine_config.disable_indexes,
+                engine_config.index_cutoff,
+            );
+            let start = oracle.intern(start);
+            Some(PreparedProperty {
+                oracle,
+                start,
+                facts,
+            })
         })
         .collect()
 }

@@ -19,7 +19,8 @@ use accltl_paths::engine::{Candidate, FactUniverse};
 use accltl_paths::{AccessSchema, Transition};
 use accltl_relational::symbols::SymbolTable;
 use accltl_relational::{
-    Atom, GuardCache, Instance, InstanceOverlay, PosFormula, RelId, Sym, Term, Tuple,
+    Atom, CompiledSentence, GuardCache, Instance, InstanceOverlay, PosFormula, RelId, RootVerdicts,
+    Sym, Term, Tuple,
 };
 
 /// The `Rpre` predicate name for relation `relation`.
@@ -165,7 +166,46 @@ impl TransitionVocab {
             image.add_fact(self.post(rel), tuple.clone());
         }
         image.set_index_cutoff(index_cutoff);
-        StateLayers::new(InstanceOverlay::new(Arc::new(image)), cache)
+        StateLayers::new(
+            InstanceOverlay::new(Arc::new(image)),
+            Arc::new(RootVerdicts::new()),
+            cache,
+        )
+    }
+
+    /// The root layer of a root that grew by `added` (facts it did not
+    /// hold) beyond the root `previous` was built from: `previous`'s image
+    /// extended in place — value index and digests maintained fact by fact —
+    /// when nothing else holds it, and copied first otherwise (state layers
+    /// of earlier runs may still stand on it).  Its root verdicts follow
+    /// from `previous`'s ([`RootVerdicts::grown`]).
+    #[must_use]
+    pub fn grow_root_layer(
+        &self,
+        previous: Arc<StateLayers>,
+        added: &[(RelId, Tuple)],
+        cache: &GuardCache,
+    ) -> StateLayers {
+        debug_assert!(
+            previous.layers.delta().is_empty(),
+            "only a root layer grows"
+        );
+        let roots = Arc::clone(&previous.roots);
+        let mut image = Arc::clone(previous.layers.base());
+        drop(previous);
+        let grown = Arc::make_mut(&mut image);
+        let mut growth = Instance::new();
+        for (rel, tuple) in added {
+            for image_rel in [self.pre(*rel), self.post(*rel)] {
+                grown.add_fact(image_rel, tuple.clone());
+                growth.add_fact(image_rel, tuple.clone());
+            }
+        }
+        StateLayers::new(
+            InstanceOverlay::new(image),
+            Arc::new(roots.grown(growth)),
+            cache,
+        )
     }
 
     /// The `pre ∪ post` image of a search state's configuration `before`:
@@ -175,8 +215,9 @@ impl TransitionVocab {
     ///
     /// Only `before`'s delta is imaged, so two conditions must hold or the
     /// result silently misses facts:
-    /// - `root` is what [`TransitionVocab::root_layer`] returned (an empty
-    ///   delta), not another state's layers;
+    /// - `root` is what [`TransitionVocab::root_layer`] or
+    ///   [`TransitionVocab::grow_root_layer`] returned (an empty delta), not
+    ///   another state's layers;
     /// - `before` is an overlay whose base is the very instance `root` was
     ///   built from.
     ///
@@ -204,7 +245,7 @@ impl TransitionVocab {
             layers.push_fact(self.pre(rel), tuple.clone());
             layers.push_fact(self.post(rel), tuple.clone());
         }
-        StateLayers::new(layers, cache)
+        StateLayers::new(layers, Arc::clone(&root.roots), cache)
     }
 
     /// The transition structure `M(t)` of one candidate transition out of a
@@ -238,20 +279,54 @@ impl TransitionVocab {
 /// of one search state, in two layers: the run's root image (shared by
 /// every state of the run) and the image of the facts the state revealed
 /// beyond the root.  Both search oracles use it as their per-state context.
+///
+/// Guards are decided on it semi-naively ([`StateLayers::decide`]).  A
+/// guard sentence is positive existential, hence monotone, and a
+/// transition structure only adds facts on top of the root: the state's
+/// revealed facts and the candidate's `Rpost`/`IsBind` facts.  So a match
+/// on the structure lies wholly in the root image — and the sentence's
+/// verdict on the root, decided once per run in the root verdict table
+/// every state of the run shares, covers it — or maps an atom onto a state
+/// or candidate fact, and a search seeded by those few facts finds it.
+/// When those two layers hold at least as many facts as the root, seeding
+/// stops paying and the structure is searched whole
+/// ([`CompiledSentence::holds_layered`]).
 #[derive(Debug)]
 pub struct StateLayers {
     layers: Arc<InstanceOverlay>,
+    /// The sentences' verdicts on the root image, shared by every state
+    /// layer over it.
+    roots: Arc<RootVerdicts>,
     /// The guard cache's size gate, decided once per state over the whole
     /// base (every layer counted), so the per-consult fast path is a branch.
     memoize: bool,
 }
 
 impl StateLayers {
-    fn new(layers: InstanceOverlay, cache: &GuardCache) -> Self {
+    fn new(layers: InstanceOverlay, roots: Arc<RootVerdicts>, cache: &GuardCache) -> Self {
         StateLayers {
             memoize: cache.memoize_gate(&layers),
             layers: Arc::new(layers),
+            roots,
         }
+    }
+
+    /// Decides `sentence` on `structure`, a candidate structure built on
+    /// these layers: a counted consult of `cache`
+    /// ([`CompiledSentence::holds_cached_by`]) that, when the cache cannot
+    /// answer, evaluates layer by layer
+    /// ([`CompiledSentence::holds_layered`]).  Agrees with
+    /// [`CompiledSentence::holds_cached`] on verdict, key and consult count.
+    #[must_use]
+    pub fn decide(
+        &self,
+        sentence: &CompiledSentence,
+        structure: &CandidateStructure,
+        cache: &GuardCache,
+    ) -> bool {
+        sentence.holds_cached_by(structure, cache, self.memoize, || {
+            sentence.holds_layered(structure, &self.roots)
+        })
     }
 
     /// The layered `pre ∪ post` base.

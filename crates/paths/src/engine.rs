@@ -59,7 +59,9 @@
 //! Neither per state nor per candidate transition does the engine copy a
 //! configuration.  Each run has one *root* configuration — the initial
 //! instance plus any facts assumed revealed — which the oracle prepares
-//! once ([`StepOracle::prepare_root`]); a state's *before* configuration is
+//! once ([`StepOracle::prepare_root`]), and grows rather than rebuilds when
+//! a monitoring session assumes more facts ([`StepOracle::grow_root`]); a
+//! state's *before* configuration is
 //! an [`InstanceOverlay`] over that root holding only the facts revealed
 //! beyond it, which the oracle layers over its root context
 //! ([`StepOracle::prepare`]); and a candidate hands the oracle its delta
@@ -239,6 +241,24 @@ pub trait StepOracle: Send + Sync {
     /// [`BatchEngine::run`] (once per engine while the root is unchanged,
     /// under [`StepOracle::shares_ctx`]).
     fn prepare_root(&self, root: &Instance) -> Self::StateCtx;
+
+    /// Precomputes the context of a root that grew by `added` (facts it
+    /// did not hold, in the order they were assumed revealed) beyond the
+    /// root `previous` was prepared for; `root` is the grown root.  Must
+    /// equal [`StepOracle::prepare_root`] on `root` for every purpose the
+    /// oracle has, which is what the default returns.  Under
+    /// [`StepOracle::shares_ctx`] the engine calls this instead of
+    /// `prepare_root` when an assumed fact grew the root since the last
+    /// run, so an oracle may extend `previous` instead of rebuilding it.
+    fn grow_root(
+        &self,
+        previous: Arc<Self::StateCtx>,
+        root: &Instance,
+        added: &[(RelId, Tuple)],
+    ) -> Self::StateCtx {
+        let _ = (previous, added);
+        self.prepare_root(root)
+    }
 
     /// Precomputes whatever the oracle needs to evaluate candidates from a
     /// state whose configuration is `before`: an overlay over the run's
@@ -1067,11 +1087,13 @@ pub struct BatchEngine<'a, O: StepOracle> {
     /// configuration the before-overlays take from `root` rather than push.
     root_set: FactSet,
     /// The shared oracles' context for `root` ([`StepOracle::prepare_root`]),
-    /// reused across runs until an assumed fact grows the root.
+    /// reused across runs; once an assumed fact grows the root, the next
+    /// run grows it ([`StepOracle::grow_root`]) by `root_added`.
     root_ctx: Option<Arc<O::StateCtx>>,
-    /// Set when an assumed fact grows the root; the next run then drops the
-    /// cache entries no run can reach any more.
-    root_grown: bool,
+    /// The facts assumed revealed since the last run: the next run grows
+    /// `root_ctx` by them, after dropping the cache entries no run can
+    /// reach any more.
+    root_added: Vec<(RelId, Tuple)>,
     interner: FactInterner,
     /// Prepared oracle contexts keyed by trimmed revealed set, shared
     /// across properties and states when the oracle opts in
@@ -1129,7 +1151,7 @@ impl<'a, O: StepOracle> BatchEngine<'a, O> {
             root: initial,
             root_set: FactSet::empty(0),
             root_ctx: None,
-            root_grown: false,
+            root_added: Vec::new(),
             interner: FactInterner::default(),
             ctx_cache: RwLock::new(HashMap::new()),
             candidate_classes: Vec::new(),
@@ -1154,8 +1176,7 @@ impl<'a, O: StepOracle> BatchEngine<'a, O> {
             return false;
         }
         Arc::make_mut(&mut self.root).add_fact(rel, tuple.clone());
-        self.root_ctx = None;
-        self.root_grown = true;
+        self.root_added.push((rel, tuple.clone()));
         true
     }
 
@@ -1212,10 +1233,6 @@ impl<'a, O: StepOracle> BatchEngine<'a, O> {
         let _run_span =
             trace::span_fields("engine.run", &[("properties", properties.len() as u64)]);
         let root_facts = self.root_facts();
-        let mut runs: Vec<PropertyRun<'_, O>> = properties
-            .into_iter()
-            .map(|spec| self.register(spec, &root_facts))
-            .collect();
         // The root revealed set holds every fact of the root instance: each
         // property's own "universe ∩ root", so all properties agree on what
         // a configuration *is*.
@@ -1225,10 +1242,19 @@ impl<'a, O: StepOracle> BatchEngine<'a, O> {
                 root.insert(id);
             }
         }
-        self.root_set = root.clone();
-        if std::mem::take(&mut self.root_grown) {
-            self.drop_unreachable();
+        // Dropped before the properties register, so the grown root's
+        // context is prepared while no stale entry holds the old one.
+        if !self.root_added.is_empty() {
+            self.drop_unreachable(&root);
         }
+        let mut runs: Vec<PropertyRun<'_, O>> = properties
+            .into_iter()
+            .map(|spec| self.register(spec, &root_facts))
+            .collect();
+        // Registration interns the properties' own facts: widen the root
+        // set to the whole table.
+        root.words.resize(self.interner.table.len().div_ceil(64), 0);
+        self.root_set = root.clone();
         for run in &mut runs {
             let key = (root.clone(), run.start.clone());
             run.nodes.push(Node {
@@ -1371,8 +1397,7 @@ impl<'a, O: StepOracle> BatchEngine<'a, O> {
     /// that grew the root, keeps a monitoring session's caches (and its
     /// teardown) to what its current root can still reach.  Lookup
     /// counters are unaffected: a dropped entry would never have been hit.
-    fn drop_unreachable(&mut self) {
-        let root = &self.root_set;
+    fn drop_unreachable(&mut self, root: &FactSet) {
         self.ctx_cache
             .get_mut()
             .expect("ctx cache poisoned")
@@ -1465,13 +1490,19 @@ impl<'a, O: StepOracle> BatchEngine<'a, O> {
         };
         let threads = config.threads.max(1);
         let shares_ctx = oracle.shares_ctx();
+        let added = std::mem::take(&mut self.root_added);
         let root_ctx = if shares_ctx {
-            let root = &self.root;
-            Arc::clone(
-                self.root_ctx
-                    .get_or_insert_with(|| Arc::new(oracle.prepare_root(root))),
-            )
+            let ctx = match self.root_ctx.take() {
+                Some(previous) if !added.is_empty() => {
+                    Arc::new(oracle.grow_root(previous, &self.root, &added))
+                }
+                Some(current) => current,
+                None => Arc::new(oracle.prepare_root(&self.root)),
+            };
+            self.root_ctx = Some(Arc::clone(&ctx));
+            ctx
         } else {
+            self.root_ctx = None;
             Arc::new(oracle.prepare_root(&self.root))
         };
         PropertyRun {

@@ -12,7 +12,10 @@
 //! binds them into a `[Option<Value>]` slot buffer (on the stack up to 16
 //! variables) with an undo trail, and it allocates nothing per candidate
 //! tuple.  [`for_each_homomorphism`] documents the enumeration order, which
-//! is part of the contract.
+//! is part of the contract.  A seeded entry pins one atom to a given fact
+//! and searches the others the same way; the layered guard evaluation
+//! ([`crate::CompiledSentence::holds_layered`]) uses it to look only for
+//! matches through the facts a transition structure adds to its root.
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -376,7 +379,7 @@ pub fn for_each_homomorphism<V: InstanceView + ?Sized>(
 ) {
     let plan = SlotPlan::new(atoms, &[]);
     let mut slots = plan.prefilled(initial);
-    plan.search(instance, &mut slots, &mut |slots| {
+    plan.search(instance, &mut slots, None, &mut |slots| {
         let mut assignment = initial.clone();
         for (var, value) in plan.vars.iter().zip(slots) {
             if let Some(value) = value {
@@ -493,16 +496,19 @@ impl SlotPlan {
         F: FnMut(&[Option<Value>]) -> bool,
     {
         with_buffer(self.vars.len(), None, |slots| {
-            self.search(view, slots, &mut |slots| {
-                let value = |operand| match operand {
-                    Operand::Const(c) => c,
-                    Operand::Slot(s) => {
-                        slots[s as usize].expect("a complete match binds every slot")
-                    }
-                };
-                self.inequalities.iter().all(|&(l, r)| value(l) != value(r)) && on_match(slots)
+            self.search(view, slots, None, &mut |slots| {
+                self.inequalities_hold(slots) && on_match(slots)
             })
         })
+    }
+
+    /// True if every inequality holds on a complete match.
+    fn inequalities_hold(&self, slots: &[Option<Value>]) -> bool {
+        let value = |operand| match operand {
+            Operand::Const(c) => c,
+            Operand::Slot(s) => slots[s as usize].expect("a complete match binds every slot"),
+        };
+        self.inequalities.iter().all(|&(l, r)| value(l) != value(r))
     }
 
     /// True if some match of the atoms satisfies every inequality.
@@ -510,21 +516,70 @@ impl SlotPlan {
         self.for_each_match(view, &mut |_| true)
     }
 
+    /// True if some match on `view` that maps at least one atom onto a fact
+    /// of `seeds` satisfies every inequality.  Every seed fact must also be
+    /// a fact of `view`.
+    ///
+    /// The seeded entry of the kernel: each atom in turn is pinned to each
+    /// seed fact of its relation, and the other atoms are searched over the
+    /// whole view exactly as [`SlotPlan::for_each_match`] searches them
+    /// (same static/dynamic levels, inequalities checked on each complete
+    /// match).  When `view` is an old fact set plus the seeds, a match of
+    /// the plan either lies wholly in the old facts or is found here — the
+    /// semi-naive split the layered guard evaluation
+    /// ([`crate::CompiledSentence::holds_layered`]) builds on.
+    pub(crate) fn holds_through<V: InstanceView + ?Sized>(
+        &self,
+        view: &V,
+        seeds: &[&Instance],
+    ) -> bool {
+        with_buffer(self.vars.len(), None, |slots| {
+            for (index, atom) in self.atoms.iter().enumerate() {
+                for seed in seeds {
+                    for tuple in seed.tuples_of(atom.predicate) {
+                        if pin(&atom.terms, tuple.values(), slots)
+                            && self.search(view, slots, Some(index), &mut |slots| {
+                                self.inequalities_hold(slots)
+                            })
+                        {
+                            return true;
+                        }
+                        slots.fill(None);
+                    }
+                }
+            }
+            false
+        })
+    }
+
     /// Enumerates the matches extending the bindings already in `slots`, in
     /// the order documented on [`for_each_homomorphism`]; `on_match` sees
     /// the complete slot buffer and returns `true` to stop.  Returns `true`
-    /// if it was stopped.
-    fn search<V, F>(&self, view: &V, slots: &mut [Option<Value>], on_match: &mut F) -> bool
+    /// if it was stopped.  A `pinned` atom is left out of the search: the
+    /// caller has already matched it.
+    fn search<V, F>(
+        &self,
+        view: &V,
+        slots: &mut [Option<Value>],
+        pinned: Option<usize>,
+        on_match: &mut F,
+    ) -> bool
     where
         V: InstanceView + ?Sized,
         F: FnMut(&[Option<Value>]) -> bool,
     {
         with_buffer(self.vars.len(), 0u32, |trail| {
             with_buffer(self.atoms.len(), (0usize, 0u32), |remaining| {
-                // (relation size, atom index) per atom, in query order.
-                for (entry, (i, atom)) in remaining.iter_mut().zip(self.atoms.iter().enumerate()) {
-                    *entry = (view.count_of(atom.predicate), i as u32);
+                // (relation size, atom index) per searched atom, in query
+                // order.
+                let mut len = 0;
+                for (i, atom) in self.atoms.iter().enumerate() {
+                    if pinned != Some(i) {
+                        remaining[len] = (view.count_of(atom.predicate), i as u32);
+                        len += 1;
+                    }
                 }
+                let remaining = &mut remaining[..len];
                 let mut kernel = Kernel {
                     atoms: &self.atoms,
                     view,
@@ -548,6 +603,20 @@ impl SlotPlan {
             })
         })
     }
+}
+
+/// Binds the free slots of `terms` to a tuple's `values`: true when the
+/// tuple matches (arity, constants, repeated variables).  On a mismatch the
+/// slots are left partially bound.
+fn pin(terms: &[Operand], values: &[Value], slots: &mut [Option<Value>]) -> bool {
+    terms.len() == values.len()
+        && terms
+            .iter()
+            .zip(values)
+            .all(|(operand, value)| match *operand {
+                Operand::Const(c) => c == *value,
+                Operand::Slot(s) => *slots[s as usize].get_or_insert(*value) == *value,
+            })
 }
 
 /// The mutable state of one [`SlotPlan::search`].
@@ -720,7 +789,7 @@ pub fn exists_homomorphism<V: InstanceView + ?Sized>(
 ) -> bool {
     let plan = SlotPlan::new(atoms, &[]);
     let mut slots = plan.prefilled(initial);
-    plan.search(instance, &mut slots, &mut |_| true)
+    plan.search(instance, &mut slots, None, &mut |_| true)
 }
 
 /// Macro building a [`ConjunctiveQuery`]: `cq!([x, y] <- atom1, atom2)` for a

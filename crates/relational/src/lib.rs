@@ -96,7 +96,7 @@ pub use schema::{RelationSchema, Schema};
 pub use symbols::{IdMap, RelId, RelKey, Sym, SymKey, SymbolTable, VarId, VarKey};
 pub use term::Term;
 pub use tuple::Tuple;
-pub use ucq::{CompiledSentence, PosFormula, UnionOfCqs};
+pub use ucq::{CompiledSentence, PosFormula, RootVerdicts, UnionOfCqs};
 pub use value::{DataType, Value};
 
 /// Result alias used across the crate.

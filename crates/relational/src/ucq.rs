@@ -8,16 +8,19 @@
 //! (disjunctive normal form), which is what the containment and
 //! canonical-database machinery operates on.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
-use std::sync::OnceLock;
+use std::hash::BuildHasherDefault;
+use std::sync::{Arc, OnceLock, RwLock};
 
 use crate::atom::Atom;
 use crate::cq::{ConjunctiveQuery, SlotPlan};
 use crate::error::RelationalError;
 use crate::guard_cache::{sentence_cache_id, GuardCache};
+use crate::index::FxHasher;
 use crate::inequality::InequalityCq;
-use crate::overlay::InstanceView;
+use crate::instance::Instance;
+use crate::overlay::{InstanceOverlay, InstanceView};
 use crate::symbols::{RelId, VarId};
 use crate::term::Term;
 use crate::tuple::Tuple;
@@ -567,6 +570,47 @@ impl CompiledSentence {
         &self.meta().predicates
     }
 
+    /// True if some match of the sentence on `view` maps at least one atom
+    /// onto a fact of `seeds` (which must be facts of `view`); see
+    /// [`CompiledSentence::holds_layered`].
+    fn holds_through(&self, view: &impl InstanceView, seeds: &[&Instance]) -> bool {
+        self.plans
+            .iter()
+            .any(|plan| plan.holds_through(view, seeds))
+    }
+
+    /// [`CompiledSentence::holds`] on a three-layer transition structure
+    /// (root, state and candidate layer, see [`crate::overlay`]), deciding
+    /// the root layer once per run instead of once per structure.
+    ///
+    /// The sentence is positive existential, so it is monotone: adding
+    /// facts never falsifies it, and a match on the whole structure either
+    /// lies wholly in the root layer or maps at least one atom onto a fact
+    /// of the state or candidate layer.  So the verdict is the root verdict
+    /// (looked up in, or added to, `roots`, which must belong to this root
+    /// layer) OR a match seeded by a state or candidate fact — exactly
+    /// [`CompiledSentence::holds`] on the structure.
+    ///
+    /// Seeding runs one search per atom and seed fact, so it only pays
+    /// while the seeds are few next to the root: when the state and
+    /// candidate layers together hold at least as many facts as the root,
+    /// the structure is searched as a whole instead (an empty root —
+    /// emptiness questions over an empty `I_0` — always takes this branch).
+    #[must_use]
+    pub fn holds_layered(
+        &self,
+        structure: &InstanceOverlay<InstanceOverlay>,
+        roots: &RootVerdicts,
+    ) -> bool {
+        let state = structure.base();
+        let root = state.base();
+        if state.delta().fact_count() + structure.delta().fact_count() >= root.fact_count() {
+            return self.holds(structure);
+        }
+        roots.holds(self, root)
+            || self.holds_through(structure, &[state.delta(), structure.delta()])
+    }
+
     /// [`CompiledSentence::holds`], memoized through a [`GuardCache`].
     ///
     /// The cache key is the sentence's id paired with the view's
@@ -583,6 +627,15 @@ impl CompiledSentence {
     /// when the cache is disabled, or when the view cannot produce a key;
     /// every consult is counted either way, so cached and uncached runs
     /// report the same `hits + misses` total.
+    ///
+    /// The search oracles consult through [`CompiledSentence::holds_cached_by`]
+    /// instead, evaluating misses and unmemoized consults layer by layer
+    /// ([`CompiledSentence::holds_layered`]): the sentence is positive
+    /// existential, hence monotone, so on a structure that only adds state
+    /// and candidate facts to a root layer it holds iff it holds on the
+    /// root (decided once per run) or some match maps an atom onto an added
+    /// fact; when the added facts are at least as many as the root's, the
+    /// structure is searched whole.  Same verdict, same key, same count.
     #[must_use]
     pub fn holds_cached(
         &self,
@@ -590,19 +643,128 @@ impl CompiledSentence {
         cache: &GuardCache,
         memoize: bool,
     ) -> bool {
+        self.holds_cached_by(structure, cache, memoize, || self.holds(structure))
+    }
+
+    /// [`CompiledSentence::holds_cached`] with `evaluate` deciding the
+    /// sentence on `structure` whenever the cache cannot answer (a miss,
+    /// or the unmemoized path).  `evaluate` must agree with
+    /// [`CompiledSentence::holds`] on `structure` — the search oracles pass
+    /// the layered evaluation ([`CompiledSentence::holds_layered`]) — so
+    /// keys, lookups and consult counts are those of `holds_cached`.
+    #[must_use]
+    pub fn holds_cached_by(
+        &self,
+        structure: &impl InstanceView,
+        cache: &GuardCache,
+        memoize: bool,
+        evaluate: impl FnOnce() -> bool,
+    ) -> bool {
         if memoize && cache.enabled() {
             let meta = self.meta();
             if let Some(key) = structure.guard_key(&meta.predicates) {
                 if let Some(verdict) = cache.lookup(meta.id, &key) {
                     return verdict;
                 }
-                let verdict = self.holds(structure);
+                let verdict = evaluate();
                 cache.insert(meta.id, key, verdict);
                 return verdict;
             }
         }
         cache.note_uncached();
-        self.holds(structure)
+        evaluate()
+    }
+}
+
+/// The verdicts of sentences on one root layer, keyed by
+/// [`CompiledSentence::id`]: the root half of
+/// [`CompiledSentence::holds_layered`].
+///
+/// Filled lazily, one full search per sentence, and shared by every
+/// structure over the root layer; the lock is never held across a search,
+/// so two threads may decide one sentence twice, with the same verdict.
+///
+/// A root that grows (a monitoring session's responses) gets a successor
+/// table through [`RootVerdicts::grown`].  By monotonicity its verdicts
+/// follow from the old ones: a sentence true on the old root stays true,
+/// and one false there holds on the grown root iff some match maps an atom
+/// onto a fact the growth added.  The successor re-decides a false entry
+/// that way, on first use.
+#[derive(Debug, Default)]
+pub struct RootVerdicts {
+    /// Sentence id → (verdict, the number of `growths` it accounts for).
+    verdicts: RwLock<HashMap<u32, (bool, usize), BuildHasherDefault<FxHasher>>>,
+    /// The facts each growth of the root added, oldest first.
+    growths: Vec<Arc<Instance>>,
+}
+
+impl RootVerdicts {
+    /// An empty table for a fresh root.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The table of the root grown by `added` (facts it did not hold)
+    /// beyond the root this table belongs to.
+    ///
+    /// Only a false entry reads growths, those since it was decided, so
+    /// older ones are dropped.  A false entry more than
+    /// [`RootVerdicts::MAX_GROWTHS`] growths old is dropped too (it is
+    /// decided afresh if consulted again), so a long monitoring session
+    /// keeps a bounded history.
+    #[must_use]
+    pub fn grown(&self, added: Instance) -> RootVerdicts {
+        let mut verdicts = self
+            .verdicts
+            .read()
+            .expect("root verdicts poisoned")
+            .clone();
+        let now = self.growths.len() + 1;
+        verdicts.retain(|_, &mut (verdict, at)| verdict || now - at <= Self::MAX_GROWTHS);
+        let oldest = verdicts
+            .values()
+            .filter(|(verdict, _)| !verdict)
+            .map(|&(_, at)| at)
+            .min()
+            .unwrap_or(self.growths.len());
+        for (_, at) in verdicts.values_mut() {
+            *at = at.saturating_sub(oldest);
+        }
+        let mut growths = self.growths[oldest..].to_vec();
+        growths.push(Arc::new(added));
+        RootVerdicts {
+            verdicts: RwLock::new(verdicts),
+            growths,
+        }
+    }
+
+    /// The most growths a false entry is re-decided through.
+    const MAX_GROWTHS: usize = 64;
+
+    /// The verdict of `sentence` on `root`, the root this table belongs to.
+    fn holds(&self, sentence: &CompiledSentence, root: &Instance) -> bool {
+        let id = sentence.id();
+        let now = self.growths.len();
+        let known = self
+            .verdicts
+            .read()
+            .expect("root verdicts poisoned")
+            .get(&id)
+            .copied();
+        let verdict = match known {
+            Some((verdict, at)) if verdict || at == now => return verdict,
+            Some((_, at)) => {
+                let seeds: Vec<&Instance> = self.growths[at..].iter().map(|g| &**g).collect();
+                sentence.holds_through(root, &seeds)
+            }
+            None => sentence.holds(root),
+        };
+        self.verdicts
+            .write()
+            .expect("root verdicts poisoned")
+            .insert(id, (verdict, now));
+        verdict
     }
 }
 

@@ -170,6 +170,30 @@ pub fn dataflow_atom() -> AccLtl {
     ))
 }
 
+/// Member `k` of the Fig-1 FD + dataflow family (period 6): both `Address`
+/// FDs hold throughout while an `AcM1` lookup of an already-revealed
+/// resident is pursued, as `F φ` or `¬φ U φ`, deferred by zero to two `X`s.
+pub fn fd_dataflow_property(schema: &AccessSchema, k: usize) -> AccLtl {
+    let street_to_postcode = properties::functional_dependency_formula(
+        schema,
+        &FunctionalDependency::new("Address", vec![0], 1),
+    );
+    let postcode_to_street = properties::functional_dependency_formula(
+        schema,
+        &FunctionalDependency::new("Address", vec![1], 0),
+    );
+    let df = dataflow_atom();
+    let mut eventuality = if k % 2 == 0 {
+        AccLtl::finally(df)
+    } else {
+        AccLtl::until(AccLtl::not(df.clone()), df)
+    };
+    for _ in 0..(k / 2) % 3 {
+        eventuality = AccLtl::next(eventuality);
+    }
+    AccLtl::and(vec![street_to_postcode, postcode_to_street, eventuality])
+}
+
 /// Strategy: small formulas mixing satisfiable, unsatisfiable and
 /// binding-aware shapes over the phone-directory vocabulary.
 pub fn random_formula() -> impl Strategy<Value = AccLtl> {

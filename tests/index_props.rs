@@ -3,14 +3,29 @@
 //! homomorphisms in the same enumeration order, the same Datalog fixpoints
 //! (facts and `Display`) — on both `Instance` and `InstanceOverlay`,
 //! including after incremental `add_fact` maintenance of a built index.
+//!
+//! The scan fallback (`EngineConfig::disable_indexes`) is also the
+//! reference of the search oracles' layered guard evaluation, which it
+//! replaces by whole-structure scans: `check_all` must report the same
+//! verdicts, witnesses, explored states, costs and guard-consult totals
+//! either way, on a batch whose roots are large (seeded searches) and on
+//! one over an empty `I_0` (whole-structure searches only).
+
+mod common;
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
+use accltl_core::analyzer::Engine;
 use accltl_core::prelude::*;
 use accltl_core::relational::cq::{for_each_homomorphism, Assignment};
 use accltl_core::relational::{indexing_enabled, set_indexing_enabled};
+
+use common::{
+    dataflow_atom, dataflow_formula, emptiness_engine, fd_dataflow_property, jones_post,
+    scaled_initial, search_engine, with_deadline,
+};
 
 /// Rows over three relations sharing a small value domain, so joins and
 /// repeated-variable atoms actually match.  Enough rows that the larger
@@ -162,4 +177,67 @@ proptest! {
             indexed_fixpoint.relation_size(program.goal()) > 0
         );
     }
+}
+
+/// One `check_all` report as compared across evaluation paths: engine,
+/// verdict with witness, explored states, cost and guard-consult total.
+fn check_all_digest(
+    analyzer: &AccessAnalyzer,
+    properties: &[AccLtl],
+    config: EngineConfig,
+) -> Vec<(Engine, String, usize, usize, u64)> {
+    analyzer
+        .check_all(&BatchRequest::new(properties.to_vec()).with_config(config))
+        .iter()
+        .map(|report| {
+            (
+                report.engine,
+                format!("{:?}", report.outcome),
+                report.run.explored,
+                report.run.cost,
+                report.run.guard_cache.total(),
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn layered_guards_match_the_scan_reference_on_the_fig1_batch() {
+    with_deadline(120, || {
+        let schema = phone_directory_access_schema();
+        let properties: Vec<AccLtl> = (0..8).map(|k| fd_dataflow_property(&schema, k)).collect();
+        let analyzer = AccessAnalyzer::new(schema).with_initial(scaled_initial(16));
+        let layered = check_all_digest(&analyzer, &properties, search_engine(false));
+        let scan = check_all_digest(
+            &analyzer,
+            &properties,
+            search_engine(false).disable_indexes(true),
+        );
+        assert_eq!(layered, scan);
+    });
+}
+
+#[test]
+fn layered_guards_match_the_scan_reference_over_an_empty_initial_instance() {
+    with_deadline(120, || {
+        let properties = vec![
+            dataflow_formula(),
+            AccLtl::and(vec![
+                dataflow_formula(),
+                AccLtl::globally(AccLtl::not(jones_post())),
+            ]),
+            AccLtl::and(vec![
+                AccLtl::globally(AccLtl::not(jones_post())),
+                AccLtl::finally(AccLtl::and(vec![dataflow_atom(), jones_post()])),
+            ]),
+        ];
+        let analyzer = AccessAnalyzer::new(phone_directory_access_schema());
+        let config = emptiness_engine(false);
+        let layered = check_all_digest(&analyzer, &properties, config);
+        let scan = check_all_digest(&analyzer, &properties, config.disable_indexes(true));
+        assert_eq!(layered, scan);
+        assert!(layered
+            .iter()
+            .all(|(engine, ..)| *engine == Engine::AutomatonPipeline));
+    });
 }

@@ -8,6 +8,12 @@
 //!   constants, repeated variables, unbound inequality variables,
 //!   arity-mismatched tuples, relations above the index cutoff and queries
 //!   with more variables than the stack slot buffer holds;
+//! * `CompiledSentence::holds_layered` — the root verdict OR a match seeded
+//!   by a state or candidate fact — agrees with `CompiledSentence::holds`
+//!   on the materialized three-layer structure, for an empty root, empty
+//!   upper layers, upper layers at least as large as the root, structures
+//!   sharing one root verdict table, and a root grown twice by
+//!   `RootVerdicts::grown`;
 //! * `for_each_homomorphism` yields exactly the pinned sequence of
 //!   assignments on two fixed instances, one below and one above the index
 //!   cutoff.  Every caller that keeps the first match (`find_homomorphism`,
@@ -22,7 +28,7 @@ use proptest::prelude::*;
 
 use accltl_core::prelude::*;
 use accltl_core::relational::cq::{for_each_homomorphism, Assignment};
-use accltl_core::relational::{CompiledSentence, InequalityCq, INDEX_CUTOFF};
+use accltl_core::relational::{CompiledSentence, InequalityCq, RootVerdicts, INDEX_CUTOFF};
 
 use common::brute_force_holds;
 
@@ -268,6 +274,123 @@ proptest! {
         let icq = chain(len, (tail < 5).then_some(tail));
         check_all_views(&rows, &icq, &chain_sentence(&icq));
     }
+}
+
+/// The facts of `rows`, as one instance.
+fn instance_of(rows: &[(usize, (i64, i64, i64))]) -> Instance {
+    let mut inst = Instance::new();
+    for row in rows {
+        add_row(&mut inst, *row);
+    }
+    inst
+}
+
+/// A three-layer structure: `root`, then `state` and `candidate` facts
+/// pushed on top (each layer keeps only the facts below it lacks).
+fn layered(
+    root: &Arc<Instance>,
+    state: &[(usize, (i64, i64, i64))],
+    candidate: &[(usize, (i64, i64, i64))],
+) -> InstanceOverlay<InstanceOverlay> {
+    let mut lower = InstanceOverlay::new(Arc::clone(root));
+    for (rel, tuple) in instance_of(state).facts() {
+        lower.push_fact(rel, tuple.clone());
+    }
+    let mut upper = InstanceOverlay::new(Arc::new(lower));
+    for (rel, tuple) in instance_of(candidate).facts() {
+        upper.push_fact(rel, tuple.clone());
+    }
+    upper
+}
+
+/// Checks every sentence's layered verdict on `structure` (whose root
+/// `roots` belongs to) against `CompiledSentence::holds` on the
+/// materialized structure.
+fn check_layered(
+    compiled: &[CompiledSentence],
+    structure: &InstanceOverlay<InstanceOverlay>,
+    roots: &RootVerdicts,
+    what: &str,
+) {
+    let materialized = structure.materialize();
+    for sentence in compiled {
+        assert_eq!(
+            sentence.holds_layered(structure, roots),
+            sentence.holds(&materialized),
+            "{what}: root {} facts, state {}, candidate {}",
+            structure.base().base().fact_count(),
+            structure.base().delta().fact_count(),
+            structure.delta().fact_count(),
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// The layered evaluation agrees with whole-structure evaluation on
+    /// every layout of the rows: the rows split at `a <= b` into root,
+    /// state and candidate facts; an empty root (the whole-search branch);
+    /// an empty state and candidate; upper layers at least as large as the
+    /// root; a second candidate over the same state and root verdict table;
+    /// and the root grown by the state rows in two steps, each under the
+    /// grown table of the table already used on the smaller root.
+    #[test]
+    fn layered_evaluation_matches_the_materialized_structure(
+        rows in random_rows(),
+        cuts in (0usize..41, 0usize..41),
+        sentences in proptest::collection::vec(random_sentence(), 1..4),
+    ) {
+        let compiled: Vec<CompiledSentence> =
+            sentences.iter().map(CompiledSentence::compile).collect();
+        let n = rows.len();
+        let (a, b) = (cuts.0.min(n), cuts.1.min(n));
+        let (a, b) = (a.min(b), a.max(b));
+
+        let root = Arc::new(instance_of(&rows[..a]));
+        let roots = RootVerdicts::new();
+        check_layered(&compiled, &layered(&root, &rows[a..b], &rows[b..]), &roots, "split");
+        let half = b + (n - b) / 2;
+        check_layered(
+            &compiled,
+            &layered(&root, &rows[a..b], &rows[half..]),
+            &roots,
+            "second candidate",
+        );
+        check_layered(&compiled, &layered(&root, &[], &rows[a..]), &roots, "no state facts");
+
+        let whole = Arc::new(instance_of(&rows));
+        check_layered(&compiled, &layered(&whole, &[], &[]), &RootVerdicts::new(), "no deltas");
+        let empty = Arc::new(Instance::new());
+        check_layered(&compiled, &layered(&empty, &rows[..a], &rows[a..]), &RootVerdicts::new(), "empty root");
+        let third = Arc::new(instance_of(&rows[..n / 3]));
+        check_layered(
+            &compiled,
+            &layered(&third, &rows[n / 3..], &[]),
+            &RootVerdicts::new(),
+            "deltas at least the root",
+        );
+
+        let m = a + (b - a) / 2;
+        let once = Arc::new(instance_of(&rows[..m]));
+        let once_roots = roots.grown(added_beyond(&root, &rows[a..m]));
+        check_layered(&compiled, &layered(&once, &rows[m..b], &rows[b..]), &once_roots, "grown root");
+        let twice = Arc::new(instance_of(&rows[..b]));
+        let twice_roots = once_roots.grown(added_beyond(&once, &rows[m..b]));
+        check_layered(&compiled, &layered(&twice, &[], &rows[b..]), &twice_roots, "root grown twice");
+    }
+}
+
+/// The facts of `rows` that `root` lacks: what growing `root` by `rows`
+/// adds.
+fn added_beyond(root: &Instance, rows: &[(usize, (i64, i64, i64))]) -> Instance {
+    let mut added = Instance::new();
+    for (rel, tuple) in instance_of(rows).facts() {
+        if !root.contains(rel, tuple) {
+            added.add_fact(rel, tuple.clone());
+        }
+    }
+    added
 }
 
 /// Renders an assignment as `var=value` pairs sorted by variable name, so
