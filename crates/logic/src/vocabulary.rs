@@ -317,6 +317,12 @@ impl StateLayers {
     /// answer, evaluates layer by layer
     /// ([`CompiledSentence::holds_layered`]).  Agrees with
     /// [`CompiledSentence::holds_cached`] on verdict, key and consult count.
+    ///
+    /// The root verdicts are those of this state's root image, so only a
+    /// structure over that very image is evaluated by layers.  Any other
+    /// structure is searched whole: a search engine may pair a state with
+    /// candidate structures it cached before a monitoring session grew the
+    /// root, which stand on the image before the growth.
     #[must_use]
     pub fn decide(
         &self,
@@ -325,7 +331,11 @@ impl StateLayers {
         cache: &GuardCache,
     ) -> bool {
         sentence.holds_cached_by(structure, cache, self.memoize, || {
-            sentence.holds_layered(structure, &self.roots)
+            if Arc::ptr_eq(structure.base().base(), self.layers.base()) {
+                sentence.holds_layered(structure, &self.roots)
+            } else {
+                sentence.holds(structure)
+            }
         })
     }
 
@@ -537,6 +547,52 @@ mod tests {
                 response([tuple!["Parks Rd", "OX13QD", "Jones", 16]]),
             );
         path.transitions(&schema, &Instance::new()).unwrap()
+    }
+
+    /// A candidate structure built before the root grew, decided under the
+    /// grown root's state, must not leave its old root's verdict in the
+    /// grown root's table: a structure built over the grown root would then
+    /// read that stale verdict.
+    #[test]
+    fn structures_over_an_older_root_do_not_fill_the_grown_roots_verdicts() {
+        let schema = phone_directory_access_schema();
+        let vocab = TransitionVocab::new(&schema);
+        let cache = GuardCache::with_enabled(false);
+        let address = RelId::new("Address");
+        let jones = tuple!["Parks Rd", "OX13QD", "Jones", 16];
+        let mut initial = Instance::new();
+        for house in 1..=4 {
+            initial.add_fact(address, tuple!["Parks Rd", "OX13QD", "Smith", house]);
+        }
+        let initial = Arc::new(initial);
+        let root = Arc::new(vocab.root_layer(&initial, usize::MAX, &cache));
+
+        // A state that revealed Jones's address, and one candidate out of it.
+        let mut before = InstanceOverlay::new(Arc::clone(&initial));
+        before.push_fact(address, jones.clone());
+        let state = vocab.state_layer(&root, &before, usize::MAX, &cache);
+        let mut stale = InstanceOverlay::new(Arc::clone(&state.layers));
+        stale.push_fact(isbind_rel(Sym::new("AcM1")), tuple!["Smith"]);
+
+        // The session then assumes that fact, growing the root by it.
+        let grown = vocab.grow_root_layer(root, &[(address, jones)], &cache);
+        let mut fresh = InstanceOverlay::new(Arc::clone(&grown.layers));
+        fresh.push_fact(isbind_rel(Sym::new("AcM1")), tuple!["Smith"]);
+
+        let knows_jones = CompiledSentence::compile(&PosFormula::exists(
+            vec!["s", "p", "h"],
+            pre_atom(
+                "Address",
+                vec![
+                    Term::var("s"),
+                    Term::var("p"),
+                    Term::constant("Jones"),
+                    Term::var("h"),
+                ],
+            ),
+        ));
+        assert!(grown.decide(&knows_jones, &stale, &cache));
+        assert!(grown.decide(&knows_jones, &fresh, &cache));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::hash::BuildHasherDefault;
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{OnceLock, RwLock};
 
 use crate::atom::Atom;
 use crate::cq::{ConjunctiveQuery, SlotPlan};
@@ -689,13 +689,16 @@ impl CompiledSentence {
 /// follow from the old ones: a sentence true on the old root stays true,
 /// and one false there holds on the grown root iff some match maps an atom
 /// onto a fact the growth added.  The successor re-decides a false entry
-/// that way, on first use.
+/// that way, on first use; a false entry not consulted before the next
+/// growth is dropped there, and decided afresh if consulted again.
 #[derive(Debug, Default)]
 pub struct RootVerdicts {
-    /// Sentence id → (verdict, the number of `growths` it accounts for).
-    verdicts: RwLock<HashMap<u32, (bool, usize), BuildHasherDefault<FxHasher>>>,
-    /// The facts each growth of the root added, oldest first.
-    growths: Vec<Arc<Instance>>,
+    /// Sentence id → (verdict, whether it was decided on this table's root
+    /// rather than on the root before the last growth).  True verdicts are
+    /// always current.
+    verdicts: RwLock<HashMap<u32, (bool, bool), BuildHasherDefault<FxHasher>>>,
+    /// The facts the last growth added (none for a fresh root).
+    added: Instance,
 }
 
 impl RootVerdicts {
@@ -706,46 +709,27 @@ impl RootVerdicts {
     }
 
     /// The table of the root grown by `added` (facts it did not hold)
-    /// beyond the root this table belongs to.
-    ///
-    /// Only a false entry reads growths, those since it was decided, so
-    /// older ones are dropped.  A false entry more than
-    /// [`RootVerdicts::MAX_GROWTHS`] growths old is dropped too (it is
-    /// decided afresh if consulted again), so a long monitoring session
-    /// keeps a bounded history.
+    /// beyond the root this table belongs to: true entries, and false
+    /// entries to re-decide through `added`.
     #[must_use]
     pub fn grown(&self, added: Instance) -> RootVerdicts {
-        let mut verdicts = self
+        let verdicts = self
             .verdicts
             .read()
             .expect("root verdicts poisoned")
-            .clone();
-        let now = self.growths.len() + 1;
-        verdicts.retain(|_, &mut (verdict, at)| verdict || now - at <= Self::MAX_GROWTHS);
-        let oldest = verdicts
-            .values()
-            .filter(|(verdict, _)| !verdict)
-            .map(|&(_, at)| at)
-            .min()
-            .unwrap_or(self.growths.len());
-        for (_, at) in verdicts.values_mut() {
-            *at = at.saturating_sub(oldest);
-        }
-        let mut growths = self.growths[oldest..].to_vec();
-        growths.push(Arc::new(added));
+            .iter()
+            .filter(|(_, &(verdict, current))| verdict || current)
+            .map(|(&id, &(verdict, _))| (id, (verdict, verdict)))
+            .collect();
         RootVerdicts {
             verdicts: RwLock::new(verdicts),
-            growths,
+            added,
         }
     }
-
-    /// The most growths a false entry is re-decided through.
-    const MAX_GROWTHS: usize = 64;
 
     /// The verdict of `sentence` on `root`, the root this table belongs to.
     fn holds(&self, sentence: &CompiledSentence, root: &Instance) -> bool {
         let id = sentence.id();
-        let now = self.growths.len();
         let known = self
             .verdicts
             .read()
@@ -753,17 +737,14 @@ impl RootVerdicts {
             .get(&id)
             .copied();
         let verdict = match known {
-            Some((verdict, at)) if verdict || at == now => return verdict,
-            Some((_, at)) => {
-                let seeds: Vec<&Instance> = self.growths[at..].iter().map(|g| &**g).collect();
-                sentence.holds_through(root, &seeds)
-            }
+            Some((verdict, true)) => return verdict,
+            Some((_, false)) => sentence.holds_through(root, &[&self.added]),
             None => sentence.holds(root),
         };
         self.verdicts
             .write()
             .expect("root verdicts poisoned")
-            .insert(id, (verdict, now));
+            .insert(id, (verdict, true));
         verdict
     }
 }

@@ -13,7 +13,7 @@
 //!   on the materialized three-layer structure, for an empty root, empty
 //!   upper layers, upper layers at least as large as the root, structures
 //!   sharing one root verdict table, and a root grown twice by
-//!   `RootVerdicts::grown`;
+//!   `RootVerdicts::grown`, with and without a consult in between;
 //! * `for_each_homomorphism` yields exactly the pinned sequence of
 //!   assignments on two fixed instances, one below and one above the index
 //!   cutoff.  Every caller that keeps the first match (`find_homomorphism`,
@@ -334,7 +334,8 @@ proptest! {
     /// an empty state and candidate; upper layers at least as large as the
     /// root; a second candidate over the same state and root verdict table;
     /// and the root grown by the state rows in two steps, each under the
-    /// grown table of the table already used on the smaller root.
+    /// grown table of the table already used on the smaller root, and once
+    /// more with no consult between the two growths.
     #[test]
     fn layered_evaluation_matches_the_materialized_structure(
         rows in random_rows(),
@@ -378,6 +379,15 @@ proptest! {
         let twice = Arc::new(instance_of(&rows[..b]));
         let twice_roots = once_roots.grown(added_beyond(&once, &rows[m..b]));
         check_layered(&compiled, &layered(&twice, &[], &rows[b..]), &twice_roots, "root grown twice");
+        let unconsulted = roots
+            .grown(added_beyond(&root, &rows[a..m]))
+            .grown(added_beyond(&once, &rows[m..b]));
+        check_layered(
+            &compiled,
+            &layered(&twice, &[], &rows[b..]),
+            &unconsulted,
+            "root grown twice, unconsulted in between",
+        );
     }
 }
 
