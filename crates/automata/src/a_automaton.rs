@@ -44,8 +44,8 @@ impl Guard {
     }
 
     /// Evaluates the guard on a transition structure (an [`Instance`] or any
-    /// [`InstanceView`], such as the emptiness search's per-candidate
-    /// overlays).
+    /// [`InstanceView`], such as the emptiness search's borrowed candidate
+    /// structures).
     #[must_use]
     pub fn satisfied_by(&self, structure: &impl InstanceView) -> bool {
         self.positive.holds(structure) && self.negated.iter().all(|s| !s.holds(structure))
@@ -132,6 +132,12 @@ pub struct AAutomaton {
     pub transitions: Vec<GuardedTransition>,
     /// The constants the guards may use.
     pub constants: BTreeSet<Value>,
+    /// True when the automaton accepts only part of the language it was
+    /// built for (the Lemma 4.5 translation of a formula with more atoms
+    /// than it enumerates, see [`crate::accltl_plus_to_automaton`]): every
+    /// path it accepts is genuine, but its emptiness proves nothing, so
+    /// the emptiness search never answers `Empty` for it.
+    pub incomplete: bool,
 }
 
 impl AAutomaton {
@@ -144,6 +150,7 @@ impl AAutomaton {
             accepting: BTreeSet::new(),
             transitions: Vec::new(),
             constants: BTreeSet::new(),
+            incomplete: false,
         }
     }
 

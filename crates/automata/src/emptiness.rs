@@ -15,7 +15,8 @@
 //!
 //! The product search runs on the shared frontier engine
 //! ([`accltl_paths::engine`]): this module contributes the `AutomatonOracle`
-//! (pre-compiled guards, per-candidate transition-structure overlays), while
+//! (pre-compiled guards, and each candidate's transition structure read as
+//! a borrowed view over its state's layers), while
 //! universe indexing, frontier dedup, parent links and parallel layer
 //! expansion are the engine's.  Per-transition guard sentences are memoized
 //! through one `accltl_relational::GuardCache` shared across all chains of
@@ -30,7 +31,7 @@
 //! its [`SearchReport`].
 //!
 //! A consult the cache cannot answer is evaluated layer by layer
-//! ([`StateLayers::decide`]).  Guard sentences are positive existential,
+//! ([`CandidateStructure::decide`]).  Guard sentences are positive existential,
 //! hence monotone, and a candidate's transition structure only adds its
 //! state's revealed facts and its own `Rpost`/`IsBind` facts to the run's
 //! root image: a match lies wholly in the root — whose verdict is decided
@@ -44,8 +45,8 @@
 //! [`bounded_emptiness_batch`] checks many automata through one
 //! [`BatchEngine`]: chains are scheduled in waves (every live automaton's
 //! current chain searches concurrently, then advances), so overlay bases,
-//! prepared transition structures and one root guard cache are shared across
-//! the whole batch, while each automaton's chain order, early exit on a
+//! prepared state layers and one root guard cache are shared across the
+//! whole batch, while each automaton's chain order, early exit on a
 //! witness, per-chain budget split and consult totals stay byte-identical to
 //! a standalone [`bounded_emptiness_report`] call.
 
@@ -212,14 +213,16 @@ pub fn bounded_emptiness_batch_with_config(
         cost: usize,
         verdict: Option<EmptinessOutcome>,
     }
-    let mut slots: Vec<Slot> = chains
+    // An incomplete automaton's chains are searched like any other's, but
+    // exhausting them all proves nothing.
+    let mut slots: Vec<Slot> = automata
         .iter()
-        .map(|chains| Slot {
+        .map(|automaton| Slot {
             cursor: 0,
-            any_unknown: false,
+            any_unknown: automaton.incomplete,
             explored: 0,
             cost: 0,
-            verdict: chains.is_empty().then_some(EmptinessOutcome::Empty),
+            verdict: None,
         })
         .collect();
 
@@ -342,8 +345,8 @@ pub fn bounded_emptiness_batch_with_config(
 
 /// The [`StepOracle`] of the product emptiness search: the logical state is
 /// the automaton state; a candidate fires every outgoing transition whose
-/// (pre-compiled) guard holds on the candidate's transition-structure
-/// overlay.
+/// (pre-compiled) guard holds on the candidate's transition structure,
+/// read per step over the state's layers.
 struct AutomatonOracle<'a> {
     automaton: &'a AAutomaton,
     vocab: TransitionVocab,
@@ -393,29 +396,29 @@ impl<'a> AutomatonOracle<'a> {
 
     /// Decides the guard of transition `index` on a candidate structure out
     /// of the state `ctx`, every sentence a counted guard-cache consult:
-    /// layer by layer ([`StateLayers::decide`]), or by a whole-structure
-    /// scan under [`EngineConfig::disable_indexes`], the reference both
-    /// paths must agree with.
-    fn guard_holds(&self, index: usize, ctx: &StateLayers, structure: &CandidateStructure) -> bool {
+    /// layer by layer ([`CandidateStructure::decide`]), or by a
+    /// whole-structure scan under [`EngineConfig::disable_indexes`], the
+    /// reference both paths must agree with.
+    fn guard_holds(
+        &self,
+        index: usize,
+        ctx: &StateLayers,
+        structure: &CandidateStructure<'_>,
+    ) -> bool {
         let guard = &self.compiled[index];
         if self.scan {
-            let scan = ScanView(structure);
+            let scan = ScanView(structure.view());
             return guard.satisfied_with(|sentence| {
                 sentence.holds_cached(&scan, self.cache, ctx.memoize())
             });
         }
-        guard.satisfied_with(|sentence| ctx.decide(sentence, structure, self.cache))
+        guard.satisfied_with(|sentence| structure.decide(sentence, self.cache))
     }
 }
 
 impl StepOracle for AutomatonOracle<'_> {
     type State = usize;
     type StateCtx = StateLayers;
-    /// The candidate's transition structure: its response pushed as `Rpost`
-    /// facts (plus the `IsBind` fact) onto the state's `pre ∪ post` layers.
-    /// Independent of the automaton state being stepped, so the engine
-    /// shares it across states and across batched automata.
-    type CandidateCtx = CandidateStructure;
 
     fn prepare_root(&self, root: &Instance) -> StateLayers {
         self.vocab.root_layer(root, self.index_cutoff, self.cache)
@@ -426,30 +429,22 @@ impl StepOracle for AutomatonOracle<'_> {
             .state_layer(root, before, self.index_cutoff, self.cache)
     }
 
-    fn prepare_candidate(
-        &self,
-        ctx: &StateLayers,
-        candidate: &Candidate<'_>,
-        universe: &FactUniverse,
-    ) -> CandidateStructure {
-        self.vocab
-            .candidate_structure(ctx, candidate, universe, false)
-    }
-
     fn step(
         &self,
         state: &usize,
         ctx: &StateLayers,
-        structure: &CandidateStructure,
-        _candidate: &Candidate<'_>,
-        _universe: &FactUniverse,
+        candidate: &Candidate<'_>,
+        universe: &FactUniverse,
     ) -> StepOutcome<usize> {
+        let structure = self
+            .vocab
+            .candidate_structure(ctx, candidate, universe, false);
         let mut successors = Vec::new();
         let mut cost = 0usize;
         let mut accept = false;
         for &index in &self.outgoing[*state] {
             cost += 1;
-            if !self.guard_holds(index, ctx, structure) {
+            if !self.guard_holds(index, ctx, &structure) {
                 continue;
             }
             let to = self.automaton.transitions[index].to;

@@ -22,6 +22,12 @@
 //! the binding atoms that do hold, so the automaton accepts precisely the
 //! paths satisfying the formula.  The number of states is exponential in the
 //! number of atoms, matching the lemma's bound.
+//!
+//! The enumeration covers at most [`MAX_ENUMERATED_ATOMS`] data and as many
+//! binding atoms.  Data atoms past that are taken false on every transition
+//! and binding atoms past it are never asserted, which only prunes runs: the
+//! automaton then accepts genuine witnesses only, but not all of them, and
+//! is marked [`AAutomaton::incomplete`] so its emptiness certifies nothing.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -30,6 +36,10 @@ use accltl_logic::AccLtl;
 use accltl_relational::PosFormula;
 
 use crate::a_automaton::{AAutomaton, Guard};
+
+/// The most data atoms, and the most binding atoms, whose truth assignments
+/// the translation enumerates (`2^16` each, per obligation).
+pub const MAX_ENUMERATED_ATOMS: usize = 16;
 
 /// Translates a binding-positive formula into an equivalent A-automaton.
 ///
@@ -50,10 +60,16 @@ pub fn accltl_plus_to_automaton(formula: &AccLtl) -> AAutomaton {
         .collect();
     let (binding_atoms, data_atoms): (Vec<PosFormula>, Vec<PosFormula>) =
         atoms.into_iter().partition(mentions_isbind);
+    // Atom `i` of a list is true under `mask` only within the enumerated
+    // prefix; the rest are false under every mask.
+    let data_width = data_atoms.len().min(MAX_ENUMERATED_ATOMS);
+    let binding_width = binding_atoms.len().min(MAX_ENUMERATED_ATOMS);
+    let set = |mask: u32, i: usize| i < MAX_ENUMERATED_ATOMS && mask & (1 << i) != 0;
 
     // State bookkeeping: normalised obligation -> index.
     let mut index_of: BTreeMap<AccLtl, usize> = BTreeMap::new();
     let mut automaton = AAutomaton::new(0, 0);
+    automaton.incomplete = data_width < data_atoms.len() || binding_width < binding_atoms.len();
     let mut queue: VecDeque<AccLtl> = VecDeque::new();
 
     let start = formula.normalize();
@@ -68,14 +84,14 @@ pub fn accltl_plus_to_automaton(formula: &AccLtl) -> AAutomaton {
         let from = index_of[&obligation];
         // Enumerate the truth assignments: subsets of data atoms that hold,
         // and subsets of binding atoms that are asserted.
-        for data_mask in 0u32..(1 << data_atoms.len().min(16)) {
-            for bind_mask in 0u32..(1 << binding_atoms.len().min(16)) {
+        for data_mask in 0u32..(1 << data_width) {
+            for bind_mask in 0u32..(1 << binding_width) {
                 let valuation = |sentence: &PosFormula| -> bool {
                     if let Some(i) = data_atoms.iter().position(|a| a == sentence) {
-                        return data_mask & (1 << i) != 0;
+                        return set(data_mask, i);
                     }
                     if let Some(i) = binding_atoms.iter().position(|a| a == sentence) {
-                        return bind_mask & (1 << i) != 0;
+                        return set(bind_mask, i);
                     }
                     matches!(sentence, PosFormula::True)
                 };
@@ -87,20 +103,20 @@ pub fn accltl_plus_to_automaton(formula: &AccLtl) -> AAutomaton {
                 let positives: Vec<PosFormula> = data_atoms
                     .iter()
                     .enumerate()
-                    .filter(|(i, _)| data_mask & (1 << i) != 0)
+                    .filter(|&(i, _)| set(data_mask, i))
                     .map(|(_, a)| a.clone())
                     .chain(
                         binding_atoms
                             .iter()
                             .enumerate()
-                            .filter(|(i, _)| bind_mask & (1 << i) != 0)
+                            .filter(|&(i, _)| set(bind_mask, i))
                             .map(|(_, a)| a.clone()),
                     )
                     .collect();
                 let negatives: Vec<PosFormula> = data_atoms
                     .iter()
                     .enumerate()
-                    .filter(|(i, _)| data_mask & (1 << i) == 0)
+                    .filter(|&(i, _)| !set(data_mask, i))
                     .map(|(_, a)| a.clone())
                     .collect();
                 let guard = Guard {

@@ -32,9 +32,10 @@
 //! The frontier machinery — universe indexing, candidate enumeration,
 //! deduplication, arena parent links, parallel layer expansion — is the
 //! shared [`accltl_paths::engine`]; this module contributes the
-//! `FormulaOracle` that progresses obligations over per-candidate
-//! transition-structure overlays (compiled sentences, `O(|response|)` per
-//! step, no configuration clones).  Obligation checks are memoized through a
+//! `FormulaOracle` that progresses obligations over each candidate's
+//! transition structure, read as a borrowed view over its state's layers
+//! (compiled sentences, nothing built on the heap per step, no
+//! configuration clones).  Obligation checks are memoized through a
 //! per-search `accltl_relational::GuardCache` (sentence id × restricted
 //! `StructureKey`), so candidates that differ only in facts a sentence never
 //! mentions — typically the `IsBind` fact — share one homomorphism search;
@@ -46,7 +47,8 @@
 //!
 //! [`BoundedSearcher::run_batch`] checks many formulas through one
 //! [`BatchEngine`]: all properties share configuration-space work (overlay
-//! bases, prepared transition structures, and one root guard cache), while
+//! bases, prepared state layers, candidate lists, and one root guard
+//! cache), while
 //! per-formula verdicts, witnesses and budget accounting stay byte-identical
 //! to one-at-a-time [`BoundedSearcher::run`] calls.
 
@@ -319,18 +321,18 @@ impl FormulaOracle {
 
     /// Decides the atom sentence at `index` on a candidate structure out of
     /// the state `ctx` (⊤ and ⊥ uncounted, every other sentence a counted
-    /// guard-cache consult): layer by layer ([`StateLayers::decide`]), or
+    /// guard-cache consult): layer by layer ([`CandidateStructure::decide`]), or
     /// by a whole-structure scan under [`EngineConfig::disable_indexes`],
     /// the reference both paths must agree with.
-    fn eval_at(&self, index: usize, ctx: &StateLayers, structure: &CandidateStructure) -> bool {
+    fn eval_at(&self, index: usize, ctx: &StateLayers, structure: &CandidateStructure<'_>) -> bool {
         let (sentence, compiled) = &self.compiled[index];
         match sentence {
             PosFormula::True => true,
             PosFormula::False => false,
             _ if self.scan => {
-                compiled.holds_cached(&ScanView(structure), &self.cache, ctx.memoize())
+                compiled.holds_cached(&ScanView(structure.view()), &self.cache, ctx.memoize())
             }
-            _ => ctx.decide(compiled, structure, &self.cache),
+            _ => structure.decide(compiled, &self.cache),
         }
     }
 
@@ -338,7 +340,7 @@ impl FormulaOracle {
         &self,
         sentence: &PosFormula,
         ctx: &StateLayers,
-        structure: &CandidateStructure,
+        structure: &CandidateStructure<'_>,
     ) -> bool {
         if let Some(index) = self.position(sentence) {
             return self.eval_at(index, ctx, structure);
@@ -352,9 +354,9 @@ impl FormulaOracle {
             _ => {
                 self.cache.note_uncached();
                 if self.scan {
-                    sentence.holds(&ScanView(structure))
+                    sentence.holds(&ScanView(structure.view()))
                 } else {
-                    sentence.holds(structure)
+                    sentence.holds(structure.view())
                 }
             }
         }
@@ -364,11 +366,6 @@ impl FormulaOracle {
 impl StepOracle for FormulaOracle {
     type State = u32;
     type StateCtx = StateLayers;
-    /// The candidate's transition structure: its response pushed as `Rpost`
-    /// facts (plus the `IsBind` fact) onto the state's `pre ∪ post` layers.
-    /// Independent of the obligation being progressed, so the engine shares
-    /// it across obligations and across batched formulas.
-    type CandidateCtx = CandidateStructure;
 
     fn prepare_root(&self, root: &Instance) -> StateLayers {
         self.vocab.root_layer(root, self.index_cutoff, &self.cache)
@@ -388,24 +385,16 @@ impl StepOracle for FormulaOracle {
             .state_layer(root, before, self.index_cutoff, &self.cache)
     }
 
-    fn prepare_candidate(
-        &self,
-        ctx: &StateLayers,
-        candidate: &Candidate<'_>,
-        universe: &FactUniverse,
-    ) -> CandidateStructure {
-        self.vocab
-            .candidate_structure(ctx, candidate, universe, self.zero_ary)
-    }
-
     fn step(
         &self,
         &state: &u32,
         ctx: &StateLayers,
-        structure: &CandidateStructure,
-        _candidate: &Candidate<'_>,
-        _universe: &FactUniverse,
+        candidate: &Candidate<'_>,
+        universe: &FactUniverse,
     ) -> StepOutcome<u32> {
+        let structure = &self
+            .vocab
+            .candidate_structure(ctx, candidate, universe, self.zero_ary);
         // Decide every atom sentence once against the candidate structure
         // (each decision is a counted guard-cache consult); progression is
         // then a pure function of the obligation and this verdict mask.
@@ -578,7 +567,7 @@ impl<'a> BoundedSearcher<'a> {
     }
 
     /// Checks many formulas through one [`BatchEngine`]: configuration
-    /// exploration, prepared transition structures and the guard cache are
+    /// exploration, prepared state layers and the guard cache are
     /// shared batch-wide, while each formula's verdict, witness, explored
     /// count and consult totals are byte-identical to a standalone
     /// [`BoundedSearcher::run`] (for any batch partitioning and thread

@@ -19,8 +19,8 @@ use accltl_paths::engine::{Candidate, FactUniverse};
 use accltl_paths::{AccessSchema, Transition};
 use accltl_relational::symbols::SymbolTable;
 use accltl_relational::{
-    Atom, CompiledSentence, GuardCache, Instance, InstanceOverlay, PosFormula, RelId, RootVerdicts,
-    Sym, Term, Tuple,
+    Atom, CandidateFacts, CompiledSentence, GuardCache, Instance, InstanceOverlay, PosFormula,
+    RelId, RootVerdicts, Sym, Term, TransitionView, Tuple,
 };
 
 /// The `Rpre` predicate name for relation `relation`.
@@ -85,7 +85,7 @@ pub fn isbind_rel(method: Sym) -> RelId {
 
 /// The id-level `SchAcc` vocabulary of an access schema, resolved once.
 ///
-/// The bounded searches build one transition structure per candidate
+/// The bounded searches read one transition structure per candidate
 /// transition, in their innermost loop; with this table the whole
 /// construction — `Rpre`/`Rpost` renames and the `IsBind` predicate — is a
 /// direct dense-array index per relation ([`SymbolTable`] local indices), with
@@ -249,39 +249,53 @@ impl TransitionVocab {
     }
 
     /// The transition structure `M(t)` of one candidate transition out of a
-    /// search state: the state's layers shared, plus the response facts as
-    /// `Rpost` copies and the `IsBind` fact (0-ary when `zero_ary`, the
-    /// `Sch0−Acc` interpretation).  Costs `O(|response|)`.
+    /// search state: the state's layers, the response facts as `Rpost`
+    /// copies read out of `universe`, and the `IsBind` fact over the
+    /// binding (0-ary when `zero_ary`, the `Sch0−Acc` interpretation), all
+    /// borrowed.  Builds nothing on the heap.
     #[must_use]
-    pub fn candidate_structure(
+    pub fn candidate_structure<'a>(
         &self,
-        state: &StateLayers,
-        candidate: &Candidate<'_>,
-        universe: &FactUniverse,
+        state: &'a StateLayers,
+        candidate: &Candidate<'a>,
+        universe: &'a FactUniverse,
         zero_ary: bool,
-    ) -> CandidateStructure {
-        let mut structure = InstanceOverlay::new(Arc::clone(&state.layers));
-        for &index in candidate.added {
-            let (rel, tuple) = universe.fact(index);
-            structure.push_fact(self.post(rel), tuple.clone());
-        }
-        let binding = if zero_ary {
-            Tuple::default()
-        } else {
-            candidate.binding.clone()
+    ) -> CandidateStructure<'a> {
+        let relation = candidate.method.relation_id();
+        debug_assert!(
+            candidate
+                .added
+                .iter()
+                .all(|&index| universe.fact(index).0 == relation),
+            "a response holds facts of its method's relation only"
+        );
+        let facts = CandidateFacts {
+            response_relation: self.post(relation),
+            table: universe.facts(),
+            response: candidate.added,
+            extra_relation: self.isbind(candidate.method.name_sym()),
+            extra: if zero_ary {
+                Tuple::empty()
+            } else {
+                candidate.binding
+            },
         };
-        structure.push_fact(self.isbind(candidate.method.name_sym()), binding);
-        structure
+        CandidateStructure {
+            state,
+            view: TransitionView::new(&state.layers, facts),
+        }
     }
 }
 
 /// The `pre ∪ post` base shared by every candidate transition structure out
 /// of one search state, in two layers: the run's root image (shared by
 /// every state of the run) and the image of the facts the state revealed
-/// beyond the root.  Both search oracles use it as their per-state context.
+/// beyond the root.  Both search oracles use it as their per-state context,
+/// and read each candidate's structure over it
+/// ([`TransitionVocab::candidate_structure`]).
 ///
-/// Guards are decided on it semi-naively ([`StateLayers::decide`]).  A
-/// guard sentence is positive existential, hence monotone, and a
+/// Guards are decided on it semi-naively ([`CandidateStructure::decide`]).
+/// A guard sentence is positive existential, hence monotone, and a
 /// transition structure only adds facts on top of the root: the state's
 /// revealed facts and the candidate's `Rpost`/`IsBind` facts.  So a match
 /// on the structure lies wholly in the root image — and the sentence's
@@ -311,34 +325,6 @@ impl StateLayers {
         }
     }
 
-    /// Decides `sentence` on `structure`, a candidate structure built on
-    /// these layers: a counted consult of `cache`
-    /// ([`CompiledSentence::holds_cached_by`]) that, when the cache cannot
-    /// answer, evaluates layer by layer
-    /// ([`CompiledSentence::holds_layered`]).  Agrees with
-    /// [`CompiledSentence::holds_cached`] on verdict, key and consult count.
-    ///
-    /// The root verdicts are those of this state's root image, so only a
-    /// structure over that very image is evaluated by layers.  Any other
-    /// structure is searched whole: a search engine may pair a state with
-    /// candidate structures it cached before a monitoring session grew the
-    /// root, which stand on the image before the growth.
-    #[must_use]
-    pub fn decide(
-        &self,
-        sentence: &CompiledSentence,
-        structure: &CandidateStructure,
-        cache: &GuardCache,
-    ) -> bool {
-        sentence.holds_cached_by(structure, cache, self.memoize, || {
-            if Arc::ptr_eq(structure.base().base(), self.layers.base()) {
-                sentence.holds_layered(structure, &self.roots)
-            } else {
-                sentence.holds(structure)
-            }
-        })
-    }
-
     /// The layered `pre ∪ post` base.
     #[must_use]
     pub fn layers(&self) -> &InstanceOverlay {
@@ -353,9 +339,36 @@ impl StateLayers {
     }
 }
 
-/// A candidate transition's structure `M(t)`: its response and `IsBind`
-/// fact layered over its search state's [`StateLayers`].
-pub type CandidateStructure = InstanceOverlay<InstanceOverlay>;
+/// A candidate transition's structure `M(t)`: a borrowed
+/// [`TransitionView`] of its response and `IsBind` fact over its search
+/// state's [`StateLayers`], built per step and dropped with it.  It always
+/// stands on the layers of the state it was built from, whose root verdicts
+/// [`CandidateStructure::decide`] reads.
+#[derive(Debug)]
+pub struct CandidateStructure<'a> {
+    state: &'a StateLayers,
+    view: TransitionView<'a>,
+}
+
+impl<'a> CandidateStructure<'a> {
+    /// Decides `sentence` on the structure: a counted consult of `cache`
+    /// ([`CompiledSentence::holds_cached_by`]) that, when the cache cannot
+    /// answer, evaluates layer by layer against the state's root verdicts
+    /// ([`CompiledSentence::holds_layered`]).  Agrees with
+    /// [`CompiledSentence::holds_cached`] on verdict, key and consult count.
+    #[must_use]
+    pub fn decide(&self, sentence: &CompiledSentence, cache: &GuardCache) -> bool {
+        sentence.holds_cached_by(&self.view, cache, self.state.memoize, || {
+            sentence.holds_layered(&self.view, &self.state.roots)
+        })
+    }
+
+    /// The structure as an [`accltl_relational::InstanceView`].
+    #[must_use]
+    pub fn view(&self) -> &TransitionView<'a> {
+        &self.view
+    }
+}
 
 /// True if the predicate is an `IsBind` predicate.
 #[must_use]
@@ -549,12 +562,11 @@ mod tests {
         path.transitions(&schema, &Instance::new()).unwrap()
     }
 
-    /// A candidate structure built before the root grew, decided under the
-    /// grown root's state, must not leave its old root's verdict in the
-    /// grown root's table: a structure built over the grown root would then
-    /// read that stale verdict.
+    /// A state prepared before the root grew keeps deciding on its own
+    /// root image and verdict table, and a state over the grown root on
+    /// the grown ones: neither leaves a verdict in the other's table.
     #[test]
-    fn structures_over_an_older_root_do_not_fill_the_grown_roots_verdicts() {
+    fn states_over_an_older_root_keep_their_own_root_verdicts() {
         let schema = phone_directory_access_schema();
         let vocab = TransitionVocab::new(&schema);
         let cache = GuardCache::with_enabled(false);
@@ -570,14 +582,15 @@ mod tests {
         // A state that revealed Jones's address, and one candidate out of it.
         let mut before = InstanceOverlay::new(Arc::clone(&initial));
         before.push_fact(address, jones.clone());
-        let state = vocab.state_layer(&root, &before, usize::MAX, &cache);
-        let mut stale = InstanceOverlay::new(Arc::clone(&state.layers));
-        stale.push_fact(isbind_rel(Sym::new("AcM1")), tuple!["Smith"]);
-
-        // The session then assumes that fact, growing the root by it.
-        let grown = vocab.grow_root_layer(root, &[(address, jones)], &cache);
-        let mut fresh = InstanceOverlay::new(Arc::clone(&grown.layers));
-        fresh.push_fact(isbind_rel(Sym::new("AcM1")), tuple!["Smith"]);
+        let stale = vocab.state_layer(&root, &before, usize::MAX, &cache);
+        let method = schema.require_method("AcM1").unwrap();
+        let binding = tuple!["Smith"];
+        let universe = FactUniverse::default();
+        let candidate = Candidate {
+            method,
+            binding: &binding,
+            added: &[],
+        };
 
         let knows_jones = CompiledSentence::compile(&PosFormula::exists(
             vec!["s", "p", "h"],
@@ -591,8 +604,18 @@ mod tests {
                 ],
             ),
         ));
-        assert!(grown.decide(&knows_jones, &stale, &cache));
-        assert!(grown.decide(&knows_jones, &fresh, &cache));
+        let decide = |state: &StateLayers| {
+            vocab
+                .candidate_structure(state, &candidate, &universe, false)
+                .decide(&knows_jones, &cache)
+        };
+        // The old root lacks Jones: its table now holds a false verdict.
+        assert!(decide(&stale));
+
+        // The session then assumes that fact, growing the root by it.
+        let grown = vocab.grow_root_layer(root, &[(address, jones)], &cache);
+        assert!(decide(&grown));
+        assert!(decide(&stale));
     }
 
     #[test]

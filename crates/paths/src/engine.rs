@@ -65,7 +65,9 @@
 //! an [`InstanceOverlay`] over that root holding only the facts revealed
 //! beyond it, which the oracle layers over its root context
 //! ([`StepOracle::prepare`]); and a candidate hands the oracle its delta
-//! (fact indices) to push on top — a step costs `O(|response|)`.
+//! (fact indices into the [`FactUniverse`]), which the oracle reads on top
+//! of that context without copying it — a step allocates nothing for its
+//! transition structure.
 //!
 //! Both production oracles additionally memoize guard verdicts through a
 //! per-search `accltl_relational::GuardCache`: `prepare` size-gates
@@ -160,6 +162,12 @@ impl FactUniverse {
         let (rel, tuple) = &self.facts[index as usize];
         (*rel, tuple)
     }
+
+    /// Every fact, indexed by universe index.
+    #[must_use]
+    pub fn facts(&self) -> &[(RelId, Tuple)] {
+        &self.facts
+    }
 }
 
 /// One candidate transition handed to the [`StepOracle`].
@@ -210,8 +218,9 @@ impl<S> StepOutcome<S> {
 /// once per state with the before-configuration (an overlay over that root
 /// holding the facts revealed beyond it), so implementations can layer
 /// their per-state precomputation over the run's instead of rebuilding it;
-/// `step` is then called once per candidate and must not clone the
-/// configuration — push the candidate's delta onto an overlay instead.
+/// `step` is then called once per (state, candidate) pair and must not
+/// clone the configuration — read the candidate's facts out of the
+/// [`FactUniverse`] on top of the state's context instead.
 ///
 /// `Send + Sync` because a batch's property runs (each borrowing its
 /// oracle) sit behind the lock the [`pool`] workers read expansion tasks
@@ -228,13 +237,6 @@ pub trait StepOracle: Send + Sync {
     /// configuration.  `Send + Sync` so a batch can share prepared
     /// contexts across worker threads and properties.
     type StateCtx: Send + Sync;
-    /// Per-candidate precomputation, built by
-    /// [`StepOracle::prepare_candidate`] and handed back to every
-    /// [`StepOracle::step`] call for that candidate — typically the
-    /// candidate's transition structure, which does not depend on the
-    /// logical state being stepped.  Oracles with nothing to precompute
-    /// use `()`.
-    type CandidateCtx: Send + Sync;
 
     /// Precomputes the context of a run's root configuration `root`: the
     /// initial instance plus every fact assumed revealed.  Called once per
@@ -266,25 +268,12 @@ pub trait StepOracle: Send + Sync {
     /// it.  `root` is the [`StepOracle::prepare_root`] context of that root.
     fn prepare(&self, root: &Self::StateCtx, before: &InstanceOverlay) -> Self::StateCtx;
 
-    /// Precomputes whatever the oracle derives from the (configuration,
-    /// candidate) pair alone, independent of the logical state.  Under
-    /// [`StepOracle::shares_ctx`] this must be a pure function of its
-    /// arguments' content, so the engine builds each configuration's
-    /// candidate contexts once and shares them across logical states and
-    /// across batch properties.
-    fn prepare_candidate(
-        &self,
-        ctx: &Self::StateCtx,
-        candidate: &Candidate<'_>,
-        universe: &FactUniverse,
-    ) -> Self::CandidateCtx;
-
-    /// Evaluates one candidate transition.
+    /// Evaluates one candidate transition out of a state whose context is
+    /// `ctx`; the candidate's response facts are `universe` indices.
     fn step(
         &self,
         state: &Self::State,
         ctx: &Self::StateCtx,
-        prepared: &Self::CandidateCtx,
         candidate: &Candidate<'_>,
         universe: &FactUniverse,
     ) -> StepOutcome<Self::State>;
@@ -597,9 +586,9 @@ pub enum EngineOutcome {
     },
 }
 
-/// Counters for the engine-level shared caches (prepared state contexts,
-/// candidate enumerations and per-candidate contexts), summed over the
-/// three maps.  Each map is size-capped: when an insert would grow a full
+/// Counters for the engine-level shared caches (prepared state contexts
+/// and candidate enumerations), summed over the two maps.  Each map is
+/// size-capped: when an insert would grow a full
 /// map, the map is cleared first and the dropped entries are counted as
 /// evictions (generation eviction — constant-time bookkeeping, and a busy
 /// engine promptly re-fills with its current working set).
@@ -616,7 +605,7 @@ pub struct EngineCacheStats {
     pub misses: u64,
     /// Entries dropped by clear-on-full eviction.
     pub evictions: u64,
-    /// Entries resident across the three maps when the snapshot was taken.
+    /// Entries resident across the two maps when the snapshot was taken.
     pub entries: u64,
 }
 
@@ -1010,6 +999,11 @@ struct PropertyRun<'p, O: StepOracle> {
     method_facts: Vec<Vec<u32>>,
     truncated: bool,
     binding_pool: Vec<Value>,
+    /// Per method: the empty-response bindings of an ungrounded run under
+    /// [`EmptyBindingMode::Enumerate`], enumerated once at registration,
+    /// since they depend on the binding pool alone (empty otherwise:
+    /// grounded runs draw bindings from each configuration's values).
+    empty_bindings: Vec<Vec<Tuple>>,
     config: EngineConfig,
     chunk_len: usize,
     shares_ctx: bool,
@@ -1050,7 +1044,7 @@ impl<O: StepOracle> PropertyRun<'_, O> {
 /// `Arc` so concurrent frontier workers clone the handle, not the payload.
 type SharedByConfig<T> = RwLock<HashMap<(usize, FactSet), Arc<Vec<T>>>>;
 
-/// Resident-entry cap for each of the engine's three shared caches.  When
+/// Resident-entry cap for each of the engine's two shared caches.  When
 /// an insert would grow a full map, the map is cleared first (generation
 /// eviction) and the dropped entries are counted in
 /// [`EngineCacheStats::evictions`].  Configuration spaces that fit below
@@ -1105,14 +1099,12 @@ pub struct BatchEngine<'a, O: StepOracle> {
     /// Candidate enumerations keyed by (candidate class, trimmed revealed
     /// set).  The enumeration is a pure function of that key, so sharing it
     /// across properties — and across obligation states of one property —
-    /// changes no candidate list, only the time spent rebuilding it.
+    /// changes no candidate list, only the time spent rebuilding it.  The
+    /// candidates' transition structures are not cached: oracles read each
+    /// one per step as a borrowed view over the state's context
+    /// ([`StepOracle::step`]), which costs less than a shared-map lookup.
     candidate_cache: SharedByConfig<OwnedCandidate>,
-    /// Prepared per-candidate oracle contexts (transition structures),
-    /// indexed like the corresponding `candidate_cache` entry and shared
-    /// under the same purity contract when the oracle opts in
-    /// ([`StepOracle::shares_ctx`]).
-    candidate_ctx_cache: SharedByConfig<O::CandidateCtx>,
-    /// Shared-cache lookup counters, summed over the three maps (see
+    /// Shared-cache lookup counters, summed over the two maps (see
     /// [`EngineCacheStats`]); relaxed atomics, since they are counters
     /// rather than synchronization.
     cache_hits: AtomicU64,
@@ -1156,7 +1148,6 @@ impl<'a, O: StepOracle> BatchEngine<'a, O> {
             ctx_cache: RwLock::new(HashMap::new()),
             candidate_classes: Vec::new(),
             candidate_cache: RwLock::new(HashMap::new()),
-            candidate_ctx_cache: RwLock::new(HashMap::new()),
             cache_hits: AtomicU64::new(0),
             cache_misses: AtomicU64::new(0),
             cache_evictions: AtomicU64::new(0),
@@ -1191,11 +1182,6 @@ impl<'a, O: StepOracle> BatchEngine<'a, O> {
                 .candidate_cache
                 .read()
                 .expect("candidate cache poisoned")
-                .len()
-            + self
-                .candidate_ctx_cache
-                .read()
-                .expect("candidate ctx cache poisoned")
                 .len();
         EngineCacheStats {
             hits: self.cache_hits.load(Ordering::Relaxed),
@@ -1406,10 +1392,6 @@ impl<'a, O: StepOracle> BatchEngine<'a, O> {
             .get_mut()
             .expect("candidate cache poisoned")
             .retain(|(_, revealed), _| revealed.contains_all(root));
-        self.candidate_ctx_cache
-            .get_mut()
-            .expect("candidate ctx cache poisoned")
-            .retain(|(_, revealed), _| revealed.contains_all(root));
     }
 
     /// Interns the root instance's facts and collects its active domain:
@@ -1472,6 +1454,15 @@ impl<'a, O: StepOracle> BatchEngine<'a, O> {
             }));
         }
         let binding_pool = merge_sorted(&root.values, &facts.values, Value::cmp);
+        let empty_bindings = if !config.grounded
+            && config.empty_bindings == EmptyBindingMode::Enumerate
+        {
+            (0..self.methods.len())
+                .map(|method| self.empty_response_bindings(&binding_pool, &config, method, None))
+                .collect()
+        } else {
+            Vec::new()
+        };
         let class = CandidateClass {
             method_facts: method_facts.clone(),
             binding_pool: binding_pool.clone(),
@@ -1512,6 +1503,7 @@ impl<'a, O: StepOracle> BatchEngine<'a, O> {
             method_facts,
             truncated,
             binding_pool,
+            empty_bindings,
             config,
             // Small chunks bound the work wasted past a terminal verdict
             // while keeping every thread busy; chunk merging runs in
@@ -1666,68 +1658,16 @@ impl<'a, O: StepOracle> BatchEngine<'a, O> {
                 .get_or_insert_with(|| self.overlay_of(&node.revealed))
                 .active_domain()
         });
-        let ctx_ref: &O::StateCtx = &ctx;
         let candidates = self.shared_candidates(run, &node.revealed, known.as_ref());
-        let prepared = run
-            .shares_ctx
-            .then(|| self.shared_candidate_ctxs(run, ctx_ref, &candidates, &node.revealed));
         let universe = &self.interner.table;
-        let mut outcomes = Vec::with_capacity(candidates.len());
-        for (index, candidate) in candidates.iter().enumerate() {
-            let borrowed = candidate.borrow(&self.methods);
-            let outcome = match &prepared {
-                Some(ctxs) => {
-                    run.oracle
-                        .step(&node.state, ctx_ref, &ctxs[index], &borrowed, universe)
-                }
-                None => {
-                    let ctx = run.oracle.prepare_candidate(ctx_ref, &borrowed, universe);
-                    run.oracle
-                        .step(&node.state, ctx_ref, &ctx, &borrowed, universe)
-                }
-            };
-            outcomes.push(outcome);
-        }
-        (candidates, outcomes)
-    }
-
-    /// The prepared per-candidate contexts of a configuration, indexed like
-    /// its [`BatchEngine::shared_candidates`] list; computed once per
-    /// (candidate class, configuration) and shared across properties and
-    /// logical states.  Only called for oracles asserting
-    /// [`StepOracle::shares_ctx`], whose candidate preparation is a pure
-    /// function of the candidate's content; first insertion wins under a
-    /// race, so every expansion sees one context vector.
-    fn shared_candidate_ctxs(
-        &self,
-        run: &PropertyRun<'_, O>,
-        ctx: &O::StateCtx,
-        candidates: &[OwnedCandidate],
-        revealed: &FactSet,
-    ) -> Arc<Vec<O::CandidateCtx>> {
-        let key = (run.candidate_class, revealed.trimmed());
-        let cached = self
-            .candidate_ctx_cache
-            .read()
-            .expect("candidate ctx cache poisoned")
-            .get(&key)
-            .cloned();
-        if let Some(ctxs) = cached {
-            self.cache_hits.fetch_add(1, Ordering::Relaxed);
-            return ctxs;
-        }
-        self.cache_misses.fetch_add(1, Ordering::Relaxed);
-        let built = candidates
+        let outcomes = candidates
             .iter()
             .map(|candidate| {
-                run.oracle.prepare_candidate(
-                    ctx,
-                    &candidate.borrow(&self.methods),
-                    &self.interner.table,
-                )
+                let borrowed = candidate.borrow(&self.methods);
+                run.oracle.step(&node.state, &ctx, &borrowed, universe)
             })
             .collect();
-        self.insert_capped(&self.candidate_ctx_cache, key, Arc::new(built))
+        (candidates, outcomes)
     }
 
     /// The candidate enumeration of a configuration, computed once per
@@ -1820,13 +1760,24 @@ impl<'a, O: StepOracle> BatchEngine<'a, O> {
                     added: Vec::new(),
                 }),
                 EmptyBindingMode::Enumerate => {
-                    for binding in self.empty_response_bindings(run, method_index, known_values) {
-                        candidates.push(OwnedCandidate {
-                            method: method_index,
-                            binding,
-                            added: Vec::new(),
-                        });
-                    }
+                    let grounded;
+                    let bindings = match known_values {
+                        None => &run.empty_bindings[method_index],
+                        Some(known) => {
+                            grounded = self.empty_response_bindings(
+                                &run.binding_pool,
+                                &run.config,
+                                method_index,
+                                Some(known),
+                            );
+                            &grounded
+                        }
+                    };
+                    candidates.extend(bindings.iter().map(|binding| OwnedCandidate {
+                        method: method_index,
+                        binding: binding.clone(),
+                        added: Vec::new(),
+                    }));
                 }
             }
         }
@@ -1841,23 +1792,25 @@ impl<'a, O: StepOracle> BatchEngine<'a, O> {
     /// nulls aside) — an ill-typed binding can never be a real access, so
     /// guessing one could only ever produce invalid witnesses — and the
     /// fresh guesses are type-appropriate too ([`fresh_guesses`]), keeping
-    /// the enumeration complete for non-text positions.
+    /// the enumeration complete for non-text positions.  `binding_pool` and
+    /// `config` are the run's; ungrounded runs enumerate once, at
+    /// registration.
     fn empty_response_bindings(
         &self,
-        run: &PropertyRun<'_, O>,
+        binding_pool: &[Value],
+        config: &EngineConfig,
         method_index: usize,
         known_values: Option<&BTreeSet<Value>>,
     ) -> Vec<Tuple> {
         let method = self.methods[method_index];
         let input_types = self.method_input_types[method_index].as_deref();
         let base_pool: Vec<Value> = match known_values {
-            Some(known) => run
-                .binding_pool
+            Some(known) => binding_pool
                 .iter()
                 .filter(|v| known.contains(v))
                 .copied()
                 .collect(),
-            None => run.binding_pool.clone(),
+            None => binding_pool.to_vec(),
         };
         let mut bindings: Vec<Vec<Value>> = vec![Vec::new()];
         for slot in 0..method.input_positions().len() {
@@ -1877,7 +1830,7 @@ impl<'a, O: StepOracle> BatchEngine<'a, O> {
             let mut next = Vec::new();
             for prefix in &bindings {
                 for v in &slot_values {
-                    if next.len() >= run.config.max_empty_bindings {
+                    if next.len() >= config.max_empty_bindings {
                         break;
                     }
                     let mut extended = prefix.clone();
@@ -1887,7 +1840,7 @@ impl<'a, O: StepOracle> BatchEngine<'a, O> {
             }
             bindings = next;
         }
-        bindings.truncate(run.config.max_empty_bindings);
+        bindings.truncate(config.max_empty_bindings);
         bindings.into_iter().map(Tuple::new).collect()
     }
 
@@ -1938,8 +1891,7 @@ impl<'a, O: StepOracle> BatchEngine<'a, O> {
 
 /// The resumable engine state behind a monitoring session: one persistent
 /// [`BatchEngine`] whose root instance, interned fact table,
-/// prepared-context cache, candidate enumerations and per-candidate
-/// contexts survive across steps, plus the bookkeeping that turns the
+/// prepared-context cache and candidate enumerations survive across steps, plus the bookkeeping that turns the
 /// engine's cumulative cache counters into per-step reuse deltas.  The
 /// properties themselves — oracles and [`PropertyFacts`] — belong to the
 /// caller, which prepares them once and lends them to every step.
@@ -2027,25 +1979,15 @@ mod tests {
     impl StepOracle for CountdownOracle {
         type State = u8;
         type StateCtx = ();
-        type CandidateCtx = ();
 
         fn prepare_root(&self, _root: &Instance) {}
 
         fn prepare(&self, _root: &(), _before: &InstanceOverlay) {}
 
-        fn prepare_candidate(
-            &self,
-            _ctx: &(),
-            _candidate: &Candidate<'_>,
-            _universe: &FactUniverse,
-        ) {
-        }
-
         fn step(
             &self,
             state: &u8,
             _ctx: &(),
-            _prepared: &(),
             candidate: &Candidate<'_>,
             _universe: &FactUniverse,
         ) -> StepOutcome<u8> {
@@ -2248,22 +2190,13 @@ mod tests {
         impl StepOracle for DeadOracle {
             type State = u8;
             type StateCtx = ();
-            type CandidateCtx = ();
             fn prepare_root(&self, _root: &Instance) {}
 
             fn prepare(&self, _root: &(), _before: &InstanceOverlay) {}
-            fn prepare_candidate(
-                &self,
-                _ctx: &(),
-                _candidate: &Candidate<'_>,
-                _universe: &FactUniverse,
-            ) {
-            }
             fn step(
                 &self,
                 _state: &u8,
                 _ctx: &(),
-                _prepared: &(),
                 _candidate: &Candidate<'_>,
                 _universe: &FactUniverse,
             ) -> StepOutcome<u8> {

@@ -531,7 +531,7 @@ impl SlotPlan {
     pub(crate) fn holds_through<V: InstanceView + ?Sized>(
         &self,
         view: &V,
-        seeds: &[&Instance],
+        seeds: &[&dyn InstanceView],
     ) -> bool {
         with_buffer(self.vars.len(), None, |slots| {
             for (index, atom) in self.atoms.iter().enumerate() {

@@ -10,7 +10,7 @@
 //! hash lookups:
 //!
 //! * [`StructureKey`] — a cheap, `Copy`, *content-addressed* fingerprint of
-//!   an [`InstanceOverlay`](crate::InstanceOverlay)-shaped structure: an
+//!   an [`InstanceOverlay`]-shaped structure: an
 //!   order-independent two-lane digest (plus exact fact count) of the facts
 //!   the structure holds, optionally *restricted to the predicates a
 //!   sentence mentions* so structures that differ only in irrelevant facts
@@ -65,7 +65,7 @@ use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use accltl_obs::trace;
 
 use crate::index::FxHasher;
-use crate::overlay::OverlayBase;
+use crate::overlay::InstanceOverlay;
 use crate::symbols::RelId;
 use crate::ucq::PosFormula;
 
@@ -303,8 +303,8 @@ impl GuardCache {
     /// [`crate::CompiledSentence::holds_cached`].  Purely a size/enablement
     /// gate: content-addressed keys need no base pinning.
     #[must_use]
-    pub fn memoize_gate(&self, base: &impl OverlayBase) -> bool {
-        self.shared.enabled && base.fact_total() >= GUARD_CACHE_CUTOFF
+    pub fn memoize_gate(&self, base: &InstanceOverlay) -> bool {
+        self.shared.enabled && base.fact_count() >= GUARD_CACHE_CUTOFF
     }
 
     fn shard(&self, sentence: u32, key: &StructureKey) -> &Shard {
@@ -484,7 +484,7 @@ mod tests {
     fn disabled_at_construction_never_memoizes() {
         let cache = GuardCache::with_enabled(false);
         assert!(!cache.enabled());
-        assert!(!cache.memoize_gate(base().as_ref()));
+        assert!(!cache.memoize_gate(&InstanceOverlay::new(base())));
         // Shared handles inherit the mode.
         assert!(!cache.share().enabled());
     }
@@ -494,12 +494,12 @@ mod tests {
         let cache = GuardCache::new();
         let mut small = Instance::new();
         small.add_fact("R", tuple![0]);
-        assert!(!cache.memoize_gate(&small));
+        assert!(!cache.memoize_gate(&InstanceOverlay::from(small)));
         let mut big = Instance::new();
         for i in 0..GUARD_CACHE_CUTOFF {
             big.add_fact("R", tuple![i as i64]);
         }
-        assert!(cache.memoize_gate(&big));
+        assert!(cache.memoize_gate(&InstanceOverlay::from(big)));
     }
 
     #[test]

@@ -37,7 +37,7 @@
 //! for a handful of tuples a scan beats a hash probe, and the searches run on
 //! many tiny delta instances.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{btree_set, BTreeSet, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::slice;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -45,6 +45,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use crate::guard_cache::StructureKey;
 use crate::overlay::{InstanceView, TupleIter};
 use crate::symbols::{IdMap, RelId};
+use crate::transition::CandidateTuples;
 use crate::tuple::Tuple;
 use crate::value::Value;
 
@@ -276,35 +277,37 @@ impl RelationIndex {
     }
 
     /// The tuples matching *every* `(position, value)` pair, in tuple order:
-    /// the shortest posting list drives, the others are probed by binary
-    /// search on tuple order.
+    /// the shortest posting list drives, and each of its tuples is checked
+    /// against the other pairs directly (a tuple is on the `(p, v)` list
+    /// iff it holds `v` at `p`).
     ///
     /// `bound` must be non-empty: the arena holds tuples in insertion order,
     /// so an unconstrained enumeration cannot be answered from the index —
     /// use the owning view's relation scan (`tuples_of`) instead, as the
     /// [`crate::InstanceView::tuples_matching_all`] implementations do.
     #[must_use]
-    pub fn matching_all(&self, bound: &[(usize, Value)]) -> MatchIter<'_> {
+    pub fn matching_all<'a>(&'a self, bound: &'a [(usize, Value)]) -> MatchIter<'a> {
         debug_assert!(
             !bound.is_empty(),
             "matching_all needs at least one (position, value) constraint; \
              scan the relation for unconstrained enumeration"
         );
-        let mut lists: Vec<&[u32]> = Vec::with_capacity(bound.len());
+        let mut driver: Option<&[u32]> = None;
         for (position, value) in bound {
-            match u32::try_from(*position)
+            let Some(list) = u32::try_from(*position)
                 .ok()
                 .and_then(|p| self.postings.get(&(p, *value)))
-            {
-                Some(list) => lists.push(list),
-                None => return MatchIter::Empty,
+            else {
+                return MatchIter::Empty;
+            };
+            if driver.map_or(true, |shortest| list.len() < shortest.len()) {
+                driver = Some(list);
             }
         }
-        let Some(driver_at) = (0..lists.len()).min_by_key(|&i| lists[i].len()) else {
+        let Some(driver) = driver else {
             return MatchIter::Empty;
         };
-        let driver = lists.swap_remove(driver_at);
-        if lists.is_empty() {
+        if bound.len() == 1 {
             return MatchIter::Postings(PostingMatches {
                 arena: &self.arena,
                 ids: driver.iter(),
@@ -313,7 +316,7 @@ impl RelationIndex {
         MatchIter::Intersect(IntersectMatches {
             arena: &self.arena,
             driver: driver.iter(),
-            others: lists,
+            bound: BoundSpec::Many(bound),
         })
     }
 }
@@ -377,7 +380,8 @@ impl InstanceIndex {
 ///
 /// Produced by [`crate::InstanceView::tuples_matching`] and friends.  The
 /// scanning variants and the posting-list variants yield identical sequences
-/// by construction; overlays merge a base and a delta stream.
+/// by construction; overlays and transition views merge one stream per
+/// layer.  Every variant lives on the stack.
 #[derive(Debug, Clone)]
 pub enum MatchIter<'a> {
     /// No tuple matches.
@@ -388,9 +392,13 @@ pub enum MatchIter<'a> {
     Postings(PostingMatches<'a>),
     /// An intersection of several posting lists over one arena.
     Intersect(IntersectMatches<'a>),
-    /// Two match streams (overlay base and delta) merged in tuple order.
-    Merged(Box<MergedMatches<'a>>),
+    /// Up to three single-layer streams merged in tuple order.
+    Merged(MergedMatches<'a>),
 }
+
+/// The most match streams one [`MatchIter`] merges: one per layer of a
+/// transition view (root, state, candidate).
+const MERGED_STREAMS: usize = 3;
 
 impl<'a> MatchIter<'a> {
     /// Every tuple of a relation, unfiltered.
@@ -421,20 +429,67 @@ impl<'a> MatchIter<'a> {
     }
 
     /// Merges two match streams in tuple order (both inputs are tuple-ordered
-    /// and, for well-formed overlays, disjoint).
+    /// and, for well-formed overlays, disjoint).  Each input is one layer's
+    /// stream — posting lists, or a scan of an instance relation or of a
+    /// candidate's tuples — or a merge of such streams.
+    ///
+    /// # Panics
+    /// Panics if the two together hold more than three single-layer
+    /// streams, or scan a multi-layer tuple stream.
     #[must_use]
-    pub fn merged(left: MatchIter<'a>, right: MatchIter<'a>) -> Self {
+    pub(crate) fn merged(left: MatchIter<'a>, right: MatchIter<'a>) -> Self {
         match (left, right) {
             (MatchIter::Empty, other) | (other, MatchIter::Empty) => other,
-            (mut left, mut right) => {
-                let left_head = left.next();
-                let right_head = right.next();
-                MatchIter::Merged(Box::new(MergedMatches {
-                    left,
-                    right,
-                    left_head,
-                    right_head,
-                }))
+            (left, right) => {
+                let mut merged = MergedMatches {
+                    streams: Default::default(),
+                    heads: [None; MERGED_STREAMS],
+                };
+                let mut len = 0;
+                for side in [left, right] {
+                    side.spill_into(&mut merged, &mut len);
+                }
+                MatchIter::Merged(merged)
+            }
+        }
+    }
+
+    /// Moves this iterator's single-layer streams, with their next tuples,
+    /// into `merged` from slot `len` on.
+    fn spill_into(self, merged: &mut MergedMatches<'a>, len: &mut usize) {
+        let mut push = |mut stream: Stream<'a>, head: Option<&'a Tuple>| {
+            let head = head.or_else(|| stream.next());
+            if head.is_some() {
+                assert!(
+                    *len < MERGED_STREAMS,
+                    "a match iterator merges at most {MERGED_STREAMS} layers"
+                );
+                merged.streams[*len] = stream;
+                merged.heads[*len] = head;
+                *len += 1;
+            }
+        };
+        match self {
+            MatchIter::Empty => {}
+            MatchIter::Scan(ScanMatches { tuples, bound }) => {
+                let tuples = match tuples {
+                    TupleIter::Empty => return,
+                    TupleIter::Set(set) => LayerTuples::Set(set),
+                    TupleIter::Candidate(top) => LayerTuples::Candidate(top),
+                    TupleIter::Merged(_) | TupleIter::Stacked(_) => {
+                        panic!("a merged match stream scans one layer at a time")
+                    }
+                };
+                push(Stream::Scan(ScanMatches { tuples, bound }), None);
+            }
+            MatchIter::Postings(postings) => push(Stream::Postings(postings), None),
+            MatchIter::Intersect(intersect) => push(Stream::Intersect(intersect), None),
+            MatchIter::Merged(inner) => {
+                for (stream, head) in inner.streams.into_iter().zip(inner.heads) {
+                    if head.is_some() {
+                        push(stream, head);
+                    }
+                }
             }
         }
     }
@@ -476,12 +531,12 @@ impl BoundSpec<'_> {
 
 /// A filtered relation scan (the index-free fallback).
 #[derive(Debug, Clone)]
-pub struct ScanMatches<'a> {
-    tuples: TupleIter<'a>,
+pub struct ScanMatches<'a, T = TupleIter<'a>> {
+    tuples: T,
     bound: BoundSpec<'a>,
 }
 
-impl<'a> Iterator for ScanMatches<'a> {
+impl<'a, T: Iterator<Item = &'a Tuple>> Iterator for ScanMatches<'a, T> {
     type Item = &'a Tuple;
 
     fn next(&mut self) -> Option<&'a Tuple> {
@@ -504,75 +559,89 @@ impl<'a> Iterator for PostingMatches<'a> {
     }
 }
 
-/// An intersection of posting lists: the shortest list drives, membership in
-/// the others is checked by binary search on tuple order.
+/// An intersection of posting lists: the shortest list drives, and each of
+/// its tuples is kept when it holds every bound value.
 #[derive(Debug, Clone)]
 pub struct IntersectMatches<'a> {
     arena: &'a [Tuple],
     driver: slice::Iter<'a, u32>,
-    others: Vec<&'a [u32]>,
+    bound: BoundSpec<'a>,
 }
 
 impl<'a> Iterator for IntersectMatches<'a> {
     type Item = &'a Tuple;
 
     fn next(&mut self) -> Option<&'a Tuple> {
-        'driver: while let Some(&id) = self.driver.next() {
-            let tuple = &self.arena[id as usize];
-            for list in &self.others {
-                if list
-                    .binary_search_by(|&j| self.arena[j as usize].cmp(tuple))
-                    .is_err()
-                {
-                    continue 'driver;
-                }
-            }
-            return Some(tuple);
-        }
-        None
+        let arena = self.arena;
+        self.driver
+            .by_ref()
+            .map(|&id| &arena[id as usize])
+            .find(|tuple| self.bound.matches(tuple))
     }
 }
 
-/// Two tuple-ordered match streams merged in tuple order (a tuple appearing
-/// in both — which a well-formed overlay never produces — is yielded once).
+/// One layer's tuples: an instance relation or a candidate's.
+#[derive(Debug, Clone)]
+enum LayerTuples<'a> {
+    Set(btree_set::Iter<'a, Tuple>),
+    Candidate(CandidateTuples<'a>),
+}
+
+impl<'a> Iterator for LayerTuples<'a> {
+    type Item = &'a Tuple;
+
+    fn next(&mut self) -> Option<&'a Tuple> {
+        match self {
+            LayerTuples::Set(set) => set.next(),
+            LayerTuples::Candidate(top) => top.next(),
+        }
+    }
+}
+
+/// One layer's match stream inside a [`MergedMatches`].
+#[derive(Debug, Clone, Default)]
+enum Stream<'a> {
+    #[default]
+    Done,
+    Scan(ScanMatches<'a, LayerTuples<'a>>),
+    Postings(PostingMatches<'a>),
+    Intersect(IntersectMatches<'a>),
+}
+
+impl<'a> Iterator for Stream<'a> {
+    type Item = &'a Tuple;
+
+    fn next(&mut self) -> Option<&'a Tuple> {
+        match self {
+            Stream::Done => None,
+            Stream::Scan(scan) => scan.next(),
+            Stream::Postings(postings) => postings.next(),
+            Stream::Intersect(intersect) => intersect.next(),
+        }
+    }
+}
+
+/// Tuple-ordered match streams, one per layer, merged in tuple order (a
+/// tuple appearing in several — which well-formed layers never produce — is
+/// yielded once).
 #[derive(Debug, Clone)]
 pub struct MergedMatches<'a> {
-    left: MatchIter<'a>,
-    right: MatchIter<'a>,
-    left_head: Option<&'a Tuple>,
-    right_head: Option<&'a Tuple>,
+    streams: [Stream<'a>; MERGED_STREAMS],
+    /// Each stream's next tuple; `None` once it is spent.
+    heads: [Option<&'a Tuple>; MERGED_STREAMS],
 }
 
 impl<'a> Iterator for MergedMatches<'a> {
     type Item = &'a Tuple;
 
     fn next(&mut self) -> Option<&'a Tuple> {
-        match (self.left_head, self.right_head) {
-            (Some(l), Some(r)) => match l.cmp(r) {
-                std::cmp::Ordering::Less => {
-                    self.left_head = self.left.next();
-                    Some(l)
-                }
-                std::cmp::Ordering::Greater => {
-                    self.right_head = self.right.next();
-                    Some(r)
-                }
-                std::cmp::Ordering::Equal => {
-                    self.left_head = self.left.next();
-                    self.right_head = self.right.next();
-                    Some(l)
-                }
-            },
-            (Some(l), None) => {
-                self.left_head = self.left.next();
-                Some(l)
+        let least = self.heads.iter().flatten().min().copied()?;
+        for (stream, head) in self.streams.iter_mut().zip(&mut self.heads) {
+            if *head == Some(least) {
+                *head = stream.next();
             }
-            (None, Some(r)) => {
-                self.right_head = self.right.next();
-                Some(r)
-            }
-            (None, None) => None,
         }
+        Some(least)
     }
 }
 

@@ -68,6 +68,7 @@ pub mod overlay;
 pub mod schema;
 pub mod symbols;
 pub mod term;
+pub mod transition;
 pub mod tuple;
 pub mod ucq;
 pub mod value;
@@ -91,10 +92,11 @@ pub use index::{
 };
 pub use inequality::InequalityCq;
 pub use instance::Instance;
-pub use overlay::{InstanceOverlay, InstanceView, OverlayBase, TupleIter};
+pub use overlay::{InstanceOverlay, InstanceView, TupleIter};
 pub use schema::{RelationSchema, Schema};
 pub use symbols::{IdMap, RelId, RelKey, Sym, SymKey, SymbolTable, VarId, VarKey};
 pub use term::Term;
+pub use transition::{CandidateFacts, TransitionView};
 pub use tuple::Tuple;
 pub use ucq::{CompiledSentence, PosFormula, RootVerdicts, UnionOfCqs};
 pub use value::{DataType, Value};

@@ -6,10 +6,10 @@
 //! fresh `Instance` per step makes a step cost `O(|Conf|)`; an
 //! [`InstanceOverlay`] shares the base behind an [`Arc`] and records only the
 //! step's delta, so constructing the next configuration costs
-//! `O(|response|)`.  An overlay may itself be the shared base of another
-//! ([`OverlayBase`]), which is how the bounded searches keep one indexed
-//! root layer per run under every search state's and every candidate's
-//! facts.
+//! `O(|response|)`.  The bounded searches keep one indexed root layer per
+//! run under every search state's facts this way, and read each candidate
+//! transition's facts on top through a borrowed
+//! [`TransitionView`](crate::transition::TransitionView).
 //!
 //! Overlays present the same read surface as [`Instance`] — `contains`,
 //! `tuples`, `relation_size`, `facts`, `active_domain`, `Display` — with the
@@ -32,13 +32,15 @@ use crate::guard_cache::{RelationDigest, StructureKey};
 use crate::index::MatchIter;
 use crate::instance::Instance;
 use crate::symbols::{RelId, RelKey};
+use crate::transition::CandidateTuples;
 use crate::tuple::Tuple;
 use crate::value::Value;
 
 /// A read-only view of a set of facts, presented exactly like an
 /// [`Instance`]: relations in name order, tuples in value order.
 ///
-/// Implemented by [`Instance`] itself and by [`InstanceOverlay`].  Query
+/// Implemented by [`Instance`] itself, by [`InstanceOverlay`] and by
+/// [`TransitionView`](crate::transition::TransitionView).  Query
 /// evaluation ([`mod@crate::cq`], [`crate::inequality`], [`crate::ucq`]) is
 /// generic over this trait, so formulas can be checked against a
 /// configuration overlay without materializing it.
@@ -192,6 +194,7 @@ impl InstanceView for Instance {
 }
 
 /// An iterator over the tuples of one relation of an [`InstanceView`].
+/// Every variant lives on the stack: reading a relation never allocates.
 #[derive(Debug, Clone)]
 pub enum TupleIter<'a> {
     /// The relation is absent.
@@ -200,22 +203,44 @@ pub enum TupleIter<'a> {
     Set(btree_set::Iter<'a, Tuple>),
     /// An overlay relation: base and delta merged in tuple order.
     Merged(MergedTuples<'a>),
-    /// A three-layer overlay relation: a merged base stream and the delta
-    /// merged in tuple order.
-    Stacked(Box<MergedTuples<'a, TupleIter<'a>>>),
+    /// A candidate transition's own tuples of the relation (its state's
+    /// layers hold none).
+    Candidate(CandidateTuples<'a>),
+    /// A transition view's relation: the state's two layers merged, and the
+    /// candidate's tuples merged into that, in tuple order.
+    Stacked(MergedTuples<'a, MergedTuples<'a>, CandidateTuples<'a>>),
 }
 
+/// The empty relation, for merges over a layer that lacks one.
+static NO_TUPLES: BTreeSet<Tuple> = BTreeSet::new();
+
 impl<'a> TupleIter<'a> {
-    /// `lower` with one more layer's tuples merged in, in tuple order.
-    fn layered(lower: TupleIter<'a>, upper: Option<&'a BTreeSet<Tuple>>) -> Self {
-        let Some(upper) = upper else {
-            return lower;
-        };
-        match lower {
-            TupleIter::Empty => TupleIter::Set(upper.iter()),
-            TupleIter::Set(set) => TupleIter::Merged(MergedTuples::new(set, upper)),
-            merged => TupleIter::Stacked(Box::new(MergedTuples::new(merged, upper))),
+    /// One relation's tuples across a base and a delta layer.
+    fn layered(lower: Option<&'a BTreeSet<Tuple>>, upper: Option<&'a BTreeSet<Tuple>>) -> Self {
+        match (lower, upper) {
+            (None, None) => TupleIter::Empty,
+            (Some(set), None) | (None, Some(set)) => TupleIter::Set(set.iter()),
+            (Some(lower), Some(upper)) => {
+                TupleIter::Merged(MergedTuples::new(lower.iter(), upper.iter()))
+            }
         }
+    }
+
+    /// One relation's tuples across a base and a delta layer, with a
+    /// candidate's tuples of it merged in.
+    pub(crate) fn stacked(
+        lower: Option<&'a BTreeSet<Tuple>>,
+        upper: Option<&'a BTreeSet<Tuple>>,
+        top: CandidateTuples<'a>,
+    ) -> Self {
+        if lower.is_none() && upper.is_none() {
+            return TupleIter::Candidate(top);
+        }
+        let layers = MergedTuples::new(
+            lower.unwrap_or(&NO_TUPLES).iter(),
+            upper.unwrap_or(&NO_TUPLES).iter(),
+        );
+        TupleIter::Stacked(MergedTuples::new(layers, top))
     }
 }
 
@@ -227,30 +252,43 @@ impl<'a> Iterator for TupleIter<'a> {
             TupleIter::Empty => None,
             TupleIter::Set(iter) => iter.next(),
             TupleIter::Merged(merged) => merged.next(),
+            TupleIter::Candidate(top) => top.next(),
             TupleIter::Stacked(stacked) => stacked.next(),
         }
     }
 }
 
-/// Merges an ordered lower stream (by default one tuple set) with an
-/// ordered tuple set into one ordered stream (duplicates, which a
-/// well-formed overlay never produces, are yielded once).
+/// Merges two ordered tuple streams (by default two tuple sets) into one
+/// ordered stream (duplicates, which a well-formed overlay never produces,
+/// are yielded once).
 #[derive(Debug, Clone)]
-pub struct MergedTuples<'a, L: Iterator<Item = &'a Tuple> = btree_set::Iter<'a, Tuple>> {
+pub struct MergedTuples<'a, L = btree_set::Iter<'a, Tuple>, D = btree_set::Iter<'a, Tuple>>
+where
+    L: Iterator<Item = &'a Tuple>,
+    D: Iterator<Item = &'a Tuple>,
+{
     base: Peekable<L>,
-    delta: Peekable<btree_set::Iter<'a, Tuple>>,
+    delta: Peekable<D>,
 }
 
-impl<'a, L: Iterator<Item = &'a Tuple>> MergedTuples<'a, L> {
-    fn new(base: L, delta: &'a BTreeSet<Tuple>) -> Self {
+impl<'a, L, D> MergedTuples<'a, L, D>
+where
+    L: Iterator<Item = &'a Tuple>,
+    D: Iterator<Item = &'a Tuple>,
+{
+    fn new(base: L, delta: D) -> Self {
         MergedTuples {
             base: base.peekable(),
-            delta: delta.iter().peekable(),
+            delta: delta.peekable(),
         }
     }
 }
 
-impl<'a, L: Iterator<Item = &'a Tuple>> Iterator for MergedTuples<'a, L> {
+impl<'a, L, D> Iterator for MergedTuples<'a, L, D>
+where
+    L: Iterator<Item = &'a Tuple>,
+    D: Iterator<Item = &'a Tuple>,
+{
     type Item = &'a Tuple;
 
     fn next(&mut self) -> Option<&'a Tuple> {
@@ -269,96 +307,8 @@ impl<'a, L: Iterator<Item = &'a Tuple>> Iterator for MergedTuples<'a, L> {
     }
 }
 
-/// What an [`InstanceOverlay`] may be layered over: a plain [`Instance`], or
-/// an overlay over one.  So an overlay holds at most three layers, which is
-/// what the search oracles' transition structures use: the `pre ∪ post`
-/// image of a run's root configuration, the image of the facts one search
-/// state revealed beyond the root, and one candidate transition's response
-/// plus its `IsBind` fact.  Sealed: the layer bookkeeping it requires is
-/// crate-internal.
-pub trait OverlayBase: InstanceView + PartialEq + fmt::Debug + sealed::Layer {}
-
-impl OverlayBase for Instance {}
-
-impl OverlayBase for InstanceOverlay {}
-
-// The digests are crate-internal; the trait is unnameable outside the
-// crate, so nothing can observe them through it.
-#[allow(private_interfaces)]
-mod sealed {
-    use super::*;
-
-    /// The read surface an overlay needs from its base beyond
-    /// [`InstanceView`].
-    pub trait Layer {
-        /// The number of facts.
-        fn fact_total(&self) -> usize;
-        /// Appends the relations holding facts, in name order.
-        fn relation_ids(&self, out: &mut Vec<RelId>);
-        /// The content digest of one relation's facts.
-        fn digest_of(&self, relation: RelId) -> RelationDigest;
-        /// The content digest of all facts.
-        fn digest_all(&self) -> RelationDigest;
-        /// The facts as a standalone instance.
-        fn to_instance(&self) -> Instance;
-    }
-
-    impl Layer for Instance {
-        fn fact_total(&self) -> usize {
-            self.fact_count()
-        }
-
-        fn relation_ids(&self, out: &mut Vec<RelId>) {
-            out.extend(self.entries().iter().map(|(rel, _)| *rel));
-        }
-
-        fn digest_of(&self, relation: RelId) -> RelationDigest {
-            self.relation_digest(relation)
-        }
-
-        fn digest_all(&self) -> RelationDigest {
-            self.content_digest()
-        }
-
-        fn to_instance(&self) -> Instance {
-            self.clone()
-        }
-    }
-
-    impl Layer for InstanceOverlay {
-        fn fact_total(&self) -> usize {
-            self.fact_count()
-        }
-
-        fn relation_ids(&self, out: &mut Vec<RelId>) {
-            self.base.relation_ids(out);
-            out.extend(self.delta.entries().iter().map(|(rel, _)| *rel));
-            out.sort_unstable();
-            out.dedup();
-        }
-
-        fn digest_of(&self, relation: RelId) -> RelationDigest {
-            let mut digest = self.base.relation_digest(relation);
-            digest.merge(self.delta.relation_digest(relation));
-            digest
-        }
-
-        fn digest_all(&self) -> RelationDigest {
-            let mut digest = self.base.content_digest();
-            digest.merge(self.delta.content_digest());
-            digest
-        }
-
-        fn to_instance(&self) -> Instance {
-            self.materialize()
-        }
-    }
-}
-
-/// A configuration as a copy-on-write overlay: an [`Arc`]-shared base plus
-/// the facts added on top of it.  The base is an [`Instance`] by default;
-/// an overlay over an `Arc`-shared overlay adds a third layer (see
-/// [`OverlayBase`]).
+/// A configuration as a copy-on-write overlay: an [`Arc`]-shared base
+/// [`Instance`] plus the facts added on top of it.
 ///
 /// The delta never contains a fact that is already in the base (pushes of
 /// such facts are no-ops), so `fact_count` is a constant-time sum and two
@@ -377,15 +327,15 @@ mod sealed {
 /// base and delta compare unequal; compare [`InstanceOverlay::materialize`]
 /// outputs when set equality across different bases is needed.
 #[derive(Debug, Clone)]
-pub struct InstanceOverlay<B: OverlayBase = Instance> {
-    base: Arc<B>,
+pub struct InstanceOverlay {
+    base: Arc<Instance>,
     delta: Instance,
 }
 
-impl<B: OverlayBase> InstanceOverlay<B> {
+impl InstanceOverlay {
     /// An overlay with no added facts over the given base.
     #[must_use]
-    pub fn new(base: Arc<B>) -> Self {
+    pub fn new(base: Arc<Instance>) -> Self {
         InstanceOverlay {
             base,
             delta: Instance::new(),
@@ -394,7 +344,7 @@ impl<B: OverlayBase> InstanceOverlay<B> {
 
     /// The shared base.
     #[must_use]
-    pub fn base(&self) -> &Arc<B> {
+    pub fn base(&self) -> &Arc<Instance> {
         &self.base
     }
 
@@ -413,7 +363,7 @@ impl<B: OverlayBase> InstanceOverlay<B> {
     /// already present (in the base or the delta).
     pub fn push_fact(&mut self, relation: impl Into<RelId>, tuple: Tuple) -> bool {
         let relation = relation.into();
-        if self.base.has_fact(relation, &tuple) {
+        if self.base.contains(relation, &tuple) {
             return false;
         }
         self.delta.add_fact(relation, tuple)
@@ -425,7 +375,7 @@ impl<B: OverlayBase> InstanceOverlay<B> {
         let Some(relation) = relation.resolve_rel() else {
             return false;
         };
-        self.base.has_fact(relation, tuple) || self.delta.contains(relation, tuple)
+        self.base.contains(relation, tuple) || self.delta.contains(relation, tuple)
     }
 
     /// Iterates over the tuples of a relation in tuple order (matching the
@@ -435,7 +385,24 @@ impl<B: OverlayBase> InstanceOverlay<B> {
         let Some(relation) = relation.resolve_rel() else {
             return TupleIter::Empty;
         };
-        TupleIter::layered(self.base.tuples_of(relation), self.delta.relation(relation))
+        TupleIter::layered(self.base.relation(relation), self.delta.relation(relation))
+    }
+
+    /// The base's and the delta's tuple sets of one relation.
+    pub(crate) fn layer_sets(
+        &self,
+        relation: RelId,
+    ) -> (Option<&BTreeSet<Tuple>>, Option<&BTreeSet<Tuple>>) {
+        (self.base.relation(relation), self.delta.relation(relation))
+    }
+
+    /// Appends the relations holding facts, in name order.
+    pub(crate) fn relation_ids(&self, out: &mut Vec<RelId>) {
+        let start = out.len();
+        out.extend(self.base.entries().iter().map(|(rel, _)| *rel));
+        out.extend(self.delta.entries().iter().map(|(rel, _)| *rel));
+        out[start..].sort_unstable();
+        out.dedup();
     }
 
     /// The number of facts in one relation.
@@ -444,14 +411,14 @@ impl<B: OverlayBase> InstanceOverlay<B> {
         let Some(relation) = relation.resolve_rel() else {
             return 0;
         };
-        self.base.count_of(relation) + self.delta.relation_size(relation)
+        self.base.relation_size(relation) + self.delta.relation_size(relation)
     }
 
     /// The number of facts across all relations (constant time: the delta is
     /// disjoint from the base).
     #[must_use]
     pub fn fact_count(&self) -> usize {
-        self.base.fact_total() + self.delta.fact_count()
+        self.base.fact_count() + self.delta.fact_count()
     }
 
     /// True if the overlay holds no facts at all.
@@ -464,10 +431,7 @@ impl<B: OverlayBase> InstanceOverlay<B> {
     /// order [`Instance::facts`] would produce on the materialized instance.
     pub fn facts(&self) -> impl Iterator<Item = (RelId, &Tuple)> {
         let mut relations = Vec::new();
-        self.base.relation_ids(&mut relations);
-        relations.extend(self.delta.entries().iter().map(|(rel, _)| *rel));
-        relations.sort_unstable();
-        relations.dedup();
+        self.relation_ids(&mut relations);
         relations
             .into_iter()
             .flat_map(move |rel| self.tuples(rel).map(move |t| (rel, t)))
@@ -476,7 +440,7 @@ impl<B: OverlayBase> InstanceOverlay<B> {
     /// The active domain of the overlaid configuration.
     #[must_use]
     pub fn active_domain(&self) -> BTreeSet<Value> {
-        let mut dom = self.base.view_active_domain();
+        let mut dom = self.base.active_domain();
         dom.extend(self.delta.active_domain());
         dom
     }
@@ -484,7 +448,7 @@ impl<B: OverlayBase> InstanceOverlay<B> {
     /// Materializes the overlay into a standalone [`Instance`].
     #[must_use]
     pub fn materialize(&self) -> Instance {
-        let mut instance = self.base.to_instance();
+        let mut instance = Instance::clone(&self.base);
         instance.union_in_place(&self.delta);
         instance
     }
@@ -493,7 +457,7 @@ impl<B: OverlayBase> InstanceOverlay<B> {
     /// the one layer that does, and merge only when both do.
     fn layers_holding(&self, relation: RelId) -> (bool, bool) {
         (
-            self.base.count_of(relation) > 0,
+            self.base.relation_size(relation) > 0,
             self.delta.relation_size(relation) > 0,
         )
     }
@@ -507,7 +471,7 @@ impl<B: OverlayBase> InstanceOverlay<B> {
     /// [`crate::guard_cache`] for why that makes it a sound cache key.
     #[must_use]
     pub fn structure_key(&self) -> StructureKey {
-        let mut digest = self.base.digest_all();
+        let mut digest = self.base.content_digest();
         digest.merge(self.delta.content_digest());
         StructureKey::from(digest)
     }
@@ -522,10 +486,16 @@ impl<B: OverlayBase> InstanceOverlay<B> {
     pub fn structure_key_for(&self, relations: &[RelId]) -> StructureKey {
         let mut digest = RelationDigest::default();
         for &rel in relations {
-            digest.merge(self.base.digest_of(rel));
-            digest.merge(self.delta.relation_digest(rel));
+            digest.merge(self.relation_digest(rel));
         }
         StructureKey::from(digest)
+    }
+
+    /// The content digest of one relation's facts, base and delta.
+    pub(crate) fn relation_digest(&self, relation: RelId) -> RelationDigest {
+        let mut digest = self.base.relation_digest(relation);
+        digest.merge(self.delta.relation_digest(relation));
+        digest
     }
 }
 
@@ -535,26 +505,26 @@ impl From<Instance> for InstanceOverlay {
     }
 }
 
-impl<B: OverlayBase> PartialEq for InstanceOverlay<B> {
+impl PartialEq for InstanceOverlay {
     fn eq(&self, other: &Self) -> bool {
         (Arc::ptr_eq(&self.base, &other.base) || self.base == other.base)
             && self.delta == other.delta
     }
 }
 
-impl<B: OverlayBase + Eq> Eq for InstanceOverlay<B> {}
+impl Eq for InstanceOverlay {}
 
-impl<B: OverlayBase> Hash for InstanceOverlay<B> {
+impl Hash for InstanceOverlay {
     fn hash<H: Hasher>(&self, state: &mut H) {
         // Equal overlays have equal base fact sets (hence counts) and equal
         // deltas, so this stays consistent with `Eq` while never walking the
         // shared base.
-        self.base.fact_total().hash(state);
+        self.base.fact_count().hash(state);
         self.delta.hash(state);
     }
 }
 
-impl<B: OverlayBase> fmt::Display for InstanceOverlay<B> {
+impl fmt::Display for InstanceOverlay {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.is_empty() {
             return write!(f, "∅");
@@ -569,7 +539,7 @@ impl<B: OverlayBase> fmt::Display for InstanceOverlay<B> {
     }
 }
 
-impl<B: OverlayBase> InstanceView for InstanceOverlay<B> {
+impl InstanceView for InstanceOverlay {
     fn tuples_of(&self, relation: RelId) -> TupleIter<'_> {
         self.tuples(relation)
     }

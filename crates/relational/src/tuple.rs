@@ -15,6 +15,13 @@ impl Tuple {
         Tuple(values)
     }
 
+    /// The empty tuple, borrowed for any lifetime.
+    #[must_use]
+    pub fn empty() -> &'static Tuple {
+        static EMPTY: Tuple = Tuple(Vec::new());
+        &EMPTY
+    }
+
     /// The arity of the tuple.
     #[must_use]
     pub fn arity(&self) -> usize {

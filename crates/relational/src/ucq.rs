@@ -20,9 +20,10 @@ use crate::guard_cache::{sentence_cache_id, GuardCache};
 use crate::index::FxHasher;
 use crate::inequality::InequalityCq;
 use crate::instance::Instance;
-use crate::overlay::{InstanceOverlay, InstanceView};
+use crate::overlay::InstanceView;
 use crate::symbols::{RelId, VarId};
 use crate::term::Term;
+use crate::transition::TransitionView;
 use crate::tuple::Tuple;
 use crate::value::Value;
 use crate::Result;
@@ -573,15 +574,16 @@ impl CompiledSentence {
     /// True if some match of the sentence on `view` maps at least one atom
     /// onto a fact of `seeds` (which must be facts of `view`); see
     /// [`CompiledSentence::holds_layered`].
-    fn holds_through(&self, view: &impl InstanceView, seeds: &[&Instance]) -> bool {
+    fn holds_through(&self, view: &impl InstanceView, seeds: &[&dyn InstanceView]) -> bool {
         self.plans
             .iter()
             .any(|plan| plan.holds_through(view, seeds))
     }
 
-    /// [`CompiledSentence::holds`] on a three-layer transition structure
-    /// (root, state and candidate layer, see [`crate::overlay`]), deciding
-    /// the root layer once per run instead of once per structure.
+    /// [`CompiledSentence::holds`] on a transition structure — a root
+    /// layer, a state layer and a candidate's facts, see
+    /// [`crate::transition`] — deciding the root layer once per run instead
+    /// of once per structure.
     ///
     /// The sentence is positive existential, so it is monotone: adding
     /// facts never falsifies it, and a match on the whole structure either
@@ -597,18 +599,13 @@ impl CompiledSentence {
     /// the structure is searched as a whole instead (an empty root —
     /// emptiness questions over an empty `I_0` — always takes this branch).
     #[must_use]
-    pub fn holds_layered(
-        &self,
-        structure: &InstanceOverlay<InstanceOverlay>,
-        roots: &RootVerdicts,
-    ) -> bool {
-        let state = structure.base();
-        let root = state.base();
-        if state.delta().fact_count() + structure.delta().fact_count() >= root.fact_count() {
+    pub fn holds_layered(&self, structure: &TransitionView<'_>, roots: &RootVerdicts) -> bool {
+        let (root, state) = (structure.layers().base(), structure.layers().delta());
+        let candidate = structure.candidate();
+        if state.fact_count() + candidate.fact_count() >= root.fact_count() {
             return self.holds(structure);
         }
-        roots.holds(self, root)
-            || self.holds_through(structure, &[state.delta(), structure.delta()])
+        roots.holds(self, root) || self.holds_through(structure, &[state, candidate])
     }
 
     /// [`CompiledSentence::holds`], memoized through a [`GuardCache`].
@@ -738,7 +735,7 @@ impl RootVerdicts {
             .copied();
         let verdict = match known {
             Some((verdict, true)) => return verdict,
-            Some((_, false)) => sentence.holds_through(root, &[&self.added]),
+            Some((_, false)) => sentence.holds_through(root, &[&self.added as &dyn InstanceView]),
             None => sentence.holds(root),
         };
         self.verdicts

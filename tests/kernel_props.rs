@@ -10,7 +10,7 @@
 //!   with more variables than the stack slot buffer holds;
 //! * `CompiledSentence::holds_layered` — the root verdict OR a match seeded
 //!   by a state or candidate fact — agrees with `CompiledSentence::holds`
-//!   on the materialized three-layer structure, for an empty root, empty
+//!   on the materialized transition structure (a `TransitionView`), for an empty root, empty
 //!   upper layers, upper layers at least as large as the root, structures
 //!   sharing one root verdict table, and a root grown twice by
 //!   `RootVerdicts::grown`, with and without a consult in between;
@@ -28,7 +28,9 @@ use proptest::prelude::*;
 
 use accltl_core::prelude::*;
 use accltl_core::relational::cq::{for_each_homomorphism, Assignment};
-use accltl_core::relational::{CompiledSentence, InequalityCq, RootVerdicts, INDEX_CUTOFF};
+use accltl_core::relational::{
+    CandidateFacts, CompiledSentence, InequalityCq, RootVerdicts, TransitionView, INDEX_CUTOFF,
+};
 
 use common::brute_force_holds;
 
@@ -285,22 +287,70 @@ fn instance_of(rows: &[(usize, (i64, i64, i64))]) -> Instance {
     inst
 }
 
-/// A three-layer structure: `root`, then `state` and `candidate` facts
-/// pushed on top (each layer keeps only the facts below it lacks).
+/// The parts of a transition structure: `root`, then `state` facts
+/// pushed on top, then a candidate's facts (each layer keeps only the facts
+/// below it lacks).  A candidate holds its response — facts of one relation
+/// — and one further fact, as a search's candidates do: the `candidate`
+/// facts of the first relation they name are the response, the first of
+/// another relation is the further fact (a `KB()` fact no sentence names
+/// when there is none), and the rest join the state's facts.
+struct Layered {
+    layers: InstanceOverlay,
+    response_relation: RelId,
+    table: Vec<(RelId, Tuple)>,
+    response: Vec<u32>,
+    extra: (RelId, Tuple),
+}
+
+impl Layered {
+    fn view(&self) -> TransitionView<'_> {
+        TransitionView::new(
+            &self.layers,
+            CandidateFacts {
+                response_relation: self.response_relation,
+                table: &self.table,
+                response: &self.response,
+                extra_relation: self.extra.0,
+                extra: &self.extra.1,
+            },
+        )
+    }
+}
+
 fn layered(
     root: &Arc<Instance>,
     state: &[(usize, (i64, i64, i64))],
     candidate: &[(usize, (i64, i64, i64))],
-) -> InstanceOverlay<InstanceOverlay> {
-    let mut lower = InstanceOverlay::new(Arc::clone(root));
+) -> Layered {
+    let mut layers = InstanceOverlay::new(Arc::clone(root));
     for (rel, tuple) in instance_of(state).facts() {
-        lower.push_fact(rel, tuple.clone());
+        layers.push_fact(rel, tuple.clone());
     }
-    let mut upper = InstanceOverlay::new(Arc::new(lower));
-    for (rel, tuple) in instance_of(candidate).facts() {
-        upper.push_fact(rel, tuple.clone());
+    let candidate = instance_of(candidate);
+    let fresh: Vec<(RelId, Tuple)> = candidate
+        .facts()
+        .filter(|(rel, tuple)| !layers.contains(*rel, tuple))
+        .map(|(rel, tuple)| (rel, tuple.clone()))
+        .collect();
+    let response_relation = fresh.first().map_or(RelId::new("KR"), |(rel, _)| *rel);
+    let mut table = Vec::new();
+    let mut extra = None;
+    for (rel, tuple) in fresh {
+        if rel == response_relation {
+            table.push((rel, tuple));
+        } else if extra.is_none() {
+            extra = Some((rel, tuple));
+        } else {
+            layers.push_fact(rel, tuple);
+        }
     }
-    upper
+    Layered {
+        layers,
+        response_relation,
+        response: (0..table.len() as u32).collect(),
+        table,
+        extra: extra.unwrap_or_else(|| (RelId::new("KB"), Tuple::default())),
+    }
 }
 
 /// Checks every sentence's layered verdict on `structure` (whose root
@@ -308,19 +358,23 @@ fn layered(
 /// materialized structure.
 fn check_layered(
     compiled: &[CompiledSentence],
-    structure: &InstanceOverlay<InstanceOverlay>,
+    structure: &Layered,
     roots: &RootVerdicts,
     what: &str,
 ) {
-    let materialized = structure.materialize();
+    let view = structure.view();
+    let mut materialized = Instance::new();
+    view.each_fact(&mut |rel, tuple| {
+        materialized.add_fact(rel, tuple.clone());
+    });
     for sentence in compiled {
         assert_eq!(
-            sentence.holds_layered(structure, roots),
+            sentence.holds_layered(&view, roots),
             sentence.holds(&materialized),
             "{what}: root {} facts, state {}, candidate {}",
-            structure.base().base().fact_count(),
-            structure.base().delta().fact_count(),
-            structure.delta().fact_count(),
+            structure.layers.base().fact_count(),
+            structure.layers.delta().fact_count(),
+            view.candidate().fact_count(),
         );
     }
 }

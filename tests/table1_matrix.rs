@@ -2,6 +2,7 @@
 //! and the decidability column, verified with concrete formulas.
 
 use accltl_core::analyzer::Engine;
+use accltl_core::automata::accltl_plus_to_automaton;
 use accltl_core::prelude::*;
 
 /// Every "Yes" cell of Table 1's application columns is witnessed by a
@@ -270,6 +271,12 @@ fn engines_agree_across_rows() {
 /// `Smith` (a `BindingPositive` formula).  Its witness is one `AcM1("Smith")`
 /// access returning all `k` facts.
 fn wide_response_formula(k: i64, zero_ary: bool) -> AccLtl {
+    AccLtl::finally(wide_response_conjunction(k, zero_ary))
+}
+
+/// The body of [`wide_response_formula`]: the `AcM1` binding atom and, per
+/// `i ≤ k`, a revealed-now and a not-known-before `Mobile#` atom.
+fn wide_response_conjunction(k: i64, zero_ary: bool) -> AccLtl {
     let bind = if zero_ary {
         isbind_prop("AcM1")
     } else {
@@ -288,7 +295,7 @@ fn wide_response_formula(k: i64, zero_ary: bool) -> AccLtl {
         conjuncts.push(AccLtl::atom(post_atom("Mobile#", fact())));
         conjuncts.push(AccLtl::not(AccLtl::atom(pre_atom("Mobile#", fact()))));
     }
-    AccLtl::finally(AccLtl::and(conjuncts))
+    AccLtl::and(conjuncts)
 }
 
 /// A witness whose one response is wider than the response-size cap (3 by
@@ -352,4 +359,70 @@ fn invalid_witnesses_are_never_certificates() {
             SatOutcome::Unknown { .. } | SatOutcome::Unsatisfiable => {}
         }
     }
+}
+
+/// `F(IsBind_AcM1("Z") ∧ Mobile#^post(Z, P, S, 0)) ∧ G ⋀_{i≤n}
+/// ¬Mobile#^post(M_i, P, S, i)`: satisfiable by the one access
+/// `AcM1("Z") ⇒ {(Z, P, S, 0)}`, with `n + 1` data atoms, the goal's last
+/// in sentence order (`Z` sorts after every `M_i`).
+fn many_data_atoms_formula(n: i64) -> AccLtl {
+    let mobile = |name: &str, phone: i64| {
+        post_atom(
+            "Mobile#",
+            vec![
+                Term::constant(name),
+                Term::constant("OX13QD"),
+                Term::constant("Parks Rd"),
+                Term::constant(phone),
+            ],
+        )
+    };
+    let goal = AccLtl::and(vec![
+        AccLtl::atom(isbind_atom("AcM1", vec![Term::constant("Z")])),
+        AccLtl::atom(mobile("Z", 0)),
+    ]);
+    let never = (1..=n)
+        .map(|i| AccLtl::not(AccLtl::atom(mobile(&format!("M{i}"), i))))
+        .collect();
+    AccLtl::and(vec![
+        AccLtl::finally(goal),
+        AccLtl::globally(AccLtl::and(never)),
+    ])
+}
+
+/// The Lemma 4.5 translation enumerates truth assignments over at most 16
+/// data and 16 binding atoms.  Past that its automaton accepts only part of
+/// the formula's language, so its emptiness proves nothing: the pipeline
+/// must never certify such a formula `Unsatisfiable`, while a formula
+/// within the limit keeps its certificate-backed verdict.
+#[test]
+fn formulas_past_the_translation_atom_limit_are_never_certified_unsatisfiable() {
+    let schema = phone_directory_access_schema();
+    let analyzer = AccessAnalyzer::new(schema.clone());
+    for n in [15, 16, 20] {
+        let formula = many_data_atoms_formula(n);
+        let report = analyzer.check_satisfiable(&formula);
+        assert_eq!(report.engine, Engine::AutomatonPipeline, "n = {n}");
+        assert_ne!(report.outcome, SatOutcome::Unsatisfiable, "n = {n}");
+        if let SatOutcome::Satisfiable { witness } = &report.outcome {
+            assert!(formula
+                .holds_on_path(witness, &schema, &Instance::new(), false)
+                .unwrap());
+        }
+    }
+    let within = analyzer.check_satisfiable(&many_data_atoms_formula(15));
+    assert!(matches!(within.outcome, SatOutcome::Satisfiable { .. }));
+}
+
+/// 65 atom sentences — more than a `u32` valuation mask has bits — are
+/// translated without overflowing a shift, and answered without a
+/// certificate.
+#[test]
+fn translating_more_atoms_than_mask_bits_does_not_panic() {
+    let formula = wide_response_conjunction(32, false);
+    assert_eq!(formula.atom_sentences().len(), 65);
+    let automaton = accltl_plus_to_automaton(&formula);
+    assert!(automaton.is_well_formed());
+    let report = AccessAnalyzer::new(phone_directory_access_schema()).check_satisfiable(&formula);
+    assert_ne!(report.outcome, SatOutcome::Unsatisfiable);
 }
