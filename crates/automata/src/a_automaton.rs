@@ -3,6 +3,7 @@
 
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 
 use accltl_logic::vocabulary::{mentions_isbind, path_structures};
 use accltl_paths::Transition;
@@ -59,24 +60,29 @@ impl Guard {
 
     /// DNF-compiles the guard's sentences once for repeated evaluation (the
     /// emptiness search checks the same guards against thousands of
-    /// candidate structures).
+    /// candidate structures), with `compile` supplying each sentence's
+    /// compilation, so a caller holding many guards can share one
+    /// compilation between every guard that mentions an equal sentence.
     #[must_use]
-    pub fn compile(&self) -> CompiledGuard {
+    pub fn compile_with(
+        &self,
+        mut compile: impl FnMut(&PosFormula) -> Arc<CompiledSentence>,
+    ) -> CompiledGuard {
         CompiledGuard {
-            positive: CompiledSentence::compile(&self.positive),
-            negated: self.negated.iter().map(CompiledSentence::compile).collect(),
+            positive: compile(&self.positive),
+            negated: self.negated.iter().map(compile).collect(),
         }
     }
 }
 
-/// A [`Guard`] with its sentences DNF-compiled once (see [`Guard::compile`]).
+/// A [`Guard`] with its sentences DNF-compiled once (see [`Guard::compile_with`]).
 /// Agrees with [`Guard::satisfied_by`] by construction — the evaluation rule
 /// (`positive holds ∧ no negated sentence holds`) lives here and in `Guard`
 /// only.
 #[derive(Debug, Clone)]
 pub struct CompiledGuard {
-    positive: CompiledSentence,
-    negated: Vec<CompiledSentence>,
+    positive: Arc<CompiledSentence>,
+    negated: Vec<Arc<CompiledSentence>>,
 }
 
 impl CompiledGuard {

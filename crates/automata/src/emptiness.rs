@@ -50,7 +50,7 @@
 //! witness, per-chain budget split and consult totals stay byte-identical to
 //! a standalone [`bounded_emptiness_report`] call.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 use accltl_logic::vocabulary::{base_relation, CandidateStructure, StateLayers, TransitionVocab};
@@ -60,10 +60,11 @@ use accltl_paths::engine::{
 };
 use accltl_paths::{AccessPath, AccessSchema};
 use accltl_relational::{
-    GuardCache, GuardCacheStats, Instance, InstanceOverlay, RelId, ScanView, Sym, Tuple, Value,
+    CompiledSentence, FxBuildHasher, GuardCache, GuardCacheStats, InequalityCq, Instance,
+    InstanceOverlay, PosFormula, RelId, ScanView, Sym, Tuple, Value,
 };
 
-use crate::a_automaton::{AAutomaton, CompiledGuard};
+use crate::a_automaton::{AAutomaton, CompiledGuard, Guard};
 use crate::progressive::chain_decomposition;
 
 /// Configuration for the bounded emptiness search.
@@ -232,6 +233,8 @@ pub fn bounded_emptiness_batch_with_config(
     // would.
     let mut batch: BatchEngine<'_, AutomatonOracle<'_>> =
         BatchEngine::new(schema, Arc::clone(&initial));
+    let vocab = TransitionVocab::new(schema);
+    let mut pool = GuardPool::default();
     loop {
         let mut wave: Vec<(usize, &AAutomaton)> = Vec::new();
         for (index, slot) in slots.iter_mut().enumerate() {
@@ -265,12 +268,16 @@ pub fn bounded_emptiness_batch_with_config(
             .map(|&(index, chain)| {
                 let oracle = AutomatonOracle::new(
                     chain,
-                    schema,
+                    &vocab,
+                    &mut pool,
                     &handles[index],
                     engine.disable_indexes,
                     engine.index_cutoff,
                 );
-                let facts = PropertyFacts::new(guard_facts(chain, schema), chain.constants.clone());
+                let facts = PropertyFacts::new(
+                    guard_facts(chain, schema, &mut pool),
+                    chain.constants.clone(),
+                );
                 (oracle, facts)
             })
             .collect();
@@ -349,7 +356,7 @@ pub fn bounded_emptiness_batch_with_config(
 /// read per step over the state's layers.
 struct AutomatonOracle<'a> {
     automaton: &'a AAutomaton,
-    vocab: TransitionVocab,
+    vocab: &'a TransitionVocab,
     /// Per-transition compiled guards, indexed like `automaton.transitions`.
     compiled: Vec<CompiledGuard>,
     /// Automaton state → indices of its outgoing transitions.
@@ -369,7 +376,8 @@ struct AutomatonOracle<'a> {
 impl<'a> AutomatonOracle<'a> {
     fn new(
         automaton: &'a AAutomaton,
-        schema: &AccessSchema,
+        vocab: &'a TransitionVocab,
+        pool: &mut GuardPool,
         cache: &'a GuardCache,
         scan: bool,
         index_cutoff: usize,
@@ -377,7 +385,7 @@ impl<'a> AutomatonOracle<'a> {
         let compiled = automaton
             .transitions
             .iter()
-            .map(|t| t.guard.compile())
+            .map(|t| pool.compile(&t.guard))
             .collect();
         let mut outgoing = vec![Vec::new(); automaton.state_count];
         for (index, transition) in automaton.transitions.iter().enumerate() {
@@ -385,7 +393,7 @@ impl<'a> AutomatonOracle<'a> {
         }
         AutomatonOracle {
             automaton,
-            vocab: TransitionVocab::new(schema),
+            vocab,
             compiled,
             outgoing,
             cache,
@@ -435,13 +443,12 @@ impl StepOracle for AutomatonOracle<'_> {
         ctx: &StateLayers,
         candidate: &Candidate<'_>,
         universe: &FactUniverse,
-    ) -> StepOutcome<usize> {
+        successors: &mut Vec<usize>,
+    ) -> StepOutcome {
         let structure = self
             .vocab
             .candidate_structure(ctx, candidate, universe, false);
-        let mut successors = Vec::new();
         let mut cost = 0usize;
-        let mut accept = false;
         for &index in &self.outgoing[*state] {
             cost += 1;
             if !self.guard_holds(index, ctx, &structure) {
@@ -449,16 +456,11 @@ impl StepOracle for AutomatonOracle<'_> {
             }
             let to = self.automaton.transitions[index].to;
             if self.automaton.accepting.contains(&to) {
-                accept = true;
-                break;
+                return StepOutcome::accept(cost);
             }
             successors.push(to);
         }
-        StepOutcome {
-            successors,
-            accept,
-            cost,
-        }
+        StepOutcome::pending(cost)
     }
 
     fn cache_stats(&self) -> Option<GuardCacheStats> {
@@ -473,6 +475,46 @@ impl StepOracle for AutomatonOracle<'_> {
     }
 }
 
+/// The guard work one emptiness call shares between every chain of every
+/// automaton it checks: chains copy their automaton's transitions, and a
+/// translated automaton repeats one sentence across many guards (the
+/// containment automaton negates its violation sentence on all three of its
+/// transitions), so each distinct sentence is DNF-compiled once and each
+/// distinct positive part unfolded into its inequality union once.
+#[derive(Default)]
+struct GuardPool {
+    compiled: HashMap<PosFormula, Arc<CompiledSentence>, FxBuildHasher>,
+    unions: HashMap<PosFormula, Arc<Vec<InequalityCq>>, FxBuildHasher>,
+}
+
+impl GuardPool {
+    /// A guard compiled over the pool's shared sentence compilations.
+    fn compile(&mut self, guard: &Guard) -> CompiledGuard {
+        guard.compile_with(|sentence| {
+            pooled(&mut self.compiled, sentence, CompiledSentence::compile)
+        })
+    }
+
+    /// The inequality union of a guard's positive part.
+    fn union(&mut self, positive: &PosFormula) -> Arc<Vec<InequalityCq>> {
+        pooled(&mut self.unions, positive, PosFormula::to_inequality_union)
+    }
+}
+
+/// The pool entry of `sentence`, made on first sight.
+fn pooled<T>(
+    pool: &mut HashMap<PosFormula, Arc<T>, FxBuildHasher>,
+    sentence: &PosFormula,
+    make: impl FnOnce(&PosFormula) -> T,
+) -> Arc<T> {
+    if let Some(entry) = pool.get(sentence) {
+        return Arc::clone(entry);
+    }
+    let entry = Arc::new(make(sentence));
+    pool.insert(sentence.clone(), Arc::clone(&entry));
+    entry
+}
+
 /// The canonical guard facts of an automaton: canonical databases of every
 /// guard's positive part, mapped back to the base relations (the engine adds
 /// the initial instance's facts per run).
@@ -483,11 +525,15 @@ impl StepOracle for AutomatonOracle<'_> {
 /// well-formed response to that access must agree with the binding, so the
 /// witness fact the guard is looking for carries the constants (this is how
 /// the Example 2.3 long-term-relevance automata find their witnesses).
-fn guard_facts(automaton: &AAutomaton, schema: &AccessSchema) -> BTreeSet<(RelId, Tuple)> {
+fn guard_facts(
+    automaton: &AAutomaton,
+    schema: &AccessSchema,
+    pool: &mut GuardPool,
+) -> BTreeSet<(RelId, Tuple)> {
     let mut facts: BTreeSet<(RelId, Tuple)> = BTreeSet::new();
     for (index, transition) in automaton.transitions.iter().enumerate() {
-        let positive = &transition.guard.positive;
-        for (disjunct_index, icq) in positive.to_inequality_union().iter().enumerate() {
+        let union = pool.union(&transition.guard.positive);
+        for (disjunct_index, icq) in union.iter().enumerate() {
             let renamed = icq
                 .cq
                 .rename_vars(|v| format!("g{index}d{disjunct_index}\u{1fa}{v}"));

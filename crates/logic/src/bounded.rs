@@ -63,8 +63,8 @@ use accltl_paths::engine::{
 };
 use accltl_paths::{Access, AccessPath, AccessSchema, Response};
 use accltl_relational::{
-    CompiledSentence, GuardCache, GuardCacheStats, Instance, InstanceOverlay, PosFormula, RelId,
-    ScanView, Tuple,
+    CompiledSentence, FxBuildHasher, GuardCache, GuardCacheStats, Instance, InstanceOverlay,
+    PosFormula, RelId, ScanView, Tuple,
 };
 
 use crate::accltl::AccLtl;
@@ -215,7 +215,7 @@ struct FormulaOracle {
     /// run and, since the mask is always decided first (every consult
     /// counted), across the runs of a session too.  Shared by all worker
     /// threads; bypassed for formulas with more than 32 atoms.
-    progress_memo: RwLock<HashMap<(u32, u32), Progressed>>,
+    progress_memo: RwLock<HashMap<(u32, u32), Progressed, FxBuildHasher>>,
 }
 
 /// The hash-consing table of a [`FormulaOracle`]: obligation id → normalized
@@ -223,7 +223,7 @@ struct FormulaOracle {
 #[derive(Default)]
 struct Obligations {
     formulas: Vec<AccLtl>,
-    ids: HashMap<AccLtl, u32>,
+    ids: HashMap<AccLtl, u32, FxBuildHasher>,
 }
 
 /// A memoized one-step progression verdict (see
@@ -240,19 +240,16 @@ enum Progressed {
 }
 
 impl Progressed {
-    fn outcome(self) -> StepOutcome<u32> {
+    /// The step's outcome, pushing the successor obligation (if any) onto
+    /// the engine's successor buffer.
+    fn outcome(self, successors: &mut Vec<u32>) -> StepOutcome {
         match self {
-            Progressed::Dead => StepOutcome::dead(1),
-            Progressed::Accept => StepOutcome {
-                successors: Vec::new(),
-                accept: true,
-                cost: 1,
-            },
-            Progressed::Step(next) => StepOutcome {
-                successors: vec![next],
-                accept: false,
-                cost: 1,
-            },
+            Progressed::Dead => StepOutcome::pending(1),
+            Progressed::Accept => StepOutcome::accept(1),
+            Progressed::Step(next) => {
+                successors.push(next);
+                StepOutcome::pending(1)
+            }
         }
     }
 }
@@ -274,7 +271,7 @@ impl FormulaOracle {
             scan,
             index_cutoff,
             obligations: RwLock::default(),
-            progress_memo: RwLock::new(HashMap::new()),
+            progress_memo: RwLock::default(),
         }
     }
 
@@ -391,7 +388,8 @@ impl StepOracle for FormulaOracle {
         ctx: &StateLayers,
         candidate: &Candidate<'_>,
         universe: &FactUniverse,
-    ) -> StepOutcome<u32> {
+        successors: &mut Vec<u32>,
+    ) -> StepOutcome {
         let structure = &self
             .vocab
             .candidate_structure(ctx, candidate, universe, self.zero_ary);
@@ -401,7 +399,7 @@ impl StepOracle for FormulaOracle {
         if self.compiled.len() > 32 {
             return self
                 .progress_state(state, &|sentence| self.eval(sentence, ctx, structure))
-                .outcome();
+                .outcome(successors);
         }
         let mut mask = 0u32;
         for bit in 0..self.compiled.len() {
@@ -416,7 +414,7 @@ impl StepOracle for FormulaOracle {
             .get(&(state, mask))
             .copied();
         if let Some(progressed) = hit {
-            return progressed.outcome();
+            return progressed.outcome(successors);
         }
         // Progression only ever produces atoms of the original formula (plus
         // ⊤/⊥); an atom outside the compiled set falls back to direct
@@ -440,7 +438,7 @@ impl StepOracle for FormulaOracle {
                 .expect("progress memo poisoned")
                 .insert((state, mask), progressed);
         }
-        progressed.outcome()
+        progressed.outcome(successors)
     }
 
     fn cache_stats(&self) -> Option<GuardCacheStats> {

@@ -41,7 +41,12 @@
 //!   hash;
 //! * **arena parent links** — discovered states live in a flat per-property
 //!   arena and parents are plain indices, replacing the per-crate
-//!   `HashMap<State, Option<(State, Access, Vec<usize>)>>` clones;
+//!   `HashMap<State, Option<(State, Access, Vec<usize>)>>` clones; a node
+//!   names the transition that produced it by an index into its parent's
+//!   shared candidate list, and the dedup set maps a hash of each (revealed
+//!   set, state) pair to arena ids, probed with the successor's revealed
+//!   set built in a per-run scratch set — so a duplicate successor
+//!   allocates nothing and a new one only its own revealed set;
 //! * **candidate-access enumeration** — grouping unrevealed facts by their
 //!   projection onto a method's input positions, bounded response subsets,
 //!   and bounded empty-response binding enumeration (with the grounded and
@@ -92,15 +97,16 @@
 //! flag lives with its subsystem — `ACCLTL_DISABLE_LTS_OVERLAY` in
 //! [`crate::lts::LtsOptions::from_env`].
 
+use std::borrow::Borrow;
 use std::cmp;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
-use std::hash::Hash;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 use accltl_relational::{
-    DataType, GuardCacheStats, Instance, InstanceOverlay, RelId, Tuple, Value,
-    DISABLE_GUARD_CACHE_ENV_VAR, DISABLE_INDEXES_ENV_VAR, INDEX_CUTOFF,
+    DataType, FxBuildHasher, FxHasher, GuardCacheStats, Instance, InstanceOverlay, RelId, Tuple,
+    Value, DISABLE_GUARD_CACHE_ENV_VAR, DISABLE_INDEXES_ENV_VAR, INDEX_CUTOFF,
 };
 
 use accltl_obs::{json::JsonObject, metrics, trace};
@@ -181,13 +187,12 @@ pub struct Candidate<'a> {
     pub added: &'a [u32],
 }
 
-/// The oracle's verdict on one candidate transition from one state.
-#[derive(Debug, Clone)]
-pub struct StepOutcome<S> {
-    /// Logical successor states reached by this transition (deduplicated
-    /// against the frontier by the engine).  Empty when the transition is
-    /// dead.
-    pub successors: Vec<S>,
+/// The oracle's verdict on one candidate transition from one state.  The
+/// logical successor states the transition reaches are not part of it: the
+/// oracle pushes them into the successor buffer [`StepOracle::step`] hands
+/// it, and pushing none makes the transition dead unless it accepts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StepOutcome {
     /// True if this transition completes a witness: the path to the current
     /// state extended by this access is returned immediately.
     pub accept: bool,
@@ -197,15 +202,21 @@ pub struct StepOutcome<S> {
     pub cost: usize,
 }
 
-impl<S> StepOutcome<S> {
-    /// A dead transition: no successors, no witness.
+impl StepOutcome {
+    /// A transition that completes no witness: it lives on through the
+    /// successors it pushed, and is dead if it pushed none.
     #[must_use]
-    pub fn dead(cost: usize) -> Self {
+    pub fn pending(cost: usize) -> Self {
         StepOutcome {
-            successors: Vec::new(),
             accept: false,
             cost,
         }
+    }
+
+    /// A transition completing a witness.
+    #[must_use]
+    pub fn accept(cost: usize) -> Self {
+        StepOutcome { accept: true, cost }
     }
 }
 
@@ -227,9 +238,10 @@ impl<S> StepOutcome<S> {
 /// through.
 pub trait StepOracle: Send + Sync {
     /// The logical component of a search state (an interned obligation id,
-    /// an automaton state, ...).  The engine hashes and clones it once per
-    /// successor it deduplicates, so a word-sized state keeps the merge
-    /// phase cheap.
+    /// an automaton state, ...).  The engine hashes every successor the
+    /// oracle pushes and compares it against the discovered states of equal
+    /// hash, but clones it only into the arena node of a state it has not
+    /// seen, so a word-sized state keeps the merge phase cheap.
     type State: Clone + Eq + Hash + Send + Sync;
     /// Per-configuration precomputation, built by [`StepOracle::prepare`]
     /// (or [`StepOracle::prepare_root`] for the root configuration) and
@@ -269,14 +281,22 @@ pub trait StepOracle: Send + Sync {
     fn prepare(&self, root: &Self::StateCtx, before: &InstanceOverlay) -> Self::StateCtx;
 
     /// Evaluates one candidate transition out of a state whose context is
-    /// `ctx`; the candidate's response facts are `universe` indices.
+    /// `ctx`; the candidate's response facts are `universe` indices.  The
+    /// logical successor states the transition reaches are pushed onto
+    /// `successors` (the engine deduplicates them against the frontier);
+    /// pushing none marks the transition dead unless the outcome accepts.
+    /// The buffer belongs to the expansion of one state and collects every
+    /// candidate's successors in candidate order, so a step allocates
+    /// nothing for them: push only, never read or clear what is already
+    /// there.
     fn step(
         &self,
         state: &Self::State,
         ctx: &Self::StateCtx,
         candidate: &Candidate<'_>,
         universe: &FactUniverse,
-    ) -> StepOutcome<Self::State>;
+        successors: &mut Vec<Self::State>,
+    ) -> StepOutcome;
 
     /// Hit/miss counters of the oracle's guard-verdict cache, when it has
     /// one (the default answers `None`).  Surfaced by
@@ -807,9 +827,19 @@ fn fresh_guesses(expected: Option<DataType>, pool: &[Value]) -> Vec<Value> {
 }
 
 /// A revealed-fact set: a fixed-width bitset over interned fact indices.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// It hashes and compares as its word slice and borrows as it, so a map
+/// keyed by (trimmed) sets is probed with a borrowed slice
+/// ([`FactSet::trimmed`]) and copies the words only to insert.  A run's
+/// arena nodes all share one width, fixed when the run starts.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 struct FactSet {
     words: Vec<u64>,
+}
+
+impl Borrow<[u64]> for FactSet {
+    fn borrow(&self) -> &[u64] {
+        &self.words
+    }
 }
 
 impl FactSet {
@@ -854,27 +884,65 @@ impl FactSet {
             })
     }
 
-    /// The same set with trailing zero words dropped: a width-independent
+    /// The set's words with trailing zero words dropped: a width-independent
     /// key, so configurations reached in different batch waves (after the
-    /// intern table has grown) still share one context-cache entry.
-    fn trimmed(&self) -> FactSet {
-        let mut words = self.words.clone();
-        while words.last() == Some(&0) {
-            words.pop();
+    /// intern table has grown) still share one cache entry.
+    fn trimmed(&self) -> &[u64] {
+        let len = self
+            .words
+            .iter()
+            .rposition(|&word| word != 0)
+            .map_or(0, |last| last + 1);
+        &self.words[..len]
+    }
+
+    /// Widens the set to hold every index below `universe_len`.
+    fn widen(&mut self, universe_len: usize) {
+        let width = universe_len.div_ceil(64);
+        if self.words.len() < width {
+            self.words.resize(width, 0);
         }
-        FactSet { words }
+    }
+
+    /// The dedup hash of a (revealed set, logical state) pair: the words'
+    /// hash ([`FactSet::words_hash`]) folded with the state's.
+    fn node_hash<S: Hash>(words_hash: u64, state: &S) -> u64 {
+        let mut hasher = FxHasher::default();
+        hasher.write_u64(words_hash);
+        state.hash(&mut hasher);
+        hasher.finish()
+    }
+
+    /// The hash of the set's words, computed once per candidate and folded
+    /// with each successor state's ([`FactSet::node_hash`]).
+    fn words_hash(&self) -> u64 {
+        let mut hasher = FxHasher::default();
+        for &word in &self.words {
+            hasher.write_u64(word);
+        }
+        hasher.finish()
     }
 }
 
-/// One discovered search state in a property's arena.
+/// Ends a [`Node::next_same_hash`] chain.
+const NO_NODE: u32 = u32::MAX;
+
+/// One discovered search state in a property's arena.  A node owns its
+/// revealed set and nothing else on the heap: the transition that produced
+/// it is an index into the candidate list its parent's expansion shared,
+/// turned into an [`Access`] only when a witness is reconstructed.
 struct Node<S> {
     revealed: FactSet,
     state: S,
     /// Arena index of the parent (meaningless for the root).
     parent: u32,
-    /// The access and response indices that produced this state (`None` for
-    /// the root).
-    step: Option<(Access, Vec<u32>)>,
+    /// The next-older node whose (revealed, state) pair hashes like this
+    /// one's, or [`NO_NODE`]: the collision chain behind
+    /// [`PropertyRun::seen`].
+    next_same_hash: u32,
+    /// The candidate that produced this state, as its expansion's shared
+    /// candidate list and an index into it (`None` for the root).
+    step: Option<(Arc<Vec<OwnedCandidate>>, u32)>,
 }
 
 /// A candidate transition owned by the expansion phase.
@@ -900,7 +968,6 @@ impl OwnedCandidate {
 /// (same universe facts per method, same binding pool, same caps) produce
 /// identical candidate lists at every configuration, so their enumerations
 /// are shared through [`BatchEngine::candidate_cache`].
-#[derive(PartialEq)]
 struct CandidateClass {
     method_facts: Vec<Vec<u32>>,
     binding_pool: Vec<Value>,
@@ -911,7 +978,54 @@ struct CandidateClass {
     grounded: bool,
 }
 
-type Expansion<S> = (Arc<Vec<OwnedCandidate>>, Vec<StepOutcome<S>>);
+impl CandidateClass {
+    /// True if a property with these facts, pool and configuration belongs
+    /// to this class.
+    fn matches(
+        &self,
+        method_facts: &[Vec<u32>],
+        binding_pool: &[Value],
+        config: &EngineConfig,
+    ) -> bool {
+        self.group_cap == config.group_cap()
+            && self.max_response_size == config.max_response_size
+            && self.max_empty_bindings == config.max_empty_bindings
+            && self.empty_bindings == config.empty_bindings
+            && self.grounded == config.grounded
+            && self.binding_pool == binding_pool
+            && self.method_facts == method_facts
+    }
+}
+
+/// One candidate class's enumerations, keyed by trimmed revealed set.
+type Enumerations = FxMap<FactSet, Arc<Vec<OwnedCandidate>>>;
+
+/// The engine's by-configuration candidate enumerations: per registered
+/// [`CandidateClass`] (a class's index is the cache-key half carried by
+/// each [`PropertyRun`]), its enumerations keyed by trimmed revealed set.
+#[derive(Default)]
+struct CandidateCache {
+    classes: Vec<(CandidateClass, Enumerations)>,
+    /// Entries resident across every class's map.
+    entries: usize,
+}
+
+/// One expanded frontier node: the candidate list of its configuration
+/// (shared with the engine cache), each candidate's outcome, and the
+/// successor states every step pushed.  All of it is owned by the one
+/// worker that expanded the node, so workers never share a buffer.
+struct Expansion<S> {
+    candidates: Arc<Vec<OwnedCandidate>>,
+    /// Per candidate, in order: the oracle's outcome and the end of its
+    /// successors in `successors` (each candidate's start is the previous
+    /// one's end).
+    outcomes: Vec<(StepOutcome, u32)>,
+    successors: Vec<S>,
+}
+
+/// A [`HashMap`] hashed by the in-repo [`FxHasher`]: every internal map of
+/// the engine is keyed by interned ids, bitset words or small tuples.
+type FxMap<K, V> = HashMap<K, V, FxBuildHasher>;
 
 /// Interns `(relation, tuple)` facts into one shared index space.  Indices
 /// are stable for the lifetime of the engine, so overlays, revealed sets
@@ -921,7 +1035,7 @@ type Expansion<S> = (Arc<Vec<OwnedCandidate>>, Vec<StepOutcome<S>>);
 struct FactInterner {
     table: FactUniverse,
     /// Per relation, tuple → id (nested, so a lookup borrows the tuple).
-    ids: HashMap<RelId, HashMap<Tuple, u32>>,
+    ids: FxMap<RelId, FxMap<Tuple, u32>>,
 }
 
 impl FactInterner {
@@ -938,23 +1052,92 @@ impl FactInterner {
 }
 
 /// The part of a run's setup that depends on its root instance alone,
-/// computed once per [`BatchEngine::run`] and merged into every property.
+/// merged into every property.  Computed by the engine's first run and
+/// extended by each later run with the facts assumed revealed since
+/// ([`RootFacts::extend`]), so a session step pays for the root's growth,
+/// not for its size.
+#[derive(Debug, PartialEq, Eq)]
 struct RootFacts {
-    /// Per non-empty root relation: the interned ids of its tuples, in tuple
-    /// order.
+    /// Per non-empty root relation, in relation order: the interned ids of
+    /// its tuples, in tuple order.
     relations: Vec<(RelId, Vec<u32>)>,
     /// The root's active domain, sorted.
     values: Vec<Value>,
+    /// The interned ids of every root fact, as a revealed set: the root
+    /// node of every run (widened per run to the intern table).
+    set: FactSet,
 }
 
 impl RootFacts {
+    /// Interns every fact of `root` and collects its active domain.
+    fn of_instance(root: &Instance, interner: &mut FactInterner) -> Self {
+        let relations: Vec<(RelId, Vec<u32>)> = root
+            .nonempty_relations()
+            .map(|rel| {
+                let ids = root
+                    .tuples(rel)
+                    .map(|tuple| interner.intern(rel, tuple))
+                    .collect();
+                (rel, ids)
+            })
+            .collect();
+        let mut set = FactSet::empty(interner.table.len());
+        for &id in relations.iter().flat_map(|(_, ids)| ids) {
+            set.insert(id);
+        }
+        RootFacts {
+            relations,
+            values: root.active_domain().into_iter().collect(),
+            set,
+        }
+    }
+
+    /// Adds facts the root did not hold, as a fresh [`RootFacts::of_instance`]
+    /// of the grown root would hold them.  They are interned in (relation,
+    /// tuple) order, the order that fresh computation interns a root's new
+    /// facts in, so every fact keeps the id it would have had.
+    fn extend(&mut self, added: &[(RelId, Tuple)], interner: &mut FactInterner) {
+        let mut sorted: Vec<&(RelId, Tuple)> = added.iter().collect();
+        sorted.sort_unstable();
+        for (rel, tuple) in sorted {
+            let id = interner.intern(*rel, tuple);
+            let slot = match self.relations.binary_search_by(|(r, _)| r.cmp(rel)) {
+                Ok(slot) => slot,
+                Err(slot) => {
+                    self.relations.insert(slot, (*rel, Vec::new()));
+                    slot
+                }
+            };
+            let table = &interner.table;
+            let ids = &mut self.relations[slot].1;
+            if let Err(at) = ids.binary_search_by(|&other| table.fact(other).1.cmp(tuple)) {
+                ids.insert(at, id);
+            }
+            for value in tuple.values() {
+                if let Err(at) = self.values.binary_search(value) {
+                    self.values.insert(at, *value);
+                }
+            }
+            self.set.widen(table.len());
+            self.set.insert(id);
+        }
+    }
+
     /// The interned ids of a relation's root tuples, in tuple order.
     fn of(&self, rel: RelId) -> &[u32] {
         self.relations
-            .iter()
-            .find(|(r, _)| *r == rel)
-            .map_or(&[], |(_, ids)| ids)
+            .binary_search_by(|(r, _)| r.cmp(&rel))
+            .map_or(&[], |slot| &self.relations[slot].1)
     }
+}
+
+/// One enumeration of an ungrounded run's empty-response bindings, per
+/// method, kept with the inputs it is a function of so a later run with
+/// the same inputs shares it instead of enumerating again.
+struct EmptyBindings {
+    binding_pool: Vec<Value>,
+    max_empty_bindings: usize,
+    per_method: Arc<Vec<Vec<Tuple>>>,
 }
 
 /// Merges two sorted, duplicate-free lists into one, keeping a single copy
@@ -1000,10 +1183,11 @@ struct PropertyRun<'p, O: StepOracle> {
     truncated: bool,
     binding_pool: Vec<Value>,
     /// Per method: the empty-response bindings of an ungrounded run under
-    /// [`EmptyBindingMode::Enumerate`], enumerated once at registration,
+    /// [`EmptyBindingMode::Enumerate`], enumerated at registration (or
+    /// shared with an earlier run's, [`BatchEngine::empty_bindings`]),
     /// since they depend on the binding pool alone (empty otherwise:
     /// grounded runs draw bindings from each configuration's values).
-    empty_bindings: Vec<Vec<Tuple>>,
+    empty_bindings: Arc<Vec<Vec<Tuple>>>,
     config: EngineConfig,
     chunk_len: usize,
     shares_ctx: bool,
@@ -1014,7 +1198,14 @@ struct PropertyRun<'p, O: StepOracle> {
     /// equal classes share candidate enumerations per configuration).
     candidate_class: usize,
     nodes: Vec<Node<O::State>>,
-    seen: HashSet<(FactSet, O::State)>,
+    /// Dedup of discovered (revealed, state) pairs: their hash
+    /// ([`FactSet::node_hash`]) → the newest node of that hash, whose
+    /// [`Node::next_same_hash`] chain lists the older ones.  Probes compare
+    /// the pairs exactly, so a collision never merges two states.
+    seen: FxMap<u64, u32>,
+    /// The revealed set of the successor being merged, built in place so
+    /// a duplicate successor allocates nothing.
+    scratch: FactSet,
     frontier: Vec<u32>,
     cursor: usize,
     next: Vec<u32>,
@@ -1023,6 +1214,39 @@ struct PropertyRun<'p, O: StepOracle> {
 }
 
 impl<O: StepOracle> PropertyRun<'_, O> {
+    /// True if the arena holds a node of hash `hash` whose pair equals
+    /// (`scratch`, `state`).
+    fn discovered(&self, hash: u64, state: &O::State) -> bool {
+        let mut cursor = self.seen.get(&hash).copied().unwrap_or(NO_NODE);
+        while cursor != NO_NODE {
+            let node = &self.nodes[cursor as usize];
+            if node.state == *state && node.revealed == self.scratch {
+                return true;
+            }
+            cursor = node.next_same_hash;
+        }
+        false
+    }
+
+    /// Adds a node for (`scratch`, `state`), of hash `hash`, to the arena.
+    fn discover(
+        &mut self,
+        hash: u64,
+        state: O::State,
+        parent: u32,
+        step: (Arc<Vec<OwnedCandidate>>, u32),
+    ) {
+        let id = self.nodes.len() as u32;
+        let next_same_hash = self.seen.insert(hash, id).unwrap_or(NO_NODE);
+        self.nodes.push(Node {
+            revealed: self.scratch.clone(),
+            state,
+            parent,
+            next_same_hash,
+            step: Some(step),
+        });
+    }
+
     fn finish(&mut self, outcome: EngineOutcome) {
         // `engine_cache` is engine-wide; `BatchEngine::run` stamps the
         // final snapshot over this placeholder on every report it returns.
@@ -1038,11 +1262,6 @@ impl<O: StepOracle> PropertyRun<'_, O> {
         });
     }
 }
-
-/// A by-configuration cache shared across properties: entries are keyed by
-/// (candidate class index, trimmed revealed set) and handed out behind an
-/// `Arc` so concurrent frontier workers clone the handle, not the payload.
-type SharedByConfig<T> = RwLock<HashMap<(usize, FactSet), Arc<Vec<T>>>>;
 
 /// Resident-entry cap for each of the engine's two shared caches.  When
 /// an insert would grow a full map, the map is cleared first (generation
@@ -1076,26 +1295,26 @@ pub struct BatchEngine<'a, O: StepOracle> {
     /// instance contains them.  Copied from the initial instance on the
     /// first assumed fact, then grown in place.
     root: Arc<Instance>,
-    /// The interned facts of `root`, as of the current run's start: the
-    /// revealed set of every run's root node, and the part of every
-    /// configuration the before-overlays take from `root` rather than push.
-    root_set: FactSet,
+    /// The interned facts, active domain and revealed set of `root`, as of
+    /// the current run's start; `None` until the first run interns them.
+    root_facts: Option<RootFacts>,
     /// The shared oracles' context for `root` ([`StepOracle::prepare_root`]),
     /// reused across runs; once an assumed fact grows the root, the next
     /// run grows it ([`StepOracle::grow_root`]) by `root_added`.
     root_ctx: Option<Arc<O::StateCtx>>,
-    /// The facts assumed revealed since the last run: the next run grows
-    /// `root_ctx` by them, after dropping the cache entries no run can
-    /// reach any more.
+    /// The facts assumed revealed since the last run: the next run extends
+    /// `root_facts` and grows `root_ctx` by them, after dropping the cache
+    /// entries no run can reach any more.
     root_added: Vec<(RelId, Tuple)>,
     interner: FactInterner,
+    /// The last enumeration of empty-response bindings, shared with every
+    /// later ungrounded property — in this run or a later one — whose
+    /// binding pool and cap are the same.
+    empty_bindings: Option<EmptyBindings>,
     /// Prepared oracle contexts keyed by trimmed revealed set, shared
     /// across properties and states when the oracle opts in
     /// ([`StepOracle::shares_ctx`]).
-    ctx_cache: RwLock<HashMap<FactSet, Arc<O::StateCtx>>>,
-    /// Registered candidate classes (see [`CandidateClass`]); indices are
-    /// the cache key half carried by each [`PropertyRun`].
-    candidate_classes: Vec<CandidateClass>,
+    ctx_cache: RwLock<FxMap<FactSet, Arc<O::StateCtx>>>,
     /// Candidate enumerations keyed by (candidate class, trimmed revealed
     /// set).  The enumeration is a pure function of that key, so sharing it
     /// across properties — and across obligation states of one property —
@@ -1103,7 +1322,7 @@ pub struct BatchEngine<'a, O: StepOracle> {
     /// candidates' transition structures are not cached: oracles read each
     /// one per step as a borrowed view over the state's context
     /// ([`StepOracle::step`]), which costs less than a shared-map lookup.
-    candidate_cache: SharedByConfig<OwnedCandidate>,
+    candidate_cache: RwLock<CandidateCache>,
     /// Shared-cache lookup counters, summed over the two maps (see
     /// [`EngineCacheStats`]); relaxed atomics, since they are counters
     /// rather than synchronization.
@@ -1141,13 +1360,13 @@ impl<'a, O: StepOracle> BatchEngine<'a, O> {
             methods,
             method_input_types,
             root: initial,
-            root_set: FactSet::empty(0),
+            root_facts: None,
             root_ctx: None,
             root_added: Vec::new(),
             interner: FactInterner::default(),
-            ctx_cache: RwLock::new(HashMap::new()),
-            candidate_classes: Vec::new(),
-            candidate_cache: RwLock::new(HashMap::new()),
+            empty_bindings: None,
+            ctx_cache: RwLock::default(),
+            candidate_cache: RwLock::default(),
             cache_hits: AtomicU64::new(0),
             cache_misses: AtomicU64::new(0),
             cache_evictions: AtomicU64::new(0),
@@ -1182,31 +1401,13 @@ impl<'a, O: StepOracle> BatchEngine<'a, O> {
                 .candidate_cache
                 .read()
                 .expect("candidate cache poisoned")
-                .len();
+                .entries;
         EngineCacheStats {
             hits: self.cache_hits.load(Ordering::Relaxed),
             misses: self.cache_misses.load(Ordering::Relaxed),
             evictions: self.cache_evictions.load(Ordering::Relaxed),
             entries: entries as u64,
         }
-    }
-
-    /// First-insertion-wins insert into one of the shared cache maps,
-    /// clearing the map first when the insert would grow it past
-    /// [`ENGINE_CACHE_CAP`] (the cleared entries count as evictions).
-    fn insert_capped<K: Eq + Hash, V: Clone>(
-        &self,
-        cache: &RwLock<HashMap<K, V>>,
-        key: K,
-        value: V,
-    ) -> V {
-        let mut map = cache.write().expect("engine cache poisoned");
-        if map.len() >= ENGINE_CACHE_CAP && !map.contains_key(&key) {
-            self.cache_evictions
-                .fetch_add(map.len() as u64, Ordering::Relaxed);
-            map.clear();
-        }
-        map.entry(key).or_insert(value).clone()
     }
 
     /// Runs every property to its own verdict, sharing configuration-space
@@ -1218,40 +1419,56 @@ impl<'a, O: StepOracle> BatchEngine<'a, O> {
     pub fn run(&mut self, properties: Vec<PropertySpec<'_, O>>) -> Vec<EngineReport> {
         let _run_span =
             trace::span_fields("engine.run", &[("properties", properties.len() as u64)]);
-        let root_facts = self.root_facts();
+        let added = std::mem::take(&mut self.root_added);
         // The root revealed set holds every fact of the root instance: each
         // property's own "universe ∩ root", so all properties agree on what
         // a configuration *is*.
-        let mut root = FactSet::empty(self.interner.table.len());
-        for (_, ids) in &root_facts.relations {
-            for &id in ids {
-                root.insert(id);
+        let root_facts = match self.root_facts.take() {
+            Some(mut facts) => {
+                facts.extend(&added, &mut self.interner);
+                facts
             }
-        }
-        // Dropped before the properties register, so the grown root's
+            None => RootFacts::of_instance(&self.root, &mut self.interner),
+        };
+        // Dropped before the root context grows, so the grown root's
         // context is prepared while no stale entry holds the old one.
-        if !self.root_added.is_empty() {
-            self.drop_unreachable(&root);
+        if !added.is_empty() {
+            self.drop_unreachable(&root_facts.set);
         }
+        // Every sharing oracle's root context is a pure function of the
+        // root, so the first one prepares (or grows) it for all of them.
+        self.root_ctx = properties
+            .iter()
+            .find(|spec| spec.oracle.shares_ctx())
+            .map(|spec| match self.root_ctx.take() {
+                Some(previous) if !added.is_empty() => {
+                    Arc::new(spec.oracle.grow_root(previous, &self.root, &added))
+                }
+                Some(current) => current,
+                None => Arc::new(spec.oracle.prepare_root(&self.root)),
+            });
         let mut runs: Vec<PropertyRun<'_, O>> = properties
             .into_iter()
             .map(|spec| self.register(spec, &root_facts))
             .collect();
         // Registration interns the properties' own facts: widen the root
         // set to the whole table.
-        root.words.resize(self.interner.table.len().div_ceil(64), 0);
-        self.root_set = root.clone();
+        let mut root_facts = root_facts;
+        root_facts.set.widen(self.interner.table.len());
         for run in &mut runs {
-            let key = (root.clone(), run.start.clone());
+            run.scratch = root_facts.set.clone();
+            let hash = FactSet::node_hash(run.scratch.words_hash(), &run.start);
+            run.seen.insert(hash, 0);
             run.nodes.push(Node {
-                revealed: key.0.clone(),
-                state: key.1.clone(),
+                revealed: root_facts.set.clone(),
+                state: run.start.clone(),
                 parent: 0,
+                next_same_hash: NO_NODE,
                 step: None,
             });
-            run.seen.insert(key);
             run.frontier.push(0);
         }
+        self.root_facts = Some(root_facts);
         // Round-robin one frontier chunk per live property per global
         // round: every property advances in BFS order exactly as it would
         // alone, while properties at similar depths reach shared
@@ -1381,37 +1598,25 @@ impl<'a, O: StepOracle> BatchEngine<'a, O> {
     /// root fact.  Revealed sets only grow from the root's, so no later run
     /// can look such an entry up again; dropping it here, inside the step
     /// that grew the root, keeps a monitoring session's caches (and its
-    /// teardown) to what its current root can still reach.  Lookup
-    /// counters are unaffected: a dropped entry would never have been hit.
+    /// teardown) to what its current root can still reach.  Candidate
+    /// classes left without an entry are dropped with them (the next run to
+    /// register such a class adds it afresh), so the class registry stays
+    /// bounded by what the caches hold.  Lookup counters are unaffected: a
+    /// dropped entry would never have been hit.
     fn drop_unreachable(&mut self, root: &FactSet) {
         self.ctx_cache
             .get_mut()
             .expect("ctx cache poisoned")
             .retain(|revealed, _| revealed.contains_all(root));
-        self.candidate_cache
+        let cache = self
+            .candidate_cache
             .get_mut()
-            .expect("candidate cache poisoned")
-            .retain(|(_, revealed), _| revealed.contains_all(root));
-    }
-
-    /// Interns the root instance's facts and collects its active domain:
-    /// the root half of every property's universe and binding pool.
-    fn root_facts(&mut self) -> RootFacts {
-        let root = Arc::clone(&self.root);
-        let relations = root
-            .nonempty_relations()
-            .map(|rel| {
-                let ids = root
-                    .tuples(rel)
-                    .map(|tuple| self.interner.intern(rel, tuple))
-                    .collect();
-                (rel, ids)
-            })
-            .collect();
-        RootFacts {
-            relations,
-            values: root.active_domain().into_iter().collect(),
+            .expect("candidate cache poisoned");
+        for (_, entries) in &mut cache.classes {
+            entries.retain(|revealed, _| revealed.contains_all(root));
         }
+        cache.classes.retain(|(_, entries)| !entries.is_empty());
+        cache.entries = cache.classes.iter().map(|(_, entries)| entries.len()).sum();
     }
 
     /// Sets up a property's run state over the run's root.  The property's
@@ -1454,47 +1659,41 @@ impl<'a, O: StepOracle> BatchEngine<'a, O> {
             }));
         }
         let binding_pool = merge_sorted(&root.values, &facts.values, Value::cmp);
-        let empty_bindings = if !config.grounded
-            && config.empty_bindings == EmptyBindingMode::Enumerate
+        let empty_bindings =
+            if !config.grounded && config.empty_bindings == EmptyBindingMode::Enumerate {
+                self.empty_bindings(&binding_pool, &config)
+            } else {
+                Arc::default()
+            };
+        let cache = self
+            .candidate_cache
+            .get_mut()
+            .expect("candidate cache poisoned");
+        let candidate_class = match cache
+            .classes
+            .iter()
+            .position(|(class, _)| class.matches(&method_facts, &binding_pool, &config))
         {
-            (0..self.methods.len())
-                .map(|method| self.empty_response_bindings(&binding_pool, &config, method, None))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let class = CandidateClass {
-            method_facts: method_facts.clone(),
-            binding_pool: binding_pool.clone(),
-            group_cap,
-            max_response_size: config.max_response_size,
-            max_empty_bindings: config.max_empty_bindings,
-            empty_bindings: config.empty_bindings,
-            grounded: config.grounded,
-        };
-        let candidate_class = match self.candidate_classes.iter().position(|c| *c == class) {
             Some(index) => index,
             None => {
-                self.candidate_classes.push(class);
-                self.candidate_classes.len() - 1
+                let class = CandidateClass {
+                    method_facts: method_facts.clone(),
+                    binding_pool: binding_pool.clone(),
+                    group_cap,
+                    max_response_size: config.max_response_size,
+                    max_empty_bindings: config.max_empty_bindings,
+                    empty_bindings: config.empty_bindings,
+                    grounded: config.grounded,
+                };
+                cache.classes.push((class, Enumerations::default()));
+                cache.classes.len() - 1
             }
         };
         let threads = config.threads.max(1);
         let shares_ctx = oracle.shares_ctx();
-        let added = std::mem::take(&mut self.root_added);
-        let root_ctx = if shares_ctx {
-            let ctx = match self.root_ctx.take() {
-                Some(previous) if !added.is_empty() => {
-                    Arc::new(oracle.grow_root(previous, &self.root, &added))
-                }
-                Some(current) => current,
-                None => Arc::new(oracle.prepare_root(&self.root)),
-            };
-            self.root_ctx = Some(Arc::clone(&ctx));
-            ctx
-        } else {
-            self.root_ctx = None;
-            Arc::new(oracle.prepare_root(&self.root))
+        let root_ctx = match &self.root_ctx {
+            Some(ctx) if shares_ctx => Arc::clone(ctx),
+            _ => Arc::new(oracle.prepare_root(&self.root)),
         };
         PropertyRun {
             oracle,
@@ -1514,7 +1713,8 @@ impl<'a, O: StepOracle> BatchEngine<'a, O> {
             root_ctx,
             candidate_class,
             nodes: Vec::new(),
-            seen: HashSet::new(),
+            seen: FxMap::default(),
+            scratch: FactSet::default(),
             frontier: Vec::new(),
             cursor: 0,
             next: Vec::new(),
@@ -1523,52 +1723,90 @@ impl<'a, O: StepOracle> BatchEngine<'a, O> {
         }
     }
 
+    /// The empty-response bindings of an ungrounded property with this
+    /// binding pool and configuration: the last enumeration when it was
+    /// over the same pool and cap (a batch neighbour with the same values,
+    /// or a session step whose root growth revealed no new value), a fresh
+    /// one otherwise.
+    fn empty_bindings(
+        &mut self,
+        binding_pool: &[Value],
+        config: &EngineConfig,
+    ) -> Arc<Vec<Vec<Tuple>>> {
+        if let Some(last) = &self.empty_bindings {
+            if last.max_empty_bindings == config.max_empty_bindings
+                && last.binding_pool == binding_pool
+            {
+                return Arc::clone(&last.per_method);
+            }
+        }
+        let per_method: Arc<Vec<Vec<Tuple>>> = Arc::new(
+            (0..self.methods.len())
+                .map(|method| self.empty_response_bindings(binding_pool, config, method, None))
+                .collect(),
+        );
+        self.empty_bindings = Some(EmptyBindings {
+            binding_pool: binding_pool.to_vec(),
+            max_empty_bindings: config.max_empty_bindings,
+            per_method: Arc::clone(&per_method),
+        });
+        per_method
+    }
+
     /// Merges one property's chunk of expansion results in frontier order,
     /// applying budget, witness and state-cap cutoffs exactly as a
     /// standalone search would, then swaps in the next BFS layer when the
     /// frontier is spent.  `node_ids` are the chunk's frontier nodes in
     /// selection order; `expansions` align with them positionally (the
-    /// [`crate::pool`] contract).
+    /// [`crate::pool`] contract).  Each successor's revealed set is built
+    /// in the run's scratch set and deduplicated by borrowing it, so only a
+    /// newly discovered state allocates: its node's own copy.
     fn merge_chunk(
         &self,
         run: &mut PropertyRun<'_, O>,
         node_ids: &[u32],
         expansions: Vec<Expansion<O::State>>,
     ) {
-        for (&node_id, (candidates, outcomes)) in node_ids.iter().zip(expansions) {
-            for (candidate, outcome) in candidates.iter().zip(outcomes) {
+        for (&node_id, expansion) in node_ids.iter().zip(expansions) {
+            let Expansion {
+                candidates,
+                outcomes,
+                successors,
+            } = expansion;
+            let mut begin = 0usize;
+            for (index, &(outcome, end)) in outcomes.iter().enumerate() {
+                let reached = &successors[begin..end as usize];
+                begin = end as usize;
                 run.spent = run.spent.saturating_add(outcome.cost);
                 if run.spent > run.config.max_guard_checks {
                     let explored = run.nodes.len();
                     run.finish(EngineOutcome::OutOfBudget { explored });
                     return;
                 }
-                if !outcome.accept && outcome.successors.is_empty() {
-                    continue;
-                }
-                let access = Access::new(
-                    self.methods[candidate.method].name_sym(),
-                    candidate.binding.clone(),
-                );
+                let candidate = &candidates[index];
                 if outcome.accept {
-                    let witness = self.reconstruct(run, node_id, access, &candidate.added);
+                    let witness = self.reconstruct(run, node_id, candidate);
                     run.finish(EngineOutcome::Witness { witness });
                     return;
                 }
-                for successor in outcome.successors {
-                    let mut new_revealed = run.nodes[node_id as usize].revealed.clone();
-                    for &index in &candidate.added {
-                        new_revealed.insert(index);
-                    }
-                    if !run.seen.insert((new_revealed.clone(), successor.clone())) {
+                if reached.is_empty() {
+                    continue;
+                }
+                let PropertyRun { nodes, scratch, .. } = &mut *run;
+                scratch
+                    .words
+                    .copy_from_slice(&nodes[node_id as usize].revealed.words);
+                for &fact in &candidate.added {
+                    scratch.insert(fact);
+                }
+                let words_hash = scratch.words_hash();
+                for successor in reached {
+                    let hash = FactSet::node_hash(words_hash, successor);
+                    if run.discovered(hash, successor) {
                         continue;
                     }
-                    run.nodes.push(Node {
-                        revealed: new_revealed,
-                        state: successor,
-                        parent: node_id,
-                        step: Some((access.clone(), candidate.added.clone())),
-                    });
+                    let step = (Arc::clone(&candidates), index as u32);
+                    run.discover(hash, successor.clone(), node_id, step);
                     if run.nodes.len() >= run.config.max_states {
                         let explored = run.nodes.len();
                         run.finish(EngineOutcome::OutOfStates { explored });
@@ -1600,7 +1838,8 @@ impl<'a, O: StepOracle> BatchEngine<'a, O> {
     /// [`StepOracle::prepare`] layers over the root context.
     fn overlay_of(&self, revealed: &FactSet) -> InstanceOverlay {
         let mut before = InstanceOverlay::new(Arc::clone(&self.root));
-        for index in revealed.ones_beyond(&self.root_set) {
+        let root = &self.root_facts.as_ref().expect("a run has root facts").set;
+        for index in revealed.ones_beyond(root) {
             let (rel, tuple) = self.interner.table.fact(index);
             before.push_fact(rel, tuple.clone());
         }
@@ -1629,7 +1868,7 @@ impl<'a, O: StepOracle> BatchEngine<'a, O> {
                 .ctx_cache
                 .read()
                 .expect("ctx cache poisoned")
-                .get(&key)
+                .get(key)
                 .cloned();
             match cached {
                 Some(ctx) => {
@@ -1644,7 +1883,18 @@ impl<'a, O: StepOracle> BatchEngine<'a, O> {
                     // A racing worker may have prepared the same
                     // configuration; keep the first insertion so every
                     // later expansion shares one context.
-                    self.insert_capped(&self.ctx_cache, key, prepared)
+                    let mut map = self.ctx_cache.write().expect("ctx cache poisoned");
+                    let len = map.len();
+                    if len >= ENGINE_CACHE_CAP && !map.contains_key(key) {
+                        self.evict(len);
+                        map.clear();
+                    }
+                    Arc::clone(
+                        map.entry(FactSet {
+                            words: key.to_vec(),
+                        })
+                        .or_insert(prepared),
+                    )
                 }
             }
         } else {
@@ -1660,14 +1910,28 @@ impl<'a, O: StepOracle> BatchEngine<'a, O> {
         });
         let candidates = self.shared_candidates(run, &node.revealed, known.as_ref());
         let universe = &self.interner.table;
+        let mut successors = Vec::with_capacity(candidates.len());
         let outcomes = candidates
             .iter()
             .map(|candidate| {
                 let borrowed = candidate.borrow(&self.methods);
-                run.oracle.step(&node.state, &ctx, &borrowed, universe)
+                let outcome =
+                    run.oracle
+                        .step(&node.state, &ctx, &borrowed, universe, &mut successors);
+                (outcome, successors.len() as u32)
             })
             .collect();
-        (candidates, outcomes)
+        Expansion {
+            candidates,
+            outcomes,
+            successors,
+        }
+    }
+
+    /// Counts the `dropped` entries of a cache cleared on full as evictions.
+    fn evict(&self, dropped: usize) {
+        self.cache_evictions
+            .fetch_add(dropped as u64, Ordering::Relaxed);
     }
 
     /// The candidate enumeration of a configuration, computed once per
@@ -1680,24 +1944,46 @@ impl<'a, O: StepOracle> BatchEngine<'a, O> {
         revealed: &FactSet,
         known_values: Option<&BTreeSet<Value>>,
     ) -> Arc<Vec<OwnedCandidate>> {
-        let key = (run.candidate_class, revealed.trimmed());
+        let key = revealed.trimmed();
         let cached = self
             .candidate_cache
             .read()
             .expect("candidate cache poisoned")
-            .get(&key)
+            .classes[run.candidate_class]
+            .1
+            .get(key)
             .cloned();
-        match cached {
-            Some(candidates) => {
-                self.cache_hits.fetch_add(1, Ordering::Relaxed);
-                candidates
-            }
-            None => {
-                self.cache_misses.fetch_add(1, Ordering::Relaxed);
-                let computed = Arc::new(self.candidates(run, revealed, known_values));
-                self.insert_capped(&self.candidate_cache, key, computed)
-            }
+        if let Some(candidates) = cached {
+            self.cache_hits.fetch_add(1, Ordering::Relaxed);
+            return candidates;
         }
+        self.cache_misses.fetch_add(1, Ordering::Relaxed);
+        let computed = Arc::new(self.candidates(run, revealed, known_values));
+        let mut cache = self
+            .candidate_cache
+            .write()
+            .expect("candidate cache poisoned");
+        let cache = &mut *cache;
+        if cache.entries >= ENGINE_CACHE_CAP
+            && !cache.classes[run.candidate_class].1.contains_key(key)
+        {
+            self.evict(cache.entries);
+            for (_, entries) in &mut cache.classes {
+                entries.clear();
+            }
+            cache.entries = 0;
+        }
+        let entries = &mut cache.classes[run.candidate_class].1;
+        let before = entries.len();
+        let shared = Arc::clone(
+            entries
+                .entry(FactSet {
+                    words: key.to_vec(),
+                })
+                .or_insert(computed),
+        );
+        cache.entries += entries.len() - before;
+        shared
     }
 
     /// Enumerates the candidate transitions available from a state: per
@@ -1867,31 +2153,39 @@ impl<'a, O: StepOracle> BatchEngine<'a, O> {
         &self,
         run: &PropertyRun<'_, O>,
         end: u32,
-        final_access: Access,
-        final_added: &[u32],
+        accepting: &OwnedCandidate,
     ) -> AccessPath {
         let mut steps: Vec<(Access, Response)> = Vec::new();
         let mut cursor = end;
-        while let Some((access, added)) = &run.nodes[cursor as usize].step {
-            steps.push((access.clone(), self.response_of(added)));
+        while let Some((candidates, index)) = &run.nodes[cursor as usize].step {
+            steps.push(self.step_of(&candidates[*index as usize]));
             cursor = run.nodes[cursor as usize].parent;
         }
         steps.reverse();
-        steps.push((final_access, self.response_of(final_added)));
+        steps.push(self.step_of(accepting));
         AccessPath::from_steps(steps)
     }
 
-    fn response_of(&self, added: &[u32]) -> Response {
-        added
+    /// The access and response of a candidate transition.
+    fn step_of(&self, candidate: &OwnedCandidate) -> (Access, Response) {
+        let access = Access::new(
+            self.methods[candidate.method].name_sym(),
+            candidate.binding.clone(),
+        );
+        let response = candidate
+            .added
             .iter()
             .map(|&id| self.interner.table.fact(id).1.clone())
-            .collect()
+            .collect();
+        (access, response)
     }
 }
 
 /// The resumable engine state behind a monitoring session: one persistent
-/// [`BatchEngine`] whose root instance, interned fact table,
-/// prepared-context cache and candidate enumerations survive across steps, plus the bookkeeping that turns the
+/// [`BatchEngine`] whose root instance, interned fact table, root facts,
+/// prepared-context cache, candidate enumerations and empty-response
+/// bindings survive across steps (so a step's setup follows the root's
+/// growth, not its size), plus the bookkeeping that turns the
 /// engine's cumulative cache counters into per-step reuse deltas.  The
 /// properties themselves — oracles and [`PropertyFacts`] — belong to the
 /// caller, which prepares them once and lends them to every step.
@@ -1990,22 +2284,16 @@ mod tests {
             _ctx: &(),
             candidate: &Candidate<'_>,
             _universe: &FactUniverse,
-        ) -> StepOutcome<u8> {
+            successors: &mut Vec<u8>,
+        ) -> StepOutcome {
             if candidate.added.is_empty() {
-                return StepOutcome::dead(1);
+                return StepOutcome::pending(1);
             }
             if *state == 1 {
-                return StepOutcome {
-                    successors: Vec::new(),
-                    accept: true,
-                    cost: 1,
-                };
+                return StepOutcome::accept(1);
             }
-            StepOutcome {
-                successors: vec![state - 1],
-                accept: false,
-                cost: 1,
-            }
+            successors.push(state - 1);
+            StepOutcome::pending(1)
         }
     }
 
@@ -2063,7 +2351,7 @@ mod tests {
         let oracle = CountdownOracle;
         let mut batch: BatchEngine<'_, CountdownOracle> =
             BatchEngine::new(schema, Arc::new(Instance::new()));
-        let root = batch.root_facts();
+        let root = RootFacts::of_instance(&batch.root, &mut batch.interner);
         let spec = PropertySpec {
             oracle: &oracle,
             start: 1u8,
@@ -2199,8 +2487,9 @@ mod tests {
                 _ctx: &(),
                 _candidate: &Candidate<'_>,
                 _universe: &FactUniverse,
-            ) -> StepOutcome<u8> {
-                StepOutcome::dead(1)
+                _successors: &mut Vec<u8>,
+            ) -> StepOutcome {
+                StepOutcome::pending(1)
             }
         }
 
@@ -2383,6 +2672,306 @@ mod tests {
         );
         assert_eq!(candidates.len(), schema.method_count());
         assert!(candidates.iter().all(|c| c.added.is_empty()));
+    }
+
+    /// An oracle giving every live candidate two successor states, built so
+    /// that many successors collide on (revealed, state): the state is a
+    /// phase and the number of facts revealed so far, so revealing the same
+    /// facts in another order — from another parent, through other
+    /// candidates — reaches the same state, a one-fact response reaches
+    /// equal twins, and an empty response's second successor is its parent.
+    /// Accepts once `target` facts are revealed at phase 0.
+    struct BranchingOracle {
+        target: u8,
+    }
+
+    impl BranchingOracle {
+        /// The two successors of `(phase, count)` through a response of `n`
+        /// facts, and whether that transition accepts.
+        fn successors(&self, (phase, count): (u8, u8), n: u8) -> ([(u8, u8); 2], bool) {
+            let count = count + n;
+            let next = [((phase + 1) % 3, count), ((phase + n) % 3, count)];
+            (next, count >= self.target && (phase + n) % 3 == 0)
+        }
+    }
+
+    impl StepOracle for BranchingOracle {
+        type State = (u8, u8);
+        type StateCtx = ();
+
+        fn prepare_root(&self, _root: &Instance) {}
+
+        fn prepare(&self, _root: &(), _before: &InstanceOverlay) {}
+
+        fn step(
+            &self,
+            &state: &(u8, u8),
+            _ctx: &(),
+            candidate: &Candidate<'_>,
+            _universe: &FactUniverse,
+            successors: &mut Vec<(u8, u8)>,
+        ) -> StepOutcome {
+            let n = candidate.added.len() as u8;
+            let (next, accept) = self.successors(state, n);
+            let cost = 1 + candidate.added.len();
+            if accept {
+                return StepOutcome::accept(cost);
+            }
+            successors.extend(next);
+            StepOutcome::pending(cost)
+        }
+    }
+
+    /// A plain breadth-first reference for [`BranchingOracle`]: revealed
+    /// sets as `BTreeSet<u32>`, dedup through one `BTreeSet` of (revealed,
+    /// state) pairs, and candidates from the engine's own enumeration, so
+    /// the two searches differ in their frontier bookkeeping only.
+    fn reference_bfs(
+        oracle: &BranchingOracle,
+        facts: &PropertyFacts,
+        config: EngineConfig,
+    ) -> (EngineOutcome, usize, usize) {
+        let schema = phone_directory_access_schema();
+        let mut batch: BatchEngine<'_, BranchingOracle> =
+            BatchEngine::new(&schema, Arc::new(Instance::new()));
+        let root = RootFacts::of_instance(&batch.root, &mut batch.interner);
+        let spec = PropertySpec {
+            oracle,
+            start: (0u8, 0u8),
+            facts,
+            config,
+        };
+        let run = batch.register(spec, &root);
+        let width = batch.interner.table.len();
+        type Path = Vec<(Access, Response)>;
+        let mut seen: BTreeSet<(BTreeSet<u32>, (u8, u8))> = BTreeSet::new();
+        let mut frontier: Vec<(BTreeSet<u32>, (u8, u8), Path)> =
+            vec![(BTreeSet::new(), (0, 0), Vec::new())];
+        seen.insert((BTreeSet::new(), (0, 0)));
+        let mut spent = 0usize;
+        while !frontier.is_empty() {
+            let mut next = Vec::new();
+            for (revealed, state, path) in &frontier {
+                let mut set = FactSet::empty(width);
+                for &fact in revealed {
+                    set.insert(fact);
+                }
+                for candidate in batch.candidates(&run, &set, None) {
+                    spent += 1 + candidate.added.len();
+                    if spent > config.max_guard_checks {
+                        let explored = seen.len();
+                        return (EngineOutcome::OutOfBudget { explored }, explored, spent);
+                    }
+                    let (successors, accept) =
+                        oracle.successors(*state, candidate.added.len() as u8);
+                    let mut extended = path.clone();
+                    extended.push(batch.step_of(&candidate));
+                    if accept {
+                        let witness = AccessPath::from_steps(extended);
+                        return (EngineOutcome::Witness { witness }, seen.len(), spent);
+                    }
+                    let mut grown = revealed.clone();
+                    grown.extend(candidate.added.iter().copied());
+                    for successor in successors {
+                        if !seen.insert((grown.clone(), successor)) {
+                            continue;
+                        }
+                        next.push((grown.clone(), successor, extended.clone()));
+                        if seen.len() >= config.max_states {
+                            let explored = seen.len();
+                            return (EngineOutcome::OutOfStates { explored }, explored, spent);
+                        }
+                    }
+                }
+            }
+            frontier = next;
+        }
+        (EngineOutcome::Exhausted, seen.len(), spent)
+    }
+
+    #[test]
+    fn branching_successors_dedup_like_a_plain_bfs() {
+        let facts = facts_of([
+            (
+                RelId::new("Mobile#"),
+                tuple!["Smith", "OX13QD", "Parks Rd", 5551212],
+            ),
+            (
+                RelId::new("Mobile#"),
+                tuple!["Jones", "OX26AB", "Banbury Rd", 5550000],
+            ),
+            (
+                RelId::new("Address"),
+                tuple!["Parks Rd", "OX13QD", "Jones", 16],
+            ),
+            (
+                RelId::new("Address"),
+                tuple!["Banbury Rd", "OX26AB", "Smith", 3],
+            ),
+        ]);
+        let base = EngineConfig::base().max_empty_bindings(4);
+        let cases = [
+            // A witness several layers deep.
+            (3, base),
+            // Unreachable: the whole space is explored.
+            (9, base),
+            // Cut off by the state cap and by the cost budget.
+            (9, base.max_states(40)),
+            (9, base.max_guard_checks(500)),
+        ];
+        for (target, config) in cases {
+            let oracle = BranchingOracle { target };
+            let (outcome, explored, cost) = reference_bfs(&oracle, &facts, config);
+            for threads in [1, 3] {
+                let config = config.threads(threads);
+                let report = run_alone(&oracle, facts.clone(), Instance::new(), config, (0, 0));
+                assert_eq!(
+                    report.outcome, outcome,
+                    "target {target}, {threads} threads"
+                );
+                assert_eq!(
+                    report.explored, explored,
+                    "target {target}, {threads} threads"
+                );
+                assert_eq!(report.cost, cost, "target {target}, {threads} threads");
+            }
+        }
+    }
+
+    #[test]
+    fn dedup_compares_pairs_exactly_under_a_hash_collision() {
+        let schema = phone_directory_access_schema();
+        let oracle = CountdownOracle;
+        let facts = universe();
+        let mut batch: BatchEngine<'_, CountdownOracle> =
+            BatchEngine::new(&schema, Arc::new(Instance::new()));
+        let root = RootFacts::of_instance(&batch.root, &mut batch.interner);
+        let mut run = batch.register(countdown_spec(&oracle, &facts), &root);
+        let width = batch.interner.table.len();
+        let (mut a, mut b) = (FactSet::empty(width), FactSet::empty(width));
+        a.insert(0);
+        b.insert(1);
+        let candidates = Arc::new(Vec::new());
+        // Two pairs forced onto one hash: each is found only as itself.
+        run.scratch = a.clone();
+        assert!(!run.discovered(7, &1));
+        run.discover(7, 1, 0, (Arc::clone(&candidates), 0));
+        run.scratch = b.clone();
+        assert!(!run.discovered(7, &1), "a different revealed set collided");
+        run.discover(7, 1, 0, (Arc::clone(&candidates), 0));
+        assert!(!run.discovered(7, &2), "a different state collided");
+        for set in [a, b] {
+            run.scratch = set;
+            assert!(run.discovered(7, &1));
+        }
+        assert_eq!(run.nodes.len(), 2);
+    }
+
+    /// One countdown property's spec over `facts`.
+    fn countdown_spec<'p>(
+        oracle: &'p CountdownOracle,
+        facts: &'p PropertyFacts,
+    ) -> PropertySpec<'p, CountdownOracle> {
+        PropertySpec {
+            oracle,
+            start: 2u8,
+            facts,
+            config: EngineConfig::base(),
+        }
+    }
+
+    #[test]
+    fn root_growth_extends_root_facts_like_a_fresh_computation() {
+        let schema = phone_directory_access_schema();
+        let oracle = CountdownOracle;
+        let facts = universe();
+        let mut initial = Instance::new();
+        initial.add_fact(
+            RelId::new("Address"),
+            tuple!["Parks Rd", "OX13QD", "Smith", 16],
+        );
+        let config = EngineConfig::base();
+        let mut batch: BatchEngine<'_, CountdownOracle> =
+            BatchEngine::new(&schema, Arc::new(initial));
+        batch.run(vec![countdown_spec(&oracle, &facts)]);
+        let first = Arc::clone(&batch.empty_bindings.as_ref().unwrap().per_method);
+
+        let grow = |batch: &mut BatchEngine<'_, CountdownOracle>, added: &[(&str, Tuple)]| {
+            for (rel, tuple) in added {
+                assert!(batch.assume_revealed(RelId::new(rel), tuple));
+            }
+            let reports = batch.run(vec![countdown_spec(&oracle, &facts)]);
+            // The incrementally extended root equals a fresh computation
+            // over the grown root (same interner, so same ids).
+            let extended = batch.root_facts.take().unwrap();
+            let fresh = RootFacts::of_instance(&Arc::clone(&batch.root), &mut batch.interner);
+            assert_eq!(extended, fresh);
+            batch.root_facts = Some(extended);
+            // The run's empty-response bindings equal a fresh enumeration
+            // over its binding pool.
+            let last = batch.empty_bindings.as_ref().unwrap();
+            let enumerated: Vec<Vec<Tuple>> = (0..batch.methods.len())
+                .map(|method| {
+                    batch.empty_response_bindings(&last.binding_pool, &config, method, None)
+                })
+                .collect();
+            assert_eq!(*last.per_method, enumerated);
+            (reports, Arc::clone(&last.per_method))
+        };
+        // A fact of a relation the root held nothing of, and a tuple that
+        // sorts before the root's only Address tuple, both with new values.
+        let (_, second) = grow(
+            &mut batch,
+            &[
+                ("Mobile#", tuple!["Smith", "OX13QD", "Parks Rd", 5551212]),
+                ("Address", tuple!["Banbury Rd", "OX26AB", "Jones", 3]),
+            ],
+        );
+        assert!(!Arc::ptr_eq(&first, &second), "new values re-enumerate");
+        // A fact whose values are all known leaves the pool, and with it
+        // the enumeration, as it was.
+        let (reports, third) = grow(
+            &mut batch,
+            &[("Address", tuple!["Banbury Rd", "OX13QD", "Smith", 16])],
+        );
+        assert!(
+            Arc::ptr_eq(&second, &third),
+            "an unchanged pool reuses its bindings"
+        );
+        let mut grown = Instance::new();
+        for (rel, tuple) in batch.root.facts() {
+            grown.add_fact(rel, tuple.clone());
+        }
+        let standalone = run_alone(&oracle, universe(), grown, config, 2);
+        assert_eq!(reports[0], standalone);
+    }
+
+    #[test]
+    fn candidate_class_registry_stays_bounded_over_a_long_session() {
+        let schema = phone_directory_access_schema();
+        let oracle = CountdownOracle;
+        let facts = universe();
+        let mut batch: BatchEngine<'_, CountdownOracle> =
+            BatchEngine::new(&schema, Arc::new(Instance::new()));
+        let mut grown = Instance::new();
+        for step in 0..100i64 {
+            // Every step reveals fresh values, so every step's binding pool
+            // — and with it its candidate class — is new.
+            let fact = tuple![format!("Name{step}").as_str(), "OX13QD", "Parks Rd", step];
+            assert!(batch.assume_revealed(RelId::new("Mobile#"), &fact));
+            grown.add_fact(RelId::new("Mobile#"), fact);
+            let reports = batch.run(vec![countdown_spec(&oracle, &facts)]);
+            let classes = batch.candidate_cache.get_mut().unwrap().classes.len();
+            assert!(
+                classes <= 1,
+                "step {step} holds {classes} candidate classes"
+            );
+            if step % 10 == 0 {
+                let standalone =
+                    run_alone(&oracle, universe(), grown.clone(), EngineConfig::base(), 2);
+                assert_eq!(reports[0], standalone, "step {step}");
+            }
+        }
     }
 
     #[test]

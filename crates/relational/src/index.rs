@@ -57,10 +57,12 @@ use crate::value::Value;
 /// by already-interned values; and never iterated, so the weaker
 /// distribution cannot leak into any deterministic output.  Also reused by
 /// [`crate::guard_cache`] for its shard maps and (seeded twice, via
-/// [`FxHasher::seeded`]) for the two lanes of the `StructureKey` delta
-/// fingerprint.
+/// `FxHasher::seeded`) for the two lanes of the `StructureKey` delta
+/// fingerprint, and by the search engine and oracles upstream for their
+/// internal maps (frontier dedup, shared caches, intern tables), whose keys
+/// are interned ids, bitset words and small value tuples.
 #[derive(Default)]
-pub(crate) struct FxHasher {
+pub struct FxHasher {
     hash: u64,
 }
 
@@ -118,7 +120,10 @@ impl Hasher for FxHasher {
     }
 }
 
-type PostingMap = HashMap<(u32, Value), Vec<u32>, BuildHasherDefault<FxHasher>>;
+/// A [`HashMap`] builder hashing with [`FxHasher`].
+pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
+
+type PostingMap = HashMap<(u32, Value), Vec<u32>, FxBuildHasher>;
 
 /// Environment variable disabling all index builds and lookups when set to
 /// `1` — every query falls back to the scanning defaults, which produce

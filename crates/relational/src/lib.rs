@@ -87,8 +87,8 @@ pub use guard_cache::{
     GuardCache, GuardCacheStats, StructureKey, DISABLE_GUARD_CACHE_ENV_VAR, GUARD_CACHE_CUTOFF,
 };
 pub use index::{
-    indexing_enabled, set_indexing_enabled, InstanceIndex, MatchIter, RelationIndex, ScanView,
-    DISABLE_INDEXES_ENV_VAR, INDEX_CUTOFF,
+    indexing_enabled, set_indexing_enabled, FxBuildHasher, FxHasher, InstanceIndex, MatchIter,
+    RelationIndex, ScanView, DISABLE_INDEXES_ENV_VAR, INDEX_CUTOFF,
 };
 pub use inequality::InequalityCq;
 pub use instance::Instance;
