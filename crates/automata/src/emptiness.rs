@@ -82,9 +82,9 @@ pub struct EmptinessConfig {
     /// so this bounds the dominant cost; exceeding it yields
     /// [`EmptinessOutcome::Unknown`], never a wrong verdict.
     pub max_guard_checks: usize,
-    /// Worker threads for frontier expansion; `0` reads the
-    /// `ACCLTL_SEARCH_THREADS` environment variable (default 1).  Verdicts
-    /// and witnesses do not depend on the thread count.
+    /// Read by nothing: the search runs on one thread.  Kept only because
+    /// existing configurations (perfbench's among them) still set it; it
+    /// goes when the front-end configurations fold into `EngineConfig`.
     pub threads: usize,
 }
 
@@ -101,21 +101,15 @@ impl Default for EmptinessConfig {
 }
 
 impl EmptinessConfig {
-    /// `base` with this configuration's budgets, and its thread count when
-    /// nonzero: the engine configuration [`bounded_emptiness_batch`] runs
-    /// under, with `base` = [`EngineConfig::from_env`].
+    /// `base` with this configuration's budgets: the engine configuration
+    /// [`bounded_emptiness_batch`] runs under, with `base` =
+    /// [`EngineConfig::from_env`].
     #[must_use]
     pub fn engine_config(&self, base: EngineConfig) -> EngineConfig {
-        let engine = base
-            .max_states(self.max_states)
+        base.max_states(self.max_states)
             .max_response_size(self.max_response_size)
             .max_empty_bindings(self.max_empty_bindings)
-            .max_guard_checks(self.max_guard_checks);
-        if self.threads > 0 {
-            engine.threads(self.threads)
-        } else {
-            engine
-        }
+            .max_guard_checks(self.max_guard_checks)
     }
 }
 
@@ -176,8 +170,8 @@ pub fn bounded_emptiness_batch(
 }
 
 /// [`bounded_emptiness_batch`] driven by an explicit [`EngineConfig`] (the
-/// batch-request path): budgets, threads and the index/guard-cache ablation
-/// flags are taken verbatim; `max_guard_checks` is the *total* per-automaton
+/// batch-request path): budgets and the index/guard-cache ablation flags
+/// are taken verbatim; `max_guard_checks` is the *total* per-automaton
 /// guard budget, split evenly across its chains.  `initial` is shared with
 /// the engine's root layer as-is, never copied.
 #[must_use]
@@ -272,7 +266,6 @@ pub fn bounded_emptiness_batch_with_config(
                     &mut pool,
                     &handles[index],
                     engine.disable_indexes,
-                    engine.index_cutoff,
                 );
                 let facts = PropertyFacts::new(
                     guard_facts(chain, schema, &mut pool),
@@ -361,16 +354,12 @@ struct AutomatonOracle<'a> {
     compiled: Vec<CompiledGuard>,
     /// Automaton state → indices of its outgoing transitions.
     outgoing: Vec<Vec<usize>>,
-    /// The search's guard-verdict cache, shared across chains and worker
-    /// threads; disabled it only counts consults.
+    /// The search's guard-verdict cache, shared across chains; disabled it
+    /// only counts consults.
     cache: &'a GuardCache,
     /// Evaluate guards by scanning instead of through value indexes
     /// ([`EngineConfig::disable_indexes`]); guard caching is unaffected.
     scan: bool,
-    /// Per-relation size below which transition-structure layers are
-    /// scanned rather than indexed ([`EngineConfig::index_cutoff`]), stamped
-    /// onto the root and state layers in `prepare_root` / `prepare`.
-    index_cutoff: usize,
 }
 
 impl<'a> AutomatonOracle<'a> {
@@ -380,7 +369,6 @@ impl<'a> AutomatonOracle<'a> {
         pool: &mut GuardPool,
         cache: &'a GuardCache,
         scan: bool,
-        index_cutoff: usize,
     ) -> Self {
         let compiled = automaton
             .transitions
@@ -398,7 +386,6 @@ impl<'a> AutomatonOracle<'a> {
             outgoing,
             cache,
             scan,
-            index_cutoff,
         }
     }
 
@@ -429,12 +416,11 @@ impl StepOracle for AutomatonOracle<'_> {
     type StateCtx = StateLayers;
 
     fn prepare_root(&self, root: &Instance) -> StateLayers {
-        self.vocab.root_layer(root, self.index_cutoff, self.cache)
+        self.vocab.root_layer(root, self.cache)
     }
 
     fn prepare(&self, root: &StateLayers, before: &InstanceOverlay) -> StateLayers {
-        self.vocab
-            .state_layer(root, before, self.index_cutoff, self.cache)
+        self.vocab.state_layer(root, before, self.cache)
     }
 
     fn step(

@@ -44,8 +44,8 @@ pub enum Engine {
 ///
 /// Equality compares the verdict surface only (outcome, fragment, engine):
 /// the [`AnalyzerReport::run`] counters describe *work*, which legitimately
-/// varies with caches, thread counts and environment knobs, while verdicts
-/// are deterministic.
+/// varies with caches, batch composition and environment knobs, while
+/// verdicts do not.
 #[derive(Debug, Clone)]
 pub struct AnalyzerReport {
     /// The satisfiability outcome.

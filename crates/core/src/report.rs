@@ -18,7 +18,8 @@ use accltl_relational::{ChaseStats, GuardCacheStats};
 ///
 /// Like `SearchReport`, equality of the surrounding [`crate::AnalyzerReport`]
 /// deliberately ignores this value: the counters describe *work*, which
-/// varies with caches, threads and environment, while verdicts do not.
+/// varies with caches, batch composition and environment, while verdicts
+/// do not.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RunReport {
     /// Search states discovered (zero for questions answered without a

@@ -84,9 +84,9 @@ pub struct BoundedSearchConfig {
     /// Restrict the search to grounded paths (every binding value must occur
     /// in the initial instance or in an earlier response).
     pub grounded: bool,
-    /// Worker threads for frontier expansion; `0` reads the
-    /// `ACCLTL_SEARCH_THREADS` environment variable (default 1).  Verdicts
-    /// and witnesses do not depend on the thread count.
+    /// Read by nothing: the search runs on one thread.  Kept only because
+    /// existing configurations (perfbench's among them) still set it; it
+    /// goes when the front-end configurations fold into `EngineConfig`.
     pub threads: usize,
 }
 
@@ -172,11 +172,11 @@ fn canonical_facts<'s>(
 /// state)` dedup keys and the progression memo hash and copy a word instead
 /// of a formula tree.  Two ids are equal iff their obligations are, which is
 /// all the engine observes; the numbering itself follows first-reach order
-/// and may differ between thread counts without changing any verdict,
-/// witness or count.  An oracle lives as long as its [`PreparedProperty`]:
-/// a monitoring session keeps it — table, memo and all — across every step,
-/// so an id keeps its number from the step that first reached it, and a
-/// later step replays memoized progressions instead of re-deriving them.
+/// and changes no verdict, witness or count.  An oracle lives as long as
+/// its [`PreparedProperty`]: a monitoring session keeps it — table, memo
+/// and all — across every step, so an id keeps its number from the step
+/// that first reached it, and a later step replays memoized progressions
+/// instead of re-deriving them.
 struct FormulaOracle {
     vocab: TransitionVocab,
     /// Atom sentences of the formula in sorted order, each DNF-compiled
@@ -195,26 +195,21 @@ struct FormulaOracle {
     /// Owning the handle — rather than borrowing the root — is what lets a
     /// monitoring session keep its oracles, and with them the verdict map,
     /// for the session's lifetime; the engine reports each run's consults
-    /// as a delta of these counters.  Shared by all worker threads;
-    /// disabled it only counts consults.
+    /// as a delta of these counters.  Disabled it only counts consults.
     cache: GuardCache,
     zero_ary: bool,
     /// Evaluate by scanning instead of through value indexes
     /// ([`EngineConfig::disable_indexes`]); guard caching is unaffected.
     scan: bool,
-    /// Per-relation size below which transition-structure layers are
-    /// scanned rather than indexed ([`EngineConfig::index_cutoff`]), stamped
-    /// onto the root and state layers in `prepare_root` / `prepare`.
-    index_cutoff: usize,
-    /// The interned obligations, shared by all worker threads.
+    /// The interned obligations.
     obligations: RwLock<Obligations>,
     /// One-step progressions memoized per (obligation id, atom-verdict
     /// mask): the progressed successor is a pure function of the obligation
     /// and the verdicts of the formula's atom sentences, so candidates whose
     /// guards agree replay one result instead of re-deriving it — within a
     /// run and, since the mask is always decided first (every consult
-    /// counted), across the runs of a session too.  Shared by all worker
-    /// threads; bypassed for formulas with more than 32 atoms.
+    /// counted), across the runs of a session too.  Bypassed for formulas
+    /// with more than 32 atoms.
     progress_memo: RwLock<HashMap<(u32, u32), Progressed, FxBuildHasher>>,
 }
 
@@ -261,7 +256,6 @@ impl FormulaOracle {
         zero_ary: bool,
         cache: GuardCache,
         scan: bool,
-        index_cutoff: usize,
     ) -> Self {
         FormulaOracle {
             vocab,
@@ -269,7 +263,6 @@ impl FormulaOracle {
             cache,
             zero_ary,
             scan,
-            index_cutoff,
             obligations: RwLock::default(),
             progress_memo: RwLock::default(),
         }
@@ -365,7 +358,7 @@ impl StepOracle for FormulaOracle {
     type StateCtx = StateLayers;
 
     fn prepare_root(&self, root: &Instance) -> StateLayers {
-        self.vocab.root_layer(root, self.index_cutoff, &self.cache)
+        self.vocab.root_layer(root, &self.cache)
     }
 
     fn grow_root(
@@ -378,8 +371,7 @@ impl StepOracle for FormulaOracle {
     }
 
     fn prepare(&self, root: &StateLayers, before: &InstanceOverlay) -> StateLayers {
-        self.vocab
-            .state_layer(root, before, self.index_cutoff, &self.cache)
+        self.vocab.state_layer(root, before, &self.cache)
     }
 
     fn step(
@@ -498,8 +490,8 @@ impl<'a> BoundedSearcher<'a> {
     }
 
     /// This searcher driven by an explicit [`EngineConfig`] (the
-    /// batch-request path): the engine config is used verbatim — budgets,
-    /// threads and the index/guard-cache ablation flags included — instead
+    /// batch-request path): the engine config is used verbatim — budgets
+    /// and the index/guard-cache ablation flags included — instead
     /// of mapping [`BoundedSearchConfig`] over the environment defaults, and
     /// the search config is reset to its default.  The empty-binding mode is
     /// still forced by `zero_ary`, and the empty path is never accepted as a
@@ -531,17 +523,11 @@ impl<'a> BoundedSearcher<'a> {
     fn engine_config(&self) -> EngineConfig {
         let mut engine = match self.engine_override {
             Some(engine) => engine,
-            None => {
-                let mut engine = EngineConfig::from_env()
-                    .max_states(self.config.max_states)
-                    .max_response_size(self.config.max_response_size)
-                    .max_empty_bindings(self.config.max_empty_bindings)
-                    .grounded(self.config.grounded);
-                if self.config.threads > 0 {
-                    engine = engine.threads(self.config.threads);
-                }
-                engine
-            }
+            None => EngineConfig::from_env()
+                .max_states(self.config.max_states)
+                .max_response_size(self.config.max_response_size)
+                .max_empty_bindings(self.config.max_empty_bindings)
+                .grounded(self.config.grounded),
         };
         engine = engine.empty_bindings(if self.zero_ary {
             // In the 0-ary interpretation the binding carries no
@@ -568,8 +554,8 @@ impl<'a> BoundedSearcher<'a> {
     /// exploration, prepared state layers and the guard cache are
     /// shared batch-wide, while each formula's verdict, witness, explored
     /// count and consult totals are byte-identical to a standalone
-    /// [`BoundedSearcher::run`] (for any batch partitioning and thread
-    /// count).  Reports come back in input order.
+    /// [`BoundedSearcher::run`] (for any batch partitioning).  Reports come
+    /// back in input order.
     #[must_use]
     pub fn run_batch(&self, formulas: &[AccLtl]) -> Vec<SearchReport<SatOutcome>> {
         let _batch_span = accltl_obs::trace::span_fields(
@@ -722,7 +708,6 @@ fn prepare_batch(
                 zero_ary,
                 root_cache.share(),
                 engine_config.disable_indexes,
-                engine_config.index_cutoff,
             );
             let start = oracle.intern(start);
             Some(PreparedProperty {

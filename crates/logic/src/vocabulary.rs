@@ -20,7 +20,7 @@ use accltl_paths::{AccessSchema, Transition};
 use accltl_relational::symbols::SymbolTable;
 use accltl_relational::{
     Atom, CandidateFacts, CompiledSentence, GuardCache, Instance, InstanceOverlay, PosFormula,
-    RelId, RootVerdicts, Sym, Term, TransitionView, Tuple,
+    RelId, RootVerdicts, Sym, Term, TransitionView, Tuple, INDEX_CUTOFF,
 };
 
 /// The `Rpre` predicate name for relation `relation`.
@@ -152,20 +152,18 @@ impl TransitionVocab {
     /// its `Rpre` and its `Rpost` copy.  The bottom layer of every
     /// transition structure the run evaluates guards on, so it is built —
     /// and its digest table and value index with it — once per run, not per
-    /// search state.
+    /// search state.  Root and state layers are stamped with an explicit
+    /// [`INDEX_CUTOFF`], so guard evaluation over them keeps the
+    /// size-threshold index decision rather than the adaptive one
+    /// (`Instance::set_index_cutoff`).
     #[must_use]
-    pub fn root_layer(
-        &self,
-        root: &Instance,
-        index_cutoff: usize,
-        cache: &GuardCache,
-    ) -> StateLayers {
+    pub fn root_layer(&self, root: &Instance, cache: &GuardCache) -> StateLayers {
         let mut image = Instance::new();
         for (rel, tuple) in root.facts() {
             image.add_fact(self.pre(rel), tuple.clone());
             image.add_fact(self.post(rel), tuple.clone());
         }
-        image.set_index_cutoff(index_cutoff);
+        image.set_index_cutoff(INDEX_CUTOFF);
         StateLayers::new(
             InstanceOverlay::new(Arc::new(image)),
             Arc::new(RootVerdicts::new()),
@@ -227,7 +225,6 @@ impl TransitionVocab {
         &self,
         root: &StateLayers,
         before: &InstanceOverlay,
-        index_cutoff: usize,
         cache: &GuardCache,
     ) -> StateLayers {
         debug_assert!(
@@ -240,7 +237,7 @@ impl TransitionVocab {
             "the configuration's base must be the root's instance"
         );
         let mut layers = InstanceOverlay::new(Arc::clone(root.layers.base()));
-        layers.set_index_cutoff(index_cutoff);
+        layers.set_index_cutoff(INDEX_CUTOFF);
         for (rel, tuple) in before.delta().facts() {
             layers.push_fact(self.pre(rel), tuple.clone());
             layers.push_fact(self.post(rel), tuple.clone());
@@ -577,12 +574,12 @@ mod tests {
             initial.add_fact(address, tuple!["Parks Rd", "OX13QD", "Smith", house]);
         }
         let initial = Arc::new(initial);
-        let root = Arc::new(vocab.root_layer(&initial, usize::MAX, &cache));
+        let root = Arc::new(vocab.root_layer(&initial, &cache));
 
         // A state that revealed Jones's address, and one candidate out of it.
         let mut before = InstanceOverlay::new(Arc::clone(&initial));
         before.push_fact(address, jones.clone());
-        let stale = vocab.state_layer(&root, &before, usize::MAX, &cache);
+        let stale = vocab.state_layer(&root, &before, &cache);
         let method = schema.require_method("AcM1").unwrap();
         let binding = tuple!["Smith"];
         let universe = FactUniverse::default();

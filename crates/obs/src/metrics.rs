@@ -2,11 +2,11 @@
 //!
 //! The registry is always on — counters are plain relaxed atomics, and the
 //! instrumented call sites record **aggregates** (end-of-run report totals,
-//! per-round steal counts), never per-inner-loop increments, so the
+//! per-build index sizes), never per-inner-loop increments, so the
 //! steady-state cost is a handful of atomic adds per search run.
 //!
 //! Naming convention: dotted lowercase paths grouped by subsystem —
-//! `engine.*`, `pool.*`, `guard_cache.*`, `index.*`, `lts.*`, `chase.*`,
+//! `engine.*`, `guard_cache.*`, `index.*`, `lts.*`, `chase.*`,
 //! `search.*` — plus `span.<name>.ns`/`span.<name>.calls` accumulated by
 //! the [`crate::trace`] layer when timing is active.
 //!
@@ -15,7 +15,7 @@
 //! structs (`GuardCacheStats`, `EngineCacheStats`, `ChaseStats`) into the
 //! registry exactly once per run, at report-assembly time.  Registry deltas
 //! across a run therefore equal the summed report counters — the suite's
-//! `obs_props` tests assert this under 1/4/8 worker threads.
+//! `obs_props` tests assert this, hits and misses separately.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -48,8 +48,7 @@ impl Counter {
     }
 }
 
-/// A named gauge: a value that can move both ways (pool sizes, cache
-/// occupancy).  Stored as a `u64`; `set` overwrites, `max` keeps the
+/// A named gauge: a value that can move both ways (cache occupancy).  Stored as a `u64`; `set` overwrites, `max` keeps the
 /// high-water mark.
 #[derive(Debug)]
 pub struct Gauge {
@@ -132,8 +131,8 @@ pub fn add(name: &str, n: u64) {
 
 /// A counter reference resolved lazily on first use and cached forever —
 /// the hot-site recording primitive.  Declaring
-/// `static STEALS: LazyCounter = LazyCounter::new("pool.steals");` makes
-/// each `STEALS.add(n)` one `OnceLock` load plus one relaxed atomic add.
+/// `static BUILDS: LazyCounter = LazyCounter::new("index.builds");` makes
+/// each `BUILDS.add(n)` one `OnceLock` load plus one relaxed atomic add.
 pub struct LazyCounter {
     name: &'static str,
     cell: OnceLock<&'static Counter>,

@@ -4,7 +4,7 @@
 //! parent id, thread, name, timestamp, optional numeric fields), dropping
 //! writes an `exit` record with the wall-clock duration.  Parent links come
 //! from a thread-local span stack, so traces reconstruct the call tree per
-//! worker thread.  [`event`] writes a point record with no duration.
+//! thread.  [`event`] writes a point record with no duration.
 //!
 //! Everything is gated on one process-wide activity bitmask:
 //!

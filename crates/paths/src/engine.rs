@@ -17,14 +17,14 @@
 //! schema, and every property explores (a fragment of) the same
 //! configuration space.  [`BatchEngine`] is the multi-query engine: one
 //! instance interns all properties' fact universes into a shared table,
-//! round-robins one frontier chunk per live property, and shares the
+//! round-robins one frontier node per live property, and shares the
 //! expensive per-configuration work — the before-overlay and the oracle's
 //! prepared context ([`StepOracle::shares_ctx`]) — across every property
 //! (and every logical state of one property) that reaches the same
 //! configuration.  Each property keeps its own frontier, dedup set, budget
 //! and verdict, so it early-exits independently, and per-property results
 //! are **byte-identical** to running the properties one at a time:
-//! candidate enumeration order, chunk structure, budget accounting and
+//! candidate enumeration order, expansion order, budget accounting and
 //! witness choice only ever depend on the property's own universe and
 //! config, never on its batch neighbours.
 //!
@@ -51,14 +51,10 @@
 //!   projection onto a method's input positions, bounded response subsets,
 //!   and bounded empty-response binding enumeration (with the grounded and
 //!   0-ary variants both searches need);
-//! * **parallel layer expansion** — every global round submits the union of
-//!   all live properties' frontier chunks to one persistent work-stealing
-//!   worker set ([`crate::pool`], spawned once per [`BatchEngine::run`]
-//!   call, so small layers pay no per-layer spawn); expansion results are
-//!   merged on the driving thread *in frontier order*, so verdicts, budget
-//!   cutoffs and witness paths are identical for every thread count
-//!   (single-thread determinism is part of the contract, not an accident of
-//!   scheduling);
+//! * **round-robin layer expansion** — every global round selects the next
+//!   frontier node of each live property, expands them all, then merges the
+//!   results property by property in frontier order, on one thread, so
+//!   cache probes, budget cutoffs and witnesses happen in one fixed order;
 //! * **witness reconstruction** — walking the parent arena back to the root.
 //!
 //! Neither per state nor per candidate transition does the engine copy a
@@ -87,12 +83,12 @@
 //! guard *consults*, not evaluations — are byte-identical with the cache
 //! disabled ([`EngineConfig::disable_guard_cache`]).  Hit/miss counters
 //! surface through [`StepOracle::cache_stats`] / [`EngineReport::cache`];
-//! note that with several workers (or batch neighbours) the hit/miss
-//! *split* may vary run to run even though the total and every verdict stay
-//! deterministic.
+//! note that batch neighbours can move the hit/miss *split* (a neighbour
+//! may fill an entry first) while the total and every verdict stay the
+//! same.
 //!
 //! Every `ACCLTL_*` environment variable has exactly one read site:
-//! [`EngineConfig::from_env`] folds in the search/index/cache knobs (and
+//! [`EngineConfig::from_env`] folds in the index/cache/session ablations (and
 //! every front-end uses it for defaults), while the one subsystem ablation
 //! flag lives with its subsystem — `ACCLTL_DISABLE_LTS_OVERLAY` in
 //! [`crate::lts::LtsOptions::from_env`].
@@ -101,32 +97,17 @@ use std::borrow::Borrow;
 use std::cmp;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 
 use accltl_relational::{
     DataType, FxBuildHasher, FxHasher, GuardCacheStats, Instance, InstanceOverlay, RelId, Tuple,
-    Value, DISABLE_GUARD_CACHE_ENV_VAR, DISABLE_INDEXES_ENV_VAR, INDEX_CUTOFF,
+    Value, DISABLE_GUARD_CACHE_ENV_VAR, DISABLE_INDEXES_ENV_VAR,
 };
 
 use accltl_obs::{json::JsonObject, metrics, trace};
 
 use crate::access::{Access, AccessMethod, AccessSchema};
 use crate::path::{AccessPath, Response};
-use crate::pool;
-
-/// The environment variable consulted by [`EngineConfig::from_env`] for the
-/// default worker count.
-pub const THREADS_ENV_VAR: &str = "ACCLTL_SEARCH_THREADS";
-
-/// The environment variable consulted by [`EngineConfig::from_env`] for the
-/// default [`EngineConfig::index_cutoff`] (`0` is meaningful: index every
-/// relation).
-pub const INDEX_CUTOFF_ENV_VAR: &str = "ACCLTL_INDEX_CUTOFF";
-
-/// The environment variable consulted by [`EngineConfig::from_env`] for the
-/// default [`EngineConfig::steal_batch`].
-pub const STEAL_BATCH_ENV_VAR: &str = "ACCLTL_STEAL_BATCH";
 
 /// `ACCLTL_DISABLE_SESSION_REUSE=1` makes monitoring sessions re-run every
 /// step from scratch instead of reusing the persistent session state (the
@@ -232,23 +213,18 @@ impl StepOutcome {
 /// `step` is then called once per (state, candidate) pair and must not
 /// clone the configuration — read the candidate's facts out of the
 /// [`FactUniverse`] on top of the state's context instead.
-///
-/// `Send + Sync` because a batch's property runs (each borrowing its
-/// oracle) sit behind the lock the [`pool`] workers read expansion tasks
-/// through.
-pub trait StepOracle: Send + Sync {
+pub trait StepOracle {
     /// The logical component of a search state (an interned obligation id,
     /// an automaton state, ...).  The engine hashes every successor the
     /// oracle pushes and compares it against the discovered states of equal
     /// hash, but clones it only into the arena node of a state it has not
     /// seen, so a word-sized state keeps the merge phase cheap.
-    type State: Clone + Eq + Hash + Send + Sync;
+    type State: Clone + Eq + Hash;
     /// Per-configuration precomputation, built by [`StepOracle::prepare`]
     /// (or [`StepOracle::prepare_root`] for the root configuration) and
     /// handed back to every [`StepOracle::step`] call for a state at that
-    /// configuration.  `Send + Sync` so a batch can share prepared
-    /// contexts across worker threads and properties.
-    type StateCtx: Send + Sync;
+    /// configuration, which a batch may share across states and properties.
+    type StateCtx;
 
     /// Precomputes the context of a run's root configuration `root`: the
     /// initial instance plus every fact assumed revealed.  Called once per
@@ -350,7 +326,7 @@ pub const MAX_RESPONSE_GROUP: usize = 12;
 ///
 /// ```
 /// use accltl_paths::engine::EngineConfig;
-/// let config = EngineConfig::from_env().threads(4).max_guard_checks(10_000);
+/// let config = EngineConfig::from_env().max_guard_checks(10_000);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineConfig {
@@ -373,9 +349,6 @@ pub struct EngineConfig {
     pub grounded: bool,
     /// Empty-response binding enumeration mode.
     pub empty_bindings: EmptyBindingMode,
-    /// Worker threads for layer expansion (`0` is treated as 1).  Verdicts
-    /// and witnesses do not depend on this value.
-    pub threads: usize,
     /// Evaluate guards by scanning instead of through the per-position
     /// value indexes (the `ACCLTL_DISABLE_INDEXES=1` ablation, applied
     /// per-search by the oracles).  Guard caching is unaffected.
@@ -384,18 +357,6 @@ pub struct EngineConfig {
     /// ablation).  Verdicts, witnesses and budget accounting are
     /// byte-identical either way; only wall-clock moves.
     pub disable_guard_cache: bool,
-    /// Per-relation size below which transition-structure relations are
-    /// scanned rather than indexed (default
-    /// [`accltl_relational::INDEX_CUTOFF`]; stamped by the oracles onto the
-    /// run's root layer and each state's layer via
-    /// `Instance::set_index_cutoff`).  A performance knob: never affects
-    /// verdicts.
-    pub index_cutoff: usize,
-    /// Number of frontier tasks a pool worker claims (or steals) at a time
-    /// (`0` is treated as 1).  Larger batches amortize deque locking on tiny
-    /// tasks at the cost of coarser stealing.  Verdicts and witnesses do not
-    /// depend on this value.
-    pub steal_batch: usize,
     /// Re-run every monitoring-session step from scratch instead of reusing
     /// the persistent [`SessionState`] (the `ACCLTL_DISABLE_SESSION_REUSE=1`
     /// ablation).  Verdicts, witnesses, explored counts and consult totals
@@ -415,40 +376,22 @@ impl EngineConfig {
             max_response_group: MAX_RESPONSE_GROUP,
             grounded: false,
             empty_bindings: EmptyBindingMode::Enumerate,
-            threads: 1,
             disable_indexes: false,
             disable_guard_cache: false,
-            index_cutoff: INDEX_CUTOFF,
-            steal_batch: 1,
             disable_session_reuse: false,
         }
     }
 
     /// [`EngineConfig::base`] with the `ACCLTL_*` environment variables
-    /// folded in as defaults: [`THREADS_ENV_VAR`] seeds `threads`,
-    /// [`INDEX_CUTOFF_ENV_VAR`] seeds `index_cutoff`,
-    /// [`STEAL_BATCH_ENV_VAR`] seeds `steal_batch`, and
-    /// `ACCLTL_DISABLE_INDEXES=1` / `ACCLTL_DISABLE_GUARD_CACHE=1` /
-    /// `ACCLTL_DISABLE_SESSION_REUSE=1` set the
-    /// corresponding ablation flags.  This is the single place the
+    /// folded in as defaults: `ACCLTL_DISABLE_INDEXES=1` /
+    /// `ACCLTL_DISABLE_GUARD_CACHE=1` / `ACCLTL_DISABLE_SESSION_REUSE=1` set
+    /// the corresponding ablation flags.  This is the single place the
     /// workspace reads those variables; every search front-end starts from
     /// it.  (The observability knobs `ACCLTL_TRACE` / `ACCLTL_STATS` follow
     /// the same read-once convention, in `accltl_obs::trace`.)
     #[must_use]
     pub fn from_env() -> Self {
         let mut config = EngineConfig::base();
-        if let Some(n) = env_usize(THREADS_ENV_VAR) {
-            config.threads = n;
-        }
-        if let Some(n) = env_usize(STEAL_BATCH_ENV_VAR) {
-            config.steal_batch = n;
-        }
-        if let Some(n) = std::env::var(INDEX_CUTOFF_ENV_VAR)
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-        {
-            config.index_cutoff = n;
-        }
         config.disable_indexes = env_flag(DISABLE_INDEXES_ENV_VAR);
         config.disable_guard_cache = env_flag(DISABLE_GUARD_CACHE_ENV_VAR);
         config.disable_session_reuse = env_flag(DISABLE_SESSION_REUSE_ENV_VAR);
@@ -504,13 +447,6 @@ impl EngineConfig {
         self
     }
 
-    /// Sets the worker-thread count (`0` is treated as 1).
-    #[must_use]
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
     /// Forces guard evaluation to scan instead of using value indexes.
     #[must_use]
     pub fn disable_indexes(mut self, disable_indexes: bool) -> Self {
@@ -522,20 +458,6 @@ impl EngineConfig {
     #[must_use]
     pub fn disable_guard_cache(mut self, disable_guard_cache: bool) -> Self {
         self.disable_guard_cache = disable_guard_cache;
-        self
-    }
-
-    /// Sets the per-relation indexing cutoff.
-    #[must_use]
-    pub fn index_cutoff(mut self, index_cutoff: usize) -> Self {
-        self.index_cutoff = index_cutoff;
-        self
-    }
-
-    /// Sets the pool steal-batch size (`0` is treated as 1).
-    #[must_use]
-    pub fn steal_batch(mut self, steal_batch: usize) -> Self {
-        self.steal_batch = steal_batch;
         self
     }
 
@@ -561,13 +483,6 @@ impl Default for EngineConfig {
 
 fn env_flag(name: &str) -> bool {
     std::env::var(name).map(|v| v == "1").unwrap_or(false)
-}
-
-fn env_usize(name: &str) -> Option<usize> {
-    std::env::var(name)
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
 }
 
 /// Result of a frontier search.
@@ -614,9 +529,8 @@ pub enum EngineOutcome {
 /// engine promptly re-fills with its current working set).
 ///
 /// These counters describe *work saved*, not the answer: the hit/miss
-/// split varies with thread interleaving and batch composition, so the
-/// field is deliberately excluded from [`EngineReport`] / [`SearchReport`]
-/// equality.
+/// split varies with batch composition, so the field is deliberately
+/// excluded from [`EngineReport`] / [`SearchReport`] equality.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineCacheStats {
     /// Lookups answered from a shared cache.
@@ -640,8 +554,8 @@ impl EngineCacheStats {
 /// Per-property result of a [`BatchEngine`] run.
 ///
 /// Equality ignores [`EngineReport::engine_cache`]: those counters are
-/// engine-wide and scheduling-dependent, while every other field is
-/// per-property and deterministic.
+/// engine-wide and depend on the batch's other properties, while every
+/// other field is per-property.
 #[derive(Debug, Clone)]
 pub struct EngineReport {
     /// The search outcome (witness embedded).
@@ -674,8 +588,8 @@ impl Eq for EngineReport {}
 /// `(result, stats)` pairs.
 ///
 /// Equality ignores [`SearchReport::engine_cache`] for the same reason as
-/// [`EngineReport`]: the engine-wide counters depend on scheduling and
-/// batch composition, the per-property fields do not.
+/// [`EngineReport`]: the engine-wide counters depend on batch composition,
+/// the per-property fields do not.
 #[derive(Debug, Clone)]
 pub struct SearchReport<V> {
     /// The front-end verdict; witnesses are embedded in it.
@@ -686,8 +600,8 @@ pub struct SearchReport<V> {
     /// Accumulated step cost (guard consults) charged against the budget.
     pub cost: usize,
     /// Guard-cache counters for this property's consults.  The hit/miss
-    /// *split* may vary with threads and batch neighbours; the total
-    /// (`hits + misses`) and the verdict are deterministic.
+    /// *split* may vary with batch neighbours; the total (`hits + misses`)
+    /// and the verdict do not.
     pub cache: GuardCacheStats,
     /// Engine-level shared-cache counters for the run that produced this
     /// report (summed over waves when the front-end runs several batches).
@@ -1012,8 +926,7 @@ struct CandidateCache {
 
 /// One expanded frontier node: the candidate list of its configuration
 /// (shared with the engine cache), each candidate's outcome, and the
-/// successor states every step pushed.  All of it is owned by the one
-/// worker that expanded the node, so workers never share a buffer.
+/// successor states every step pushed.
 struct Expansion<S> {
     candidates: Arc<Vec<OwnedCandidate>>,
     /// Per candidate, in order: the oracle's outcome and the end of its
@@ -1189,7 +1102,6 @@ struct PropertyRun<'p, O: StepOracle> {
     /// grounded runs draw bindings from each configuration's values).
     empty_bindings: Arc<Vec<Vec<Tuple>>>,
     config: EngineConfig,
-    chunk_len: usize,
     shares_ctx: bool,
     /// The oracle's context for the run's root configuration, which every
     /// other state's context is prepared over.
@@ -1314,7 +1226,7 @@ pub struct BatchEngine<'a, O: StepOracle> {
     /// Prepared oracle contexts keyed by trimmed revealed set, shared
     /// across properties and states when the oracle opts in
     /// ([`StepOracle::shares_ctx`]).
-    ctx_cache: RwLock<FxMap<FactSet, Arc<O::StateCtx>>>,
+    ctx_cache: FxMap<FactSet, Arc<O::StateCtx>>,
     /// Candidate enumerations keyed by (candidate class, trimmed revealed
     /// set).  The enumeration is a pure function of that key, so sharing it
     /// across properties — and across obligation states of one property —
@@ -1322,13 +1234,12 @@ pub struct BatchEngine<'a, O: StepOracle> {
     /// candidates' transition structures are not cached: oracles read each
     /// one per step as a borrowed view over the state's context
     /// ([`StepOracle::step`]), which costs less than a shared-map lookup.
-    candidate_cache: RwLock<CandidateCache>,
+    candidate_cache: CandidateCache,
     /// Shared-cache lookup counters, summed over the two maps (see
-    /// [`EngineCacheStats`]); relaxed atomics, since they are counters
-    /// rather than synchronization.
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    cache_evictions: AtomicU64,
+    /// [`EngineCacheStats`]).
+    cache_hits: u64,
+    cache_misses: u64,
+    cache_evictions: u64,
     /// Cache-counter snapshot as of the last [`BatchEngine::run`] return —
     /// the counters are cumulative across runs (emptiness waves), so the
     /// process-wide metrics registry is fed per-run *deltas* to keep
@@ -1365,11 +1276,11 @@ impl<'a, O: StepOracle> BatchEngine<'a, O> {
             root_added: Vec::new(),
             interner: FactInterner::default(),
             empty_bindings: None,
-            ctx_cache: RwLock::default(),
-            candidate_cache: RwLock::default(),
-            cache_hits: AtomicU64::new(0),
-            cache_misses: AtomicU64::new(0),
-            cache_evictions: AtomicU64::new(0),
+            ctx_cache: FxMap::default(),
+            candidate_cache: CandidateCache::default(),
+            cache_hits: 0,
+            cache_misses: 0,
+            cache_evictions: 0,
             reported_cache: EngineCacheStats::default(),
         }
     }
@@ -1396,17 +1307,11 @@ impl<'a, O: StepOracle> BatchEngine<'a, O> {
     /// the end instead.
     #[must_use]
     pub fn engine_cache_stats(&self) -> EngineCacheStats {
-        let entries = self.ctx_cache.read().expect("ctx cache poisoned").len()
-            + self
-                .candidate_cache
-                .read()
-                .expect("candidate cache poisoned")
-                .entries;
         EngineCacheStats {
-            hits: self.cache_hits.load(Ordering::Relaxed),
-            misses: self.cache_misses.load(Ordering::Relaxed),
-            evictions: self.cache_evictions.load(Ordering::Relaxed),
-            entries: entries as u64,
+            hits: self.cache_hits,
+            misses: self.cache_misses,
+            evictions: self.cache_evictions,
+            entries: (self.ctx_cache.len() + self.candidate_cache.entries) as u64,
         }
     }
 
@@ -1469,83 +1374,42 @@ impl<'a, O: StepOracle> BatchEngine<'a, O> {
             run.frontier.push(0);
         }
         self.root_facts = Some(root_facts);
-        // Round-robin one frontier chunk per live property per global
-        // round: every property advances in BFS order exactly as it would
-        // alone, while properties at similar depths reach shared
-        // configurations close together in time (maximizing context- and
-        // guard-cache reuse).  One persistent worker set (see
-        // [`crate::pool`]) expands the union of all properties' chunks, so
-        // idle workers steal across properties; results merge per property
-        // in frontier order, so verdicts, witnesses, budget cutoffs and
-        // consult totals are independent of `threads` and `steal_batch`.
-        let threads = runs
-            .iter()
-            .map(|run| run.config.threads.max(1))
-            .max()
-            .unwrap_or(1);
-        let steal_batch = runs
-            .iter()
-            .map(|run| run.config.steal_batch.max(1))
-            .max()
-            .unwrap_or(1);
-        let this: &BatchEngine<'a, O> = self;
-        let runs = RwLock::new(runs);
-        pool::scoped(
-            threads,
-            steal_batch,
-            |&(run_index, node_id): &(usize, u32)| {
-                // EXPAND phase: read-locked, so any number of workers
-                // expand concurrently; the write-locked SELECT/MERGE
-                // phases never overlap with it.
-                let runs = runs.read().expect("batch runs poisoned");
-                this.expand(&runs[run_index], node_id)
-            },
-            |pool| loop {
-                let _round_span = trace::span("engine.round");
-                // SELECT: take one frontier chunk per live property.
-                let select_span = trace::span("engine.select");
-                let mut tasks: Vec<(usize, u32)> = Vec::new();
-                let mut spans: Vec<(usize, std::ops::Range<usize>)> = Vec::new();
-                {
-                    let mut runs = runs.write().expect("batch runs poisoned");
-                    for (run_index, run) in runs.iter_mut().enumerate() {
-                        if run.report.is_some() {
-                            continue;
-                        }
-                        let begin = tasks.len();
-                        let end = (run.cursor + run.chunk_len).min(run.frontier.len());
-                        tasks.extend(
-                            run.frontier[run.cursor..end]
-                                .iter()
-                                .map(|&node_id| (run_index, node_id)),
-                        );
-                        run.cursor = end;
-                        spans.push((run_index, begin..tasks.len()));
-                    }
-                }
-                drop(select_span);
-                if spans.is_empty() {
-                    break;
-                }
-                // EXPAND: all properties' tasks through one pool round.
-                let expand_span =
-                    trace::span_fields("engine.expand", &[("tasks", tasks.len() as u64)]);
-                let node_ids: Vec<u32> = tasks.iter().map(|&(_, node_id)| node_id).collect();
-                let mut expansions = pool.run(tasks).into_iter();
-                drop(expand_span);
-                // MERGE: per property, in frontier order.
-                let _merge_span = trace::span("engine.merge");
-                let mut runs = runs.write().expect("batch runs poisoned");
-                for (run_index, span) in spans {
-                    let chunk: Vec<_> = expansions.by_ref().take(span.len()).collect();
-                    this.merge_chunk(&mut runs[run_index], &node_ids[span], chunk);
-                }
-            },
-        );
+        // Round-robin one frontier node per live property per global round:
+        // every property advances in BFS order exactly as it would alone,
+        // while properties at similar depths reach shared configurations
+        // close together in time (maximizing context- and guard-cache
+        // reuse).  A round expands every selected node before merging any,
+        // then merges property by property in frontier order.
+        loop {
+            let _round_span = trace::span("engine.round");
+            // SELECT: the next frontier node of every live property.
+            let select_span = trace::span("engine.select");
+            let tasks: Vec<(usize, u32)> = runs
+                .iter_mut()
+                .enumerate()
+                .filter(|(_, run)| run.report.is_none())
+                .map(|(run_index, run)| {
+                    run.cursor += 1;
+                    (run_index, run.frontier[run.cursor - 1])
+                })
+                .collect();
+            drop(select_span);
+            if tasks.is_empty() {
+                break;
+            }
+            let expand_span = trace::span_fields("engine.expand", &[("tasks", tasks.len() as u64)]);
+            let expansions: Vec<Expansion<O::State>> = tasks
+                .iter()
+                .map(|&(run_index, node_id)| self.expand(&runs[run_index], node_id))
+                .collect();
+            drop(expand_span);
+            let _merge_span = trace::span("engine.merge");
+            for ((run_index, node_id), expansion) in tasks.into_iter().zip(expansions) {
+                self.merge(&mut runs[run_index], node_id, expansion);
+            }
+        }
         let stats = self.engine_cache_stats();
         let reports: Vec<EngineReport> = runs
-            .into_inner()
-            .expect("batch runs poisoned")
             .into_iter()
             .map(|run| {
                 let mut report = run.report.expect("every finished run has a report");
@@ -1605,13 +1469,8 @@ impl<'a, O: StepOracle> BatchEngine<'a, O> {
     /// dropped entry would never have been hit.
     fn drop_unreachable(&mut self, root: &FactSet) {
         self.ctx_cache
-            .get_mut()
-            .expect("ctx cache poisoned")
             .retain(|revealed, _| revealed.contains_all(root));
-        let cache = self
-            .candidate_cache
-            .get_mut()
-            .expect("candidate cache poisoned");
+        let cache = &mut self.candidate_cache;
         for (_, entries) in &mut cache.classes {
             entries.retain(|revealed, _| revealed.contains_all(root));
         }
@@ -1665,10 +1524,7 @@ impl<'a, O: StepOracle> BatchEngine<'a, O> {
             } else {
                 Arc::default()
             };
-        let cache = self
-            .candidate_cache
-            .get_mut()
-            .expect("candidate cache poisoned");
+        let cache = &mut self.candidate_cache;
         let candidate_class = match cache
             .classes
             .iter()
@@ -1689,7 +1545,6 @@ impl<'a, O: StepOracle> BatchEngine<'a, O> {
                 cache.classes.len() - 1
             }
         };
-        let threads = config.threads.max(1);
         let shares_ctx = oracle.shares_ctx();
         let root_ctx = match &self.root_ctx {
             Some(ctx) if shares_ctx => Arc::clone(ctx),
@@ -1704,11 +1559,6 @@ impl<'a, O: StepOracle> BatchEngine<'a, O> {
             binding_pool,
             empty_bindings,
             config,
-            // Small chunks bound the work wasted past a terminal verdict
-            // while keeping every thread busy; chunk merging runs in
-            // frontier order, so results are independent of the thread
-            // count.
-            chunk_len: if threads > 1 { threads * 4 } else { 1 },
             shares_ctx,
             root_ctx,
             candidate_class,
@@ -1753,67 +1603,58 @@ impl<'a, O: StepOracle> BatchEngine<'a, O> {
         per_method
     }
 
-    /// Merges one property's chunk of expansion results in frontier order,
+    /// Merges the expansion of one property's frontier node `node_id`,
     /// applying budget, witness and state-cap cutoffs exactly as a
     /// standalone search would, then swaps in the next BFS layer when the
-    /// frontier is spent.  `node_ids` are the chunk's frontier nodes in
-    /// selection order; `expansions` align with them positionally (the
-    /// [`crate::pool`] contract).  Each successor's revealed set is built
-    /// in the run's scratch set and deduplicated by borrowing it, so only a
-    /// newly discovered state allocates: its node's own copy.
-    fn merge_chunk(
-        &self,
-        run: &mut PropertyRun<'_, O>,
-        node_ids: &[u32],
-        expansions: Vec<Expansion<O::State>>,
-    ) {
-        for (&node_id, expansion) in node_ids.iter().zip(expansions) {
-            let Expansion {
-                candidates,
-                outcomes,
-                successors,
-            } = expansion;
-            let mut begin = 0usize;
-            for (index, &(outcome, end)) in outcomes.iter().enumerate() {
-                let reached = &successors[begin..end as usize];
-                begin = end as usize;
-                run.spent = run.spent.saturating_add(outcome.cost);
-                if run.spent > run.config.max_guard_checks {
-                    let explored = run.nodes.len();
-                    run.finish(EngineOutcome::OutOfBudget { explored });
-                    return;
-                }
-                let candidate = &candidates[index];
-                if outcome.accept {
-                    let witness = self.reconstruct(run, node_id, candidate);
-                    run.finish(EngineOutcome::Witness { witness });
-                    return;
-                }
-                if reached.is_empty() {
+    /// frontier is spent.  Each successor's revealed set is built in the
+    /// run's scratch set and deduplicated by borrowing it, so only a newly
+    /// discovered state allocates: its node's own copy.
+    fn merge(&self, run: &mut PropertyRun<'_, O>, node_id: u32, expansion: Expansion<O::State>) {
+        let Expansion {
+            candidates,
+            outcomes,
+            successors,
+        } = expansion;
+        let mut begin = 0usize;
+        for (index, &(outcome, end)) in outcomes.iter().enumerate() {
+            let reached = &successors[begin..end as usize];
+            begin = end as usize;
+            run.spent = run.spent.saturating_add(outcome.cost);
+            if run.spent > run.config.max_guard_checks {
+                let explored = run.nodes.len();
+                run.finish(EngineOutcome::OutOfBudget { explored });
+                return;
+            }
+            let candidate = &candidates[index];
+            if outcome.accept {
+                let witness = self.reconstruct(run, node_id, candidate);
+                run.finish(EngineOutcome::Witness { witness });
+                return;
+            }
+            if reached.is_empty() {
+                continue;
+            }
+            let PropertyRun { nodes, scratch, .. } = &mut *run;
+            scratch
+                .words
+                .copy_from_slice(&nodes[node_id as usize].revealed.words);
+            for &fact in &candidate.added {
+                scratch.insert(fact);
+            }
+            let words_hash = scratch.words_hash();
+            for successor in reached {
+                let hash = FactSet::node_hash(words_hash, successor);
+                if run.discovered(hash, successor) {
                     continue;
                 }
-                let PropertyRun { nodes, scratch, .. } = &mut *run;
-                scratch
-                    .words
-                    .copy_from_slice(&nodes[node_id as usize].revealed.words);
-                for &fact in &candidate.added {
-                    scratch.insert(fact);
+                let step = (Arc::clone(&candidates), index as u32);
+                run.discover(hash, successor.clone(), node_id, step);
+                if run.nodes.len() >= run.config.max_states {
+                    let explored = run.nodes.len();
+                    run.finish(EngineOutcome::OutOfStates { explored });
+                    return;
                 }
-                let words_hash = scratch.words_hash();
-                for successor in reached {
-                    let hash = FactSet::node_hash(words_hash, successor);
-                    if run.discovered(hash, successor) {
-                        continue;
-                    }
-                    let step = (Arc::clone(&candidates), index as u32);
-                    run.discover(hash, successor.clone(), node_id, step);
-                    if run.nodes.len() >= run.config.max_states {
-                        let explored = run.nodes.len();
-                        run.finish(EngineOutcome::OutOfStates { explored });
-                        return;
-                    }
-                    run.next.push((run.nodes.len() - 1) as u32);
-                }
+                run.next.push((run.nodes.len() - 1) as u32);
             }
         }
         if run.cursor >= run.frontier.len() {
@@ -1859,42 +1700,29 @@ impl<'a, O: StepOracle> BatchEngine<'a, O> {
     /// Expands one node: obtains the oracle context for its configuration
     /// (shared across properties/states when the oracle allows), and
     /// evaluates every candidate transition.
-    fn expand(&self, run: &PropertyRun<'_, O>, node_id: u32) -> Expansion<O::State> {
+    fn expand(&mut self, run: &PropertyRun<'_, O>, node_id: u32) -> Expansion<O::State> {
         let node = &run.nodes[node_id as usize];
         let mut before: Option<InstanceOverlay> = None;
         let ctx = if run.shares_ctx {
             let key = node.revealed.trimmed();
-            let cached = self
-                .ctx_cache
-                .read()
-                .expect("ctx cache poisoned")
-                .get(key)
-                .cloned();
-            match cached {
+            match self.ctx_cache.get(key) {
                 Some(ctx) => {
-                    self.cache_hits.fetch_add(1, Ordering::Relaxed);
-                    ctx
+                    self.cache_hits += 1;
+                    Arc::clone(ctx)
                 }
                 None => {
-                    self.cache_misses.fetch_add(1, Ordering::Relaxed);
+                    self.cache_misses += 1;
                     let overlay = self.overlay_of(&node.revealed);
                     let prepared = self.prepare(run, &overlay);
                     before = Some(overlay);
-                    // A racing worker may have prepared the same
-                    // configuration; keep the first insertion so every
-                    // later expansion shares one context.
-                    let mut map = self.ctx_cache.write().expect("ctx cache poisoned");
-                    let len = map.len();
-                    if len >= ENGINE_CACHE_CAP && !map.contains_key(key) {
-                        self.evict(len);
-                        map.clear();
+                    if self.ctx_cache.len() >= ENGINE_CACHE_CAP {
+                        self.cache_evictions += self.ctx_cache.len() as u64;
+                        self.ctx_cache.clear();
                     }
-                    Arc::clone(
-                        map.entry(FactSet {
-                            words: key.to_vec(),
-                        })
-                        .or_insert(prepared),
-                    )
+                    let words = key.to_vec();
+                    self.ctx_cache
+                        .insert(FactSet { words }, Arc::clone(&prepared));
+                    prepared
                 }
             }
         } else {
@@ -1928,62 +1756,36 @@ impl<'a, O: StepOracle> BatchEngine<'a, O> {
         }
     }
 
-    /// Counts the `dropped` entries of a cache cleared on full as evictions.
-    fn evict(&self, dropped: usize) {
-        self.cache_evictions
-            .fetch_add(dropped as u64, Ordering::Relaxed);
-    }
-
     /// The candidate enumeration of a configuration, computed once per
     /// (candidate class, configuration) and shared across properties and
-    /// obligation states ([`CandidateClass`]); first insertion wins under a
-    /// race, so every expansion of the configuration sees one list.
+    /// obligation states ([`CandidateClass`]).
     fn shared_candidates(
-        &self,
+        &mut self,
         run: &PropertyRun<'_, O>,
         revealed: &FactSet,
         known_values: Option<&BTreeSet<Value>>,
     ) -> Arc<Vec<OwnedCandidate>> {
         let key = revealed.trimmed();
-        let cached = self
-            .candidate_cache
-            .read()
-            .expect("candidate cache poisoned")
-            .classes[run.candidate_class]
-            .1
-            .get(key)
-            .cloned();
-        if let Some(candidates) = cached {
-            self.cache_hits.fetch_add(1, Ordering::Relaxed);
-            return candidates;
+        if let Some(candidates) = self.candidate_cache.classes[run.candidate_class].1.get(key) {
+            self.cache_hits += 1;
+            return Arc::clone(candidates);
         }
-        self.cache_misses.fetch_add(1, Ordering::Relaxed);
+        self.cache_misses += 1;
         let computed = Arc::new(self.candidates(run, revealed, known_values));
-        let mut cache = self
-            .candidate_cache
-            .write()
-            .expect("candidate cache poisoned");
-        let cache = &mut *cache;
-        if cache.entries >= ENGINE_CACHE_CAP
-            && !cache.classes[run.candidate_class].1.contains_key(key)
-        {
-            self.evict(cache.entries);
+        let cache = &mut self.candidate_cache;
+        if cache.entries >= ENGINE_CACHE_CAP {
+            self.cache_evictions += cache.entries as u64;
             for (_, entries) in &mut cache.classes {
                 entries.clear();
             }
             cache.entries = 0;
         }
-        let entries = &mut cache.classes[run.candidate_class].1;
-        let before = entries.len();
-        let shared = Arc::clone(
-            entries
-                .entry(FactSet {
-                    words: key.to_vec(),
-                })
-                .or_insert(computed),
-        );
-        cache.entries += entries.len() - before;
-        shared
+        let words = key.to_vec();
+        cache.classes[run.candidate_class]
+            .1
+            .insert(FactSet { words }, Arc::clone(&computed));
+        cache.entries += 1;
+        computed
     }
 
     /// Enumerates the candidate transitions available from a state: per
@@ -2406,15 +2208,6 @@ mod tests {
     }
 
     #[test]
-    fn verdicts_and_witnesses_are_thread_count_independent() {
-        for start in [1u8, 2, 3] {
-            let single = engine_outcome(EngineConfig::base().threads(1), start);
-            let quad = engine_outcome(EngineConfig::base().threads(4), start);
-            assert_eq!(single, quad);
-        }
-    }
-
-    #[test]
     fn batched_runs_match_standalone_runs_per_property() {
         // One batch carrying three countdown properties over the same
         // universe must reproduce each standalone outcome and report.
@@ -2822,19 +2615,10 @@ mod tests {
         for (target, config) in cases {
             let oracle = BranchingOracle { target };
             let (outcome, explored, cost) = reference_bfs(&oracle, &facts, config);
-            for threads in [1, 3] {
-                let config = config.threads(threads);
-                let report = run_alone(&oracle, facts.clone(), Instance::new(), config, (0, 0));
-                assert_eq!(
-                    report.outcome, outcome,
-                    "target {target}, {threads} threads"
-                );
-                assert_eq!(
-                    report.explored, explored,
-                    "target {target}, {threads} threads"
-                );
-                assert_eq!(report.cost, cost, "target {target}, {threads} threads");
-            }
+            let report = run_alone(&oracle, facts.clone(), Instance::new(), config, (0, 0));
+            assert_eq!(report.outcome, outcome, "target {target}");
+            assert_eq!(report.explored, explored, "target {target}");
+            assert_eq!(report.cost, cost, "target {target}");
         }
     }
 
@@ -2961,7 +2745,7 @@ mod tests {
             assert!(batch.assume_revealed(RelId::new("Mobile#"), &fact));
             grown.add_fact(RelId::new("Mobile#"), fact);
             let reports = batch.run(vec![countdown_spec(&oracle, &facts)]);
-            let classes = batch.candidate_cache.get_mut().unwrap().classes.len();
+            let classes = batch.candidate_cache.classes.len();
             assert!(
                 classes <= 1,
                 "step {step} holds {classes} candidate classes"
@@ -2980,13 +2764,10 @@ mod tests {
         // ACCLTL_* knobs; this test pins the defaults when the variables
         // are unset (the harness does not set them).
         let config = EngineConfig::base();
-        assert_eq!(config.threads, 1);
         assert!(!config.disable_indexes);
         assert!(!config.disable_guard_cache);
         assert_eq!(config.max_response_group, MAX_RESPONSE_GROUP);
         assert_eq!(config.max_guard_checks, usize::MAX);
-        assert_eq!(config.index_cutoff, INDEX_CUTOFF);
-        assert_eq!(config.steal_batch, 1);
         assert!(!config.disable_session_reuse);
     }
 }

@@ -44,7 +44,6 @@ pub mod error;
 pub mod generator;
 pub mod lts;
 pub mod path;
-pub mod pool;
 pub mod relevance;
 pub mod rng;
 pub mod sanity;

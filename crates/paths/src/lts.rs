@@ -52,12 +52,19 @@ pub enum ResponsePolicy {
     ExactFromHidden,
     /// Every subset of the matching tuples of the hidden instance with at most
     /// the given number of tuples.  This models sound-but-incomplete sources
-    /// and produces the branching of Figure 1.
+    /// and produces the branching of Figure 1.  Subsets are drawn from the
+    /// first 16 matching tuples only; an access matching more marks the tree
+    /// truncated.
     SubsetsOfHidden {
         /// Maximum number of tuples in a response.
         max_response_size: usize,
     },
 }
+
+/// The number of matching tuples [`ResponsePolicy::SubsetsOfHidden`] draws
+/// response subsets from (subsets are `u32` masks, and `2^16` of them per
+/// access is already far past any useful tree).
+const MAX_SUBSET_TUPLES: usize = 16;
 
 /// Options bounding the LTS exploration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -169,7 +176,8 @@ impl Eq for LtsNode {}
 pub struct LtsTree {
     /// The nodes, in creation (BFS) order; index 0 is the root.
     pub nodes: Vec<LtsNode>,
-    /// True if a bound (depth, node or binding cap) truncated the exploration.
+    /// True if a bound (node or binding cap, or the 16-tuple cap of
+    /// [`ResponsePolicy::SubsetsOfHidden`]) truncated the exploration.
     pub truncated: bool,
 }
 
@@ -376,7 +384,7 @@ impl<'a> LtsExplorer<'a> {
                 }
                 for binding in bindings {
                     let access = Access::new(method.name_sym(), binding);
-                    for response in self.candidate_responses(&access) {
+                    for response in self.candidate_responses(&access, &mut truncated) {
                         if nodes.len() + edges.len() >= self.options.max_nodes {
                             truncated = true;
                             break;
@@ -524,8 +532,9 @@ impl<'a> LtsExplorer<'a> {
     }
 
     /// Enumerates candidate responses for an access according to the response
-    /// policy.
-    fn candidate_responses(&self, access: &Access) -> Vec<Response> {
+    /// policy, setting `truncated` when the subset cap leaves matching tuples
+    /// out.
+    fn candidate_responses(&self, access: &Access, truncated: &mut bool) -> Vec<Response> {
         let matching: Vec<Tuple> = self
             .schema
             .exact_response(access, self.hidden)
@@ -538,7 +547,10 @@ impl<'a> LtsExplorer<'a> {
             ResponsePolicy::SubsetsOfHidden { max_response_size } => {
                 // Enumerate all subsets of the matching tuples up to the size
                 // cap (including the empty response).
-                let n = matching.len().min(16);
+                if matching.len() > MAX_SUBSET_TUPLES {
+                    *truncated = true;
+                }
+                let n = matching.len().min(MAX_SUBSET_TUPLES);
                 let mut responses = Vec::new();
                 for mask in 0u32..(1 << n) {
                     if (mask.count_ones() as usize) > max_response_size {
@@ -653,6 +665,42 @@ mod tests {
         .explore(&Instance::new())
         .unwrap();
         assert!(tree.edge_count() > exact_tree.edge_count());
+    }
+
+    #[test]
+    fn subset_responses_past_the_tuple_cap_truncate() {
+        let schema = phone_directory_access_schema();
+        // Grounded in one known street and postcode, so the only access
+        // with matching tuples is AcM2("Parks Rd", "OX13QD").
+        let mut initial = Instance::new();
+        initial.add_fact("Mobile#", tuple!["Smith", "OX13QD", "Parks Rd", 5551212]);
+        let explore = |matching: i64| {
+            let mut hidden = Instance::new();
+            for i in 0..matching {
+                let name = format!("Resident{i}");
+                hidden.add_fact("Address", tuple!["Parks Rd", "OX13QD", name.as_str(), i]);
+            }
+            LtsExplorer::new(
+                &schema,
+                &hidden,
+                LtsOptions {
+                    grounded_only: true,
+                    max_depth: 1,
+                    response_policy: ResponsePolicy::SubsetsOfHidden {
+                        max_response_size: 1,
+                    },
+                    ..LtsOptions::base()
+                },
+            )
+            .explore(&initial)
+            .unwrap()
+        };
+        let full = explore(MAX_SUBSET_TUPLES as i64);
+        assert!(!full.truncated);
+        // The 17th matching tuple is never revealed, and the tree says so.
+        let clipped = explore(MAX_SUBSET_TUPLES as i64 + 1);
+        assert!(clipped.truncated);
+        assert_eq!(clipped.edge_count(), full.edge_count());
     }
 
     #[test]

@@ -15,9 +15,9 @@
 //!   the structure holds, optionally *restricted to the predicates a
 //!   sentence mentions* so structures that differ only in irrelevant facts
 //!   share one key;
-//! * [`GuardCache`] — a sharded `(sentence id, StructureKey) → verdict` map
-//!   shared by all of a search's worker threads, with hit/miss counters for
-//!   benchmarking and regression tests.
+//! * [`GuardCache`] — a `(sentence id, StructureKey) → verdict` map shared
+//!   by every property of a search, with hit/miss counters for benchmarking
+//!   and regression tests.
 //!
 //! Consumers go through
 //! [`CompiledSentence::holds_cached`](crate::CompiledSentence::holds_cached),
@@ -160,10 +160,6 @@ impl RelationDigest {
 /// cache records every consult as a miss) — so a cached and an uncached run
 /// of the same search agree on the total, and a silently dead cache shows up
 /// as `hits == 0` instead of just benching flat.
-///
-/// With more than one worker thread the split between hits and misses can
-/// vary run to run (two workers may race to evaluate the same key); the
-/// *total* and every verdict stay deterministic.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GuardCacheStats {
     /// Consults answered from the cache.
@@ -193,7 +189,7 @@ impl GuardCacheStats {
 
 /// Guard structures with fewer facts than this are evaluated directly even
 /// when the cache is enabled: for a handful of tuples the homomorphism
-/// search is cheaper than fingerprinting the delta and probing a shard.
+/// search is cheaper than fingerprinting the delta and probing the map.
 /// The search oracles decide this *once per expanded state* through
 /// [`GuardCache::memoize_gate`] (the per-state transition-structure base
 /// bounds every candidate structure of that state) and pass the verdict as
@@ -202,25 +198,20 @@ impl GuardCacheStats {
 /// which code path produces them.
 pub const GUARD_CACHE_CUTOFF: usize = 16;
 
-/// Number of shards; must be a power of two.
-const SHARDS: usize = 16;
-
-type Shard = RwLock<HashMap<(u32, StructureKey), bool, BuildHasherDefault<FxHasher>>>;
-
-/// The verdict maps shared by every handle of one cache (see
+/// The verdict map shared by every handle of one cache (see
 /// [`GuardCache::share`]).
 #[derive(Debug)]
 struct SharedCache {
     enabled: bool,
-    /// Initialised on the first probe: searches whose states all sit below
-    /// the consumers' size cutoff (or that run with the cache disabled)
-    /// never pay for the shard maps — `GuardCache::new` is in every
+    /// Empty until the first insert allocates it, so searches whose states
+    /// all sit below the consumers' size cutoff (or that run with the cache
+    /// disabled) pay nothing for it — `GuardCache::new` is in every
     /// search's setup path, including µs-scale ones.
-    shards: OnceLock<Vec<Shard>>,
+    verdicts: RwLock<HashMap<(u32, StructureKey), bool, BuildHasherDefault<FxHasher>>>,
 }
 
-/// A sharded guard-verdict cache: `(sentence id, StructureKey) → bool`,
-/// shared by all worker threads of one search.
+/// A guard-verdict cache: `(sentence id, StructureKey) → bool`, shared by
+/// every property of one search.
 ///
 /// Created per search (one per `BoundedSearcher` run, one per emptiness
 /// check shared across its chains, one per batch shared across all its
@@ -230,9 +221,9 @@ struct SharedCache {
 /// when the search returns.
 ///
 /// A cache value is a *handle*: [`GuardCache::share`] returns a second
-/// handle over the same verdict maps and pin table but with fresh hit/miss
-/// counters, which is how a batched search gives every property its own
-/// consult accounting while all properties share one memo table.
+/// handle over the same verdict map but with fresh hit/miss counters, which
+/// is how a batched search gives every property its own consult accounting
+/// while all properties share one memo table.
 ///
 /// Whether the cache actually caches is decided at construction
 /// ([`GuardCache::with_enabled`]); a disabled cache only counts consults
@@ -266,14 +257,14 @@ impl GuardCache {
         GuardCache {
             shared: Arc::new(SharedCache {
                 enabled,
-                shards: OnceLock::new(),
+                verdicts: RwLock::default(),
             }),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
     }
 
-    /// A second handle over the same verdict maps, with fresh hit/miss
+    /// A second handle over the same verdict map, with fresh hit/miss
     /// counters.  Entries inserted through any handle are visible
     /// to all of them; each handle's [`GuardCache::stats`] only counts its
     /// own consults.
@@ -307,24 +298,14 @@ impl GuardCache {
         self.shared.enabled && base.fact_count() >= GUARD_CACHE_CUTOFF
     }
 
-    fn shard(&self, sentence: u32, key: &StructureKey) -> &Shard {
-        let shards = self
-            .shared
-            .shards
-            .get_or_init(|| (0..SHARDS).map(|_| Shard::default()).collect());
-        let mut hasher = FxHasher::seeded(LANE_A_SEED);
-        sentence.hash(&mut hasher);
-        key.hash(&mut hasher);
-        &shards[(hasher.finish() as usize) & (SHARDS - 1)]
-    }
-
     /// Looks up a memoized verdict, counting the consult as a hit or a miss.
     #[must_use]
     pub fn lookup(&self, sentence: u32, key: &StructureKey) -> Option<bool> {
         let verdict = self
-            .shard(sentence, key)
+            .shared
+            .verdicts
             .read()
-            .expect("guard cache shard poisoned")
+            .expect("guard cache poisoned")
             .get(&(sentence, *key))
             .copied();
         match verdict {
@@ -344,13 +325,12 @@ impl GuardCache {
     }
 
     /// Memoizes a verdict (the consult was already counted by the
-    /// preceding [`GuardCache::lookup`] miss).  Racing inserts of the same
-    /// key are benign: evaluation is deterministic, so both store the same
-    /// verdict.
+    /// preceding [`GuardCache::lookup`] miss).
     pub fn insert(&self, sentence: u32, key: StructureKey, verdict: bool) {
-        self.shard(sentence, &key)
+        self.shared
+            .verdicts
             .write()
-            .expect("guard cache shard poisoned")
+            .expect("guard cache poisoned")
             .insert((sentence, key), verdict);
     }
 

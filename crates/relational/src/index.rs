@@ -56,7 +56,7 @@ use crate::value::Value;
 /// Not DoS-resistant, which is fine for derived per-instance indexes keyed
 /// by already-interned values; and never iterated, so the weaker
 /// distribution cannot leak into any deterministic output.  Also reused by
-/// [`crate::guard_cache`] for its shard maps and (seeded twice, via
+/// [`crate::guard_cache`] for its verdict map and (seeded twice, via
 /// `FxHasher::seeded`) for the two lanes of the `StructureKey` delta
 /// fingerprint, and by the search engine and oracles upstream for their
 /// internal maps (frontier dedup, shared caches, intern tables), whose keys

@@ -56,7 +56,7 @@ pub struct Instance {
     digests: OnceLock<Vec<(RelId, RelationDigest)>>,
     /// Per-instance override of [`INDEX_CUTOFF`], set by
     /// [`Instance::set_index_cutoff`] on transition-structure bases so
-    /// `EngineConfig::index_cutoff` reaches the indexed-lookup decision.  A
+    /// their indexed-lookup decision is the pure size threshold.  A
     /// performance knob, not content: excluded from `Eq`/`Ord`/`Hash`/
     /// `Debug`, but preserved by `Clone` so unions built from a configured
     /// base keep the configuration.
@@ -162,11 +162,12 @@ impl Instance {
     }
 
     /// Sets this instance's index cutoff: relations with fewer facts are
-    /// scanned rather than indexed.  Search front-ends call this on the
-    /// transition-structure bases they build, threading
-    /// `EngineConfig::index_cutoff` through; instances never touched by it
-    /// use the [`INDEX_CUTOFF`] default.  Purely a performance knob — it
-    /// never affects which facts exist, so it is excluded from equality.
+    /// scanned rather than indexed.  The search front-ends stamp
+    /// [`INDEX_CUTOFF`] on the transition-structure layers they build;
+    /// instances never touched by it use an adaptive gate that also asks
+    /// whether the relation's posting lists discriminate.  Purely a
+    /// performance knob — it never affects which facts exist, so it is
+    /// excluded from equality.
     pub fn set_index_cutoff(&mut self, cutoff: usize) {
         self.index_cutoff = Some(cutoff);
     }
@@ -176,14 +177,14 @@ impl Instance {
     /// index on first demand; afterwards [`Instance::add_fact`] maintains it
     /// incrementally.
     ///
-    /// With no explicit cutoff configured (neither [`Instance::set_index_cutoff`]
-    /// nor `ACCLTL_INDEX_CUTOFF` threaded through a search front-end), the
-    /// size gate is adaptive: past the [`INDEX_CUTOFF`] floor, a relation is
-    /// answered from its posting lists only while they actually discriminate
-    /// ([`RelationIndex::discriminating`]); degenerate relations fall back to
-    /// the scan defaults.  An explicit cutoff keeps the pure size-threshold
-    /// behaviour, so the env knob still means what it says.  Either way the
-    /// decision only picks a code path — results are identical by contract.
+    /// With no explicit cutoff configured ([`Instance::set_index_cutoff`]),
+    /// the size gate is adaptive: past the [`INDEX_CUTOFF`] floor, a
+    /// relation is answered from its posting lists only while they actually
+    /// discriminate ([`RelationIndex::discriminating`]); degenerate
+    /// relations fall back to the scan defaults.  An explicit cutoff keeps
+    /// the pure size-threshold behaviour, which the search layers use.
+    /// Either way the decision only picks a code path — results are
+    /// identical by contract.
     pub(crate) fn query_index(&self, relation: RelId) -> Option<&RelationIndex> {
         if !indexing_enabled() {
             return None;
@@ -612,8 +613,7 @@ mod tests {
         }
         let rel = RelId::new("Blunt");
         assert!(blunt.query_index(rel).is_none(), "adaptive gate scans");
-        // An explicit cutoff keeps the historical pure size-threshold
-        // behaviour (the env knob must keep meaning what it says).
+        // An explicit cutoff keeps the pure size-threshold behaviour.
         let mut configured = blunt.clone();
         configured.set_index_cutoff(4);
         assert!(configured.query_index(rel).is_some());

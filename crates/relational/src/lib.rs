@@ -40,7 +40,7 @@
 //! * guard-verdict memoization ([`guard_cache`]): content-addressed
 //!   [`StructureKey`] fingerprints (an order-independent two-lane digest plus
 //!   the exact fact count, restricted per sentence to the predicates it
-//!   mentions) and a sharded [`GuardCache`]
+//!   mentions) and a shared [`GuardCache`]
 //!   consulted by [`CompiledSentence::holds_cached`], so the bounded
 //!   searches never repeat a homomorphism search for a guard they have
 //!   already decided on an equivalent structure — with an uncached fallback

@@ -3,10 +3,8 @@
 //! interpretation for the PSPACE row of Table 1, under full bindings for an
 //! `AccLTL+` formula — and prints the verdicts and witness paths.
 //!
-//! The frontier engine behind the search shards each BFS layer across worker
-//! threads (`ACCLTL_SEARCH_THREADS`, default 1) with verdicts and witnesses
-//! guaranteed independent of the thread count — CI runs this example with 1
-//! and 4 threads and diffs the output.  Guard evaluation goes through the
+//! The frontier engine behind the search expands one breadth-first layer at
+//! a time.  Guard evaluation goes through the
 //! per-position value indexes of `relational::index`; setting
 //! `ACCLTL_DISABLE_INDEXES=1` falls back to relation scans with byte-identical
 //! output (CI diffs that too).  Obligation checks are additionally memoized

@@ -3,9 +3,7 @@
 //! prints the outcomes and witness paths.
 //!
 //! The emptiness search runs on the same shared frontier engine as the
-//! bounded satisfiability search; `ACCLTL_SEARCH_THREADS` (default 1) selects
-//! the worker count without affecting any output — CI runs this example with
-//! 1 and 4 threads and diffs the output.  Per-transition guards evaluate
+//! bounded satisfiability search.  Per-transition guards evaluate
 //! through the per-position value indexes of `relational::index`;
 //! `ACCLTL_DISABLE_INDEXES=1` selects the scan fallback, again without
 //! affecting any output (CI diffs that too).  Guard verdicts are memoized

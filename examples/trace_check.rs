@@ -9,7 +9,7 @@
 //!
 //! With `--require`, the listed span/event names must each occur at least
 //! once — CI uses this to pin the instrumentation coverage (engine phases,
-//! pool tasks, guard-cache consults, chase passes, LTS layers).  Exits
+//! guard-cache consults, chase passes, LTS layers).  Exits
 //! non-zero with a line-numbered message on the first violation.
 
 use std::collections::{BTreeMap, BTreeSet};

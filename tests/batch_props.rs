@@ -2,8 +2,8 @@
 //! (`paths::engine::BatchEngine` and its front-ends): for every property, a
 //! batched run must be *byte-identical* to a standalone run — the same
 //! verdict, the same witness, the same explored-state count and guard-consult
-//! total, the same budget cutoffs — for any partitioning of the batch, on 1
-//! and on 4 worker threads, and with the guard cache disabled.  The analyzer
+//! total, the same budget cutoffs — for any partitioning of the batch and
+//! with the guard cache disabled.  The analyzer
 //! front-end (`check_all`) must likewise reproduce `check_satisfiable`
 //! report-for-report.
 
@@ -52,7 +52,7 @@ proptest! {
             &schema,
             &initial,
             zero_ary,
-            BoundedSearchConfig { threads: 1, ..BoundedSearchConfig::default() },
+            BoundedSearchConfig::default(),
         );
         let standalone: Vec<_> = batch.iter().map(|f| digest(&searcher.run(f))).collect();
         let whole: Vec<_> = searcher.run_batch(&batch).iter().map(digest).collect();
@@ -62,10 +62,9 @@ proptest! {
         prop_assert_eq!(&parts, &standalone);
     }
 
-    /// On every thread count, batched reports equal the standalone ones
-    /// (consult totals are chunk-structure-dependent, so they are compared
-    /// within a thread count, not across); verdicts are additionally
-    /// thread-independent.
+    /// Batched reports equal the standalone ones — verdict, witness,
+    /// explored count and consult total — with empty responses bound by
+    /// enumeration rather than by placeholder.
     #[test]
     fn batched_search_is_thread_deterministic(
         batch in random_batch(),
@@ -74,20 +73,11 @@ proptest! {
     ) {
         let _ = split_seed;
         let schema = phone_directory_access_schema();
-        let mut verdicts_by_threads: Vec<Vec<SatOutcome>> = Vec::new();
-        for threads in [1usize, 4] {
-            let searcher = BoundedSearcher::new(
-                &schema,
-                &initial,
-                false,
-                BoundedSearchConfig { threads, ..BoundedSearchConfig::default() },
-            );
-            let standalone: Vec<_> = batch.iter().map(|f| digest(&searcher.run(f))).collect();
-            let batched: Vec<_> = searcher.run_batch(&batch).iter().map(digest).collect();
-            prop_assert_eq!(&batched, &standalone);
-            verdicts_by_threads.push(batched.into_iter().map(|d| d.0).collect());
-        }
-        prop_assert_eq!(&verdicts_by_threads[0], &verdicts_by_threads[1]);
+        let searcher =
+            BoundedSearcher::new(&schema, &initial, false, BoundedSearchConfig::default());
+        let standalone: Vec<_> = batch.iter().map(|f| digest(&searcher.run(f))).collect();
+        let batched: Vec<_> = searcher.run_batch(&batch).iter().map(digest).collect();
+        prop_assert_eq!(&batched, &standalone);
     }
 
 }
@@ -136,7 +126,7 @@ proptest! {
         let schema = phone_directory_access_schema();
         let automata: Vec<_> = batch.iter().map(accltl_plus_to_automaton).collect();
         let refs: Vec<_> = automata.iter().collect();
-        let config = EmptinessConfig { threads: 1, ..EmptinessConfig::default() };
+        let config = EmptinessConfig::default();
         let standalone: Vec<_> = refs
             .iter()
             .map(|a| digest(&bounded_emptiness_report(a, &schema, &initial, &config)))
@@ -275,15 +265,7 @@ fn mixed_verdicts_early_exit_independently() {
         AccLtl::globally(AccLtl::not(jones_post())),
         AccLtl::finally(jones_post()),
     ]);
-    let searcher = BoundedSearcher::new(
-        &schema,
-        &initial,
-        false,
-        BoundedSearchConfig {
-            threads: 1,
-            ..BoundedSearchConfig::default()
-        },
-    );
+    let searcher = BoundedSearcher::new(&schema, &initial, false, BoundedSearchConfig::default());
     let reports = searcher.run_batch(&[sat, unsat]);
     assert!(matches!(reports[0].verdict, SatOutcome::Satisfiable { .. }));
     assert_eq!(reports[1].verdict, SatOutcome::Unsatisfiable);
@@ -299,10 +281,7 @@ fn batched_emptiness_witnesses_are_genuine() {
     let schema = phone_directory_access_schema();
     let initial = Instance::new();
     let automaton = accltl_plus_to_automaton(&AccLtl::finally(jones_post()));
-    let config = EmptinessConfig {
-        threads: 1,
-        ..EmptinessConfig::default()
-    };
+    let config = EmptinessConfig::default();
     let report = bounded_emptiness_report(&automaton, &schema, &initial, &config);
     let EmptinessOutcome::NonEmpty { witness } = &report.verdict else {
         panic!("expected a witness, got {:?}", report.verdict);

@@ -1,9 +1,9 @@
 //! Shared test-util module for the integration-test binaries: the Fig-1
 //! phone-directory builders, formula shapes and report digests that
-//! `guard_cache_props`, `batch_props`, `pool_props` and `session_props`
-//! previously copy-pasted, and the [`with_deadline`] watchdog that the
-//! multi-threaded tests run under.  Each binary includes this file via `mod common;`
-//! and uses a subset, hence the `dead_code` allowance.
+//! `guard_cache_props`, `batch_props` and `session_props` previously
+//! copy-pasted, and the [`with_deadline`] watchdog that the long-running
+//! tests run under.  Each binary includes this file via `mod common;` and
+//! uses a subset, hence the `dead_code` allowance.
 #![allow(dead_code)]
 
 use std::io::Write;
@@ -28,7 +28,7 @@ pub fn flag_lock() -> MutexGuard<'static, ()> {
 
 /// Runs `f` on the calling thread under a watchdog: if `f` has not returned
 /// after `secs` seconds, the watchdog names the test and aborts the test
-/// process, so a deadlock fails the run instead of hanging it.  A panic in
+/// process, so a hang fails the run instead of stalling it.  A panic in
 /// `f` disarms the watchdog and propagates as usual.
 pub fn with_deadline<T>(secs: u64, f: impl FnOnce() -> T) -> T {
     let test = thread::current()
@@ -53,14 +53,13 @@ pub fn with_deadline<T>(secs: u64, f: impl FnOnce() -> T) -> T {
     result
 }
 
-/// The single-threaded engine configuration of a default bounded search
-/// (`BoundedSearchConfig::default()` on one thread), with the guard cache on
-/// or off.
+/// The engine configuration of a default bounded search
+/// (`BoundedSearchConfig::default()`), with the guard cache on or off.
 pub fn search_engine(disable_guard_cache: bool) -> EngineConfig {
     EngineConfig::base().disable_guard_cache(disable_guard_cache)
 }
 
-/// The single-threaded engine configuration `bounded_emptiness_batch`
+/// The engine configuration `bounded_emptiness_batch`
 /// derives from `EmptinessConfig::default()`, with the guard cache on or
 /// off.
 pub fn emptiness_engine(disable_guard_cache: bool) -> EngineConfig {
@@ -80,16 +79,6 @@ pub fn digest<V: Clone>(report: &SearchReport<V>) -> (V, usize, usize, u64) {
         report.cost,
         report.cache.total(),
     )
-}
-
-/// The digest that must additionally survive *changing* the thread count:
-/// verdict, explored states and charged cost.  Consult totals are
-/// chunk-structure-dependent (the frontier chunk length scales with the
-/// thread count, and every expanded node consults guards even when an
-/// earlier chunk neighbour's witness ends the merge early), so they are
-/// compared within a thread count, never across.
-pub fn core_digest<V: Clone>(report: &SearchReport<V>) -> (V, usize, usize) {
-    (report.verdict.clone(), report.explored, report.cost)
 }
 
 /// Strategy: a random initial instance over the phone-directory schema.

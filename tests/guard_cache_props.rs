@@ -2,7 +2,8 @@
 //! (`relational::guard_cache`): cached and uncached evaluation must be
 //! *byte-identical* — the same verdicts, the same witnesses, the same
 //! guard-consult totals — for the bounded satisfiability search and the
-//! A-automaton emptiness search, on 1 and on 4 worker threads; and on the
+//! A-automaton emptiness search, alone and beside a batch twin that shares
+//! its cache; and on the
 //! Fig-1 workload at ×4 scale the cache must demonstrably *work* (nonzero
 //! hits, consult totals matching the uncached run), so a silently dead cache
 //! fails here instead of just benching flat.
@@ -14,8 +15,8 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use accltl_core::automata::{
-    accltl_plus_to_automaton, bounded_emptiness_batch_with_config, bounded_emptiness_report,
-    AAutomaton, EmptinessConfig, EmptinessOutcome,
+    accltl_plus_to_automaton, bounded_emptiness_batch, bounded_emptiness_batch_with_config,
+    bounded_emptiness_report, AAutomaton, EmptinessConfig, EmptinessOutcome,
 };
 use accltl_core::logic::bounded::BoundedSearcher;
 use accltl_core::prelude::*;
@@ -25,7 +26,7 @@ use common::{
     search_engine,
 };
 
-/// One single-threaded bounded search, with the guard cache on or off.
+/// One bounded search, with the guard cache on or off.
 fn search(
     schema: &AccessSchema,
     initial: &Instance,
@@ -42,7 +43,7 @@ fn search(
     .run(formula)
 }
 
-/// One single-threaded emptiness check under `EmptinessConfig::default()`'s
+/// One emptiness check under `EmptinessConfig::default()`'s
 /// budgets, with the guard cache on or off.
 fn emptiness(
     schema: &AccessSchema,
@@ -111,29 +112,22 @@ proptest! {
         }
     }
 
-    /// With the cache on, the shared-cache parallel search returns exactly
-    /// the single-thread result (the cache is shared by the workers; the
-    /// engine's determinism contract must survive it).
+    /// With the cache on, a formula batched beside its twin — whose
+    /// consults fill the verdict map both share — reports exactly the
+    /// standalone verdict and consult total.
     #[test]
     fn shared_cache_search_is_thread_deterministic(
         formula in random_formula(),
         initial in random_initial(),
     ) {
         let schema = phone_directory_access_schema();
-        let outcomes: Vec<SatOutcome> = [1usize, 4]
-            .iter()
-            .map(|&threads| {
-                BoundedSearcher::new(
-                    &schema,
-                    &initial,
-                    false,
-                    BoundedSearchConfig { threads, ..BoundedSearchConfig::default() },
-                )
-                .run(&formula)
-                .verdict
-            })
-            .collect();
-        prop_assert_eq!(&outcomes[0], &outcomes[1]);
+        let searcher =
+            BoundedSearcher::new(&schema, &initial, false, BoundedSearchConfig::default());
+        let alone = searcher.run(&formula);
+        for twin in searcher.run_batch(&[formula.clone(), formula]) {
+            prop_assert_eq!(&twin.verdict, &alone.verdict);
+            prop_assert_eq!(twin.cache.total(), alone.cache.total());
+        }
     }
 
     /// Same shared-cache determinism for the emptiness product search.
@@ -143,14 +137,13 @@ proptest! {
     ) {
         let schema = phone_directory_access_schema();
         let automaton = accltl_plus_to_automaton(&dataflow_formula());
-        let outcomes: Vec<_> = [1usize, 4]
-            .iter()
-            .map(|&threads| {
-                let config = EmptinessConfig { threads, ..EmptinessConfig::default() };
-                bounded_emptiness_report(&automaton, &schema, &initial, &config).verdict
-            })
-            .collect();
-        prop_assert_eq!(&outcomes[0], &outcomes[1]);
+        let config = EmptinessConfig::default();
+        let alone = bounded_emptiness_report(&automaton, &schema, &initial, &config);
+        let twins = bounded_emptiness_batch(&[&automaton, &automaton], &schema, &initial, &config);
+        for twin in twins {
+            prop_assert_eq!(&twin.verdict, &alone.verdict);
+            prop_assert_eq!(twin.cache.total(), alone.cache.total());
+        }
     }
 }
 

@@ -2,8 +2,7 @@
 //! the legacy per-report counter structs (same numbers, one registry), the
 //! chase repair counters must be mode-invariant, and turning the JSONL trace
 //! on must not change a single verdict, witness, explored count or consult
-//! total — observation is free, in the byte-identical sense the engine's
-//! determinism contract already promises for schedule changes.
+//! count — observation is free, in the byte-identical sense.
 //!
 //! Every test serialises on one lock: the registry, the stats bits and the
 //! trace sink are deliberately process-global (that is the point of a
@@ -127,8 +126,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Registry deltas around a batch equal the sums of the legacy
-    /// per-report counters, at every thread count: the registry is the
-    /// same accounting, not a second one that can drift.
+    /// per-report counters: the registry is the same accounting, not a
+    /// second one that can drift.
     #[test]
     fn registry_reconciles_with_report_counters(
         batch in proptest::collection::vec(random_formula(), 1..4),
@@ -137,43 +136,29 @@ proptest! {
         common::with_deadline(120, || {
             let _guard = obs_lock();
             let schema = phone_directory_access_schema();
-            for threads in [1usize, 4, 8] {
-                let searcher = BoundedSearcher::with_engine_config(
-                    &schema,
-                    &initial,
-                    false,
-                    EngineConfig::base().threads(threads),
-                );
-                let before = snapshot();
-                let reports = searcher.run_batch(&batch);
-                let after = snapshot();
+            let searcher =
+                BoundedSearcher::with_engine_config(&schema, &initial, false, EngineConfig::base());
+            let before = snapshot();
+            let reports = searcher.run_batch(&batch);
+            let after = snapshot();
 
-                let explored: u64 = reports.iter().map(|r| r.explored as u64).sum();
-                let cost: u64 = reports.iter().map(|r| r.cost as u64).sum();
-                let consults: u64 = reports.iter().map(|r| r.cache.total()).sum();
-                prop_assert_eq!(
-                    delta(&before, &after, "search.explored"), explored,
-                    "search.explored at threads={}", threads
-                );
-                prop_assert_eq!(
-                    delta(&before, &after, "search.cost"), cost,
-                    "search.cost at threads={}", threads
-                );
-                // The hit/miss split moves with the schedule; the total does not.
-                prop_assert_eq!(
-                    delta(&before, &after, "guard_cache.hits")
-                        + delta(&before, &after, "guard_cache.misses"),
-                    consults,
-                    "guard-cache consult total at threads={}", threads
-                );
-                // The engine-level mirrors agree with the front-end totals.
-                prop_assert_eq!(delta(&before, &after, "engine.explored"), explored);
-                prop_assert_eq!(delta(&before, &after, "engine.cost"), cost);
-                prop_assert_eq!(
-                    delta(&before, &after, "engine.properties"),
-                    batch.len() as u64
-                );
-            }
+            let explored: u64 = reports.iter().map(|r| r.explored as u64).sum();
+            let cost: u64 = reports.iter().map(|r| r.cost as u64).sum();
+            let hits: u64 = reports.iter().map(|r| r.cache.hits).sum();
+            let misses: u64 = reports.iter().map(|r| r.cache.misses).sum();
+            prop_assert_eq!(delta(&before, &after, "search.explored"), explored);
+            prop_assert_eq!(delta(&before, &after, "search.cost"), cost);
+            // One search thread: the hit/miss split reconciles, not only
+            // the consult total.
+            prop_assert_eq!(delta(&before, &after, "guard_cache.hits"), hits);
+            prop_assert_eq!(delta(&before, &after, "guard_cache.misses"), misses);
+            // The engine-level mirrors agree with the front-end totals.
+            prop_assert_eq!(delta(&before, &after, "engine.explored"), explored);
+            prop_assert_eq!(delta(&before, &after, "engine.cost"), cost);
+            prop_assert_eq!(
+                delta(&before, &after, "engine.properties"),
+                batch.len() as u64
+            );
         });
     }
 
@@ -183,21 +168,16 @@ proptest! {
     fn tracing_never_changes_a_report(
         batch in proptest::collection::vec(random_formula(), 1..3),
         initial in random_initial(),
-        threads in prop_oneof![Just(1usize), Just(4usize)],
     ) {
         common::with_deadline(120, || {
             let _guard = obs_lock();
             let schema = phone_directory_access_schema();
-            let searcher = || BoundedSearcher::with_engine_config(
-                &schema,
-                &initial,
-                false,
-                EngineConfig::base().threads(threads),
-            );
+            let searcher =
+                || BoundedSearcher::with_engine_config(&schema, &initial, false, EngineConfig::base());
             let untraced: Vec<_> = searcher().run_batch(&batch).iter().map(digest).collect();
 
             let path = std::env::temp_dir().join(format!(
-                "accltl-obs-props-{}-{threads}.jsonl",
+                "accltl-obs-props-{}.jsonl",
                 std::process::id()
             ));
             let _ = std::fs::remove_file(&path);
@@ -271,7 +251,7 @@ fn emptiness_reconciles_with_report_counters() {
             &refs,
             &schema,
             Arc::new(Instance::new()),
-            EngineConfig::base().threads(2),
+            EngineConfig::base(),
         );
         let after = snapshot();
 

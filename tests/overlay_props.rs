@@ -1,7 +1,7 @@
 //! Property tests for the copy-on-write configuration overlays and the
-//! shared parallel frontier engine: overlays must be observationally
-//! identical to eagerly materialized configurations, and search verdicts must
-//! not depend on the worker-thread count.
+//! shared frontier engine: overlays must be observationally identical to
+//! eagerly materialized configurations, and search witnesses over them must
+//! be genuine.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -14,7 +14,7 @@ use accltl_core::logic::BoundedSearcher;
 use accltl_core::paths::engine::{Candidate, FactUniverse};
 use accltl_core::prelude::*;
 use accltl_core::relational::overlay::InstanceOverlay;
-use accltl_core::relational::{GuardCache, InstanceView, RelId};
+use accltl_core::relational::{GuardCache, InstanceView, RelId, INDEX_CUTOFF};
 
 /// Strategy: a random access path over the phone-directory schema — each step
 /// is an AcM1 or AcM2 access whose response reveals zero or more compatible
@@ -101,14 +101,6 @@ fn random_zero_ary_formula() -> impl Strategy<Value = AccLtl> {
     ]
 }
 
-fn verdict_discriminant(outcome: &SatOutcome) -> u8 {
-    match outcome {
-        SatOutcome::Satisfiable { .. } => 0,
-        SatOutcome::Unsatisfiable => 1,
-        SatOutcome::Unknown { .. } => 2,
-    }
-}
-
 /// Asserts that two views agree on every read the guard evaluation makes:
 /// fact iteration, per-relation counts, membership, value-index probes (in
 /// order), selectivities and restricted guard keys.  `flat` is the
@@ -186,7 +178,6 @@ fn check_layered_transition_structure(
     step_seed: u8,
     assumed_seed: u32,
     zero_ary: bool,
-    index_cutoff: usize,
 ) {
     let schema = phone_directory_access_schema();
     let transitions = path.transitions(&schema, initial).unwrap();
@@ -210,8 +201,8 @@ fn check_layered_transition_structure(
 
     let vocab = TransitionVocab::new(&schema);
     let cache = GuardCache::new();
-    let root_layers = vocab.root_layer(&root, index_cutoff, &cache);
-    let state = vocab.state_layer(&root_layers, &before, index_cutoff, &cache);
+    let root_layers = vocab.root_layer(&root, &cache);
+    let state = vocab.state_layer(&root_layers, &before, &cache);
     let method = schema.require_method(transition.access.method).unwrap();
     let relation = method.relation_id();
     let universe = FactUniverse::new(
@@ -238,12 +229,12 @@ fn check_layered_transition_structure(
     let layered = structure.view();
 
     let mut flat = transition_structure(transition, zero_ary);
-    flat.set_index_cutoff(index_cutoff);
+    flat.set_index_cutoff(INDEX_CUTOFF);
     assert_eq!(layered.fact_count(), flat.fact_count());
     assert_eq!(
         state.layers().materialize(),
         vocab
-            .root_layer(&transition.before, index_cutoff, &cache)
+            .root_layer(&transition.before, &cache)
             .layers()
             .materialize()
     );
@@ -278,16 +269,8 @@ proptest! {
         step_seed in any::<u8>(),
         assumed_seed in any::<u32>(),
         zero_ary in any::<bool>(),
-        index_cutoff in prop_oneof![Just(0usize), Just(2), Just(8)],
     ) {
-        check_layered_transition_structure(
-            &path,
-            &initial,
-            step_seed,
-            assumed_seed,
-            zero_ary,
-            index_cutoff,
-        );
+        check_layered_transition_structure(&path, &initial, step_seed, assumed_seed, zero_ary);
     }
 
     /// The overlay configuration sequence is observationally identical to the
@@ -376,39 +359,27 @@ proptest! {
         prop_assert_eq!(set.len(), distinct.len());
     }
 
-    /// The bounded satisfiability search returns the same verdict on 1 and 4
-    /// worker threads, and every witness validates and satisfies the formula.
+    /// Every witness of the bounded satisfiability search over overlay
+    /// configurations validates and satisfies the formula.
     #[test]
     fn bounded_search_verdicts_are_thread_count_independent(
         formula in random_zero_ary_formula(),
         initial in random_initial(),
     ) {
         let schema = phone_directory_access_schema();
-        let outcomes: Vec<SatOutcome> = [1usize, 4]
-            .iter()
-            .map(|&threads| {
-                let config = BoundedSearchConfig { threads, ..BoundedSearchConfig::default() };
-                BoundedSearcher::new(&schema, &initial, true, config)
-                    .run(&formula)
-                    .verdict
-            })
-            .collect();
-        prop_assert_eq!(
-            verdict_discriminant(&outcomes[0]),
-            verdict_discriminant(&outcomes[1])
-        );
-        for outcome in &outcomes {
-            if let SatOutcome::Satisfiable { witness } = outcome {
-                prop_assert!(witness.validate(&schema).is_ok());
-                prop_assert!(formula
-                    .holds_on_path(witness, &schema, &initial, true)
-                    .unwrap());
-            }
+        let outcome = BoundedSearcher::new(&schema, &initial, true, BoundedSearchConfig::default())
+            .run(&formula)
+            .verdict;
+        if let SatOutcome::Satisfiable { witness } = &outcome {
+            prop_assert!(witness.validate(&schema).is_ok());
+            prop_assert!(formula
+                .holds_on_path(witness, &schema, &initial, true)
+                .unwrap());
         }
     }
 
-    /// The A-automaton emptiness search agrees across thread counts, with
-    /// genuine witnesses.
+    /// Every witness of the A-automaton emptiness search is accepted by the
+    /// automaton.
     #[test]
     fn emptiness_verdicts_are_thread_count_independent(
         satisfiable in any::<bool>(),
@@ -436,19 +407,11 @@ proptest! {
             ])
         };
         let automaton = accltl_plus_to_automaton(&formula);
-        let outcomes: Vec<_> = [1usize, 4]
-            .iter()
-            .map(|&threads| {
-                let config = EmptinessConfig { threads, ..EmptinessConfig::default() };
-                bounded_emptiness_report(&automaton, &schema, &initial, &config).verdict
-            })
-            .collect();
-        prop_assert_eq!(&outcomes[0], &outcomes[1]);
-        for outcome in &outcomes {
-            if let accltl_core::automata::EmptinessOutcome::NonEmpty { witness } = outcome {
-                let transitions = witness.transitions(&schema, &initial).unwrap();
-                prop_assert!(automaton.accepts_transitions(&transitions));
-            }
+        let config = EmptinessConfig::default();
+        let outcome = bounded_emptiness_report(&automaton, &schema, &initial, &config).verdict;
+        if let accltl_core::automata::EmptinessOutcome::NonEmpty { witness } = &outcome {
+            let transitions = witness.transitions(&schema, &initial).unwrap();
+            prop_assert!(automaton.accepts_transitions(&transitions));
         }
     }
 }

@@ -3,8 +3,8 @@
 //! every step of a random access/response stream, a session's per-property
 //! reports must be *byte-identical* — the same verdicts, the same witnesses,
 //! the same explored-state counts and guard-consult totals — to a
-//! from-scratch re-run over the grown instance, on 1, 4 and 8 worker
-//! threads, with `EngineConfig::disable_session_reuse` and with the
+//! from-scratch re-run over the grown instance, with
+//! `EngineConfig::disable_session_reuse` and with the
 //! `ACCLTL_DISABLE_SESSION_REUSE=1` environment flag.  The session's whole
 //! point is reusing caches across steps; these tests prove the reuse is
 //! invisible in every contractual counter.
@@ -95,21 +95,20 @@ fn assert_matches_scratch(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The foregrounded contract: at every step, on 1/4/8 threads, session
-    /// reports equal a from-scratch batch over the grown instance — verdict,
-    /// witness, explored count and guard-consult total.
+    /// The foregrounded contract: at every step, session reports equal a
+    /// from-scratch batch over the grown instance — verdict, witness,
+    /// explored count and guard-consult total.
     #[test]
     fn session_steps_match_from_scratch_reruns(
         properties in proptest::collection::vec(random_formula(), 1..4),
         stream in random_stream(),
         initial in random_initial(),
         zero_ary in any::<bool>(),
-        threads in prop_oneof![Just(1usize), Just(4), Just(8)],
     ) {
         common::with_deadline(120, || {
             let _guard = flag_lock();
             let schema = phone_directory_access_schema();
-            let engine = EngineConfig::base().threads(threads);
+            let engine = EngineConfig::base();
             let searcher =
                 BoundedSearcher::with_engine_config(&schema, &initial, zero_ary, engine);
             let mut session = searcher.open_session(&properties);
@@ -133,7 +132,7 @@ proptest! {
     ) {
         let _guard = flag_lock();
         let schema = phone_directory_access_schema();
-        let reusing = EngineConfig::base().threads(1);
+        let reusing = EngineConfig::base();
         let disabled = reusing.disable_session_reuse(true);
         let reusing_searcher =
             BoundedSearcher::with_engine_config(&schema, &initial, zero_ary, reusing);
@@ -238,11 +237,7 @@ fn env_flag_disables_reuse_with_identical_reports() {
         ),
     ];
 
-    let config = BoundedSearchConfig {
-        threads: 1,
-        ..BoundedSearchConfig::default()
-    };
-    let searcher = BoundedSearcher::new(&schema, &initial, false, config);
+    let searcher = BoundedSearcher::new(&schema, &initial, false, BoundedSearchConfig::default());
     let mut reusing = searcher.open_session(&properties);
 
     std::env::set_var(DISABLE_SESSION_REUSE_ENV_VAR, "1");
@@ -378,7 +373,7 @@ fn monitor_streams_prepare_once_and_match_scratch_every_step() {
     let properties = monitor_properties();
     let stream = monitor_stream();
     for zero_ary in [false, true] {
-        let reusing = EngineConfig::base().threads(1);
+        let reusing = EngineConfig::base();
         let disabled = reusing.disable_session_reuse(true);
 
         // The reusing session alone, so the registry delta is its own.

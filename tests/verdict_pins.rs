@@ -9,13 +9,9 @@
 //! language, so the whole batch runs through the bounded search.
 //!
 //! Each property's verdict, witness, explored-state count, charged cost and
-//! guard-consult total is pinned, at one and at four worker threads.  The
-//! consult total follows the frontier chunk length, which scales with the
-//! thread count, so satisfiable rows pin it per thread count; the ×16 rows
-//! exhaust the bounded space and consult the same guards either way.  A
-//! change to the search that moves any of these numbers (the obligation
-//! representation, deduplication, candidate order, budget accounting) fails
-//! here, not only in the benchmark.
+//! guard-consult total is pinned.  A change to the search that moves any of
+//! these numbers (the obligation representation, deduplication, candidate
+//! order, budget accounting) fails here, not only in the benchmark.
 //!
 //! The emptiness pins do the same for the A-automaton product search: the
 //! containment and long-term-relevance automata the `constraints-contain`
@@ -73,15 +69,12 @@ fn observed(report: &AnalyzerReport) -> (String, usize, usize, u64) {
     )
 }
 
-fn check(scale: usize, threads: usize, pins: [Pin; 8]) {
+fn check(scale: usize, pins: [Pin; 8]) {
     let schema = phone_directory_access_schema();
     let properties: Vec<AccLtl> = (0..8).map(|k| fd_dataflow_property(&schema, k)).collect();
     let analyzer = AccessAnalyzer::new(schema)
         .with_initial(scaled_initial(scale))
-        .with_search_config(BoundedSearchConfig {
-            threads,
-            ..BoundedSearchConfig::default()
-        });
+        .with_search_config(BoundedSearchConfig::default());
     let reports = analyzer.check_all(&BatchRequest::new(properties));
     assert_eq!(reports.len(), pins.len());
     for (k, (report, pin)) in reports.iter().zip(pins).enumerate() {
@@ -89,7 +82,7 @@ fn check(scale: usize, threads: usize, pins: [Pin; 8]) {
         assert_eq!(
             (verdict.as_str(), explored, cost, guards),
             pin,
-            "x{scale} threads={threads} k={k}"
+            "x{scale} k={k}"
         );
     }
 }
@@ -97,24 +90,21 @@ fn check(scale: usize, threads: usize, pins: [Pin; 8]) {
 #[test]
 fn fig1_fd_batch_x1_reports_are_pinned() {
     with_deadline(120, || {
-        check(1, 1, satisfiable_pins(0, [111, 222, 873]));
-        check(1, 4, satisfiable_pins(0, [111, 762, 2463]));
+        check(1, satisfiable_pins(0, [111, 222, 873]));
     });
 }
 
 #[test]
 fn fig1_fd_batch_x8_reports_are_pinned() {
     with_deadline(120, || {
-        check(8, 1, satisfiable_pins(7, [111, 222, 873]));
-        check(8, 4, satisfiable_pins(7, [111, 762, 2463]));
+        check(8, satisfiable_pins(7, [111, 222, 873]));
     });
 }
 
 #[test]
 fn fig1_fd_batch_x16_reports_are_pinned() {
     with_deadline(120, || {
-        check(16, 1, UNKNOWN_X16);
-        check(16, 4, UNKNOWN_X16);
+        check(16, UNKNOWN_X16);
     });
 }
 
@@ -246,10 +236,7 @@ const EMPTINESS_PINS: [EmptinessPin; 12] = [
 ];
 
 fn emptiness_digest(automaton: &AAutomaton, schema: &AccessSchema) -> (String, usize, usize, u64) {
-    let config = EmptinessConfig {
-        threads: 1,
-        ..EmptinessConfig::default()
-    };
+    let config = EmptinessConfig::default();
     let report = bounded_emptiness_report(automaton, schema, &Instance::new(), &config);
     let (verdict, explored, cost, guards) = common::digest(&report);
     let verdict = match verdict {

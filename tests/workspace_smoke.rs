@@ -62,3 +62,17 @@ fn suite_reexports_match_core() {
     let schema = accltl_suite::prelude::phone_directory_access_schema();
     let _ = accltl_suite::analyzer::AccessAnalyzer::new(schema);
 }
+
+/// The public analysis types stay `Send + Sync`: the engine no longer asks
+/// its oracles for either bound, so this is what keeps a change inside one
+/// of them from quietly making the API unshareable across threads.
+#[test]
+fn public_types_are_send_and_sync() {
+    fn send_sync<T: Send + Sync>() {}
+    send_sync::<AccessAnalyzer>();
+    send_sync::<AnalyzerReport>();
+    send_sync::<accltl_core::MonitorSession<'static>>();
+    send_sync::<accltl_core::logic::bounded::BoundedSearcher<'static>>();
+    send_sync::<accltl_core::logic::bounded::MonitorSession<'static>>();
+    send_sync::<accltl_core::relational::GuardCache>();
+}
